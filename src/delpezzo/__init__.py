@@ -5,19 +5,17 @@ parameterization."""
 
 __version__ = "0.1.0"
 
-from .arith import Factorization, SurfaceParam, TESTBED, crt, factorize, kronecker, moebius, valuation
-from .eta import EtaContext, eta, eta_bruteforce, eta_closed
+from .arith import Factorization, TESTBED, crt, factorize, kronecker, moebius, valuation
+from .eta import eta, eta_bruteforce, eta_closed
 
 __all__ = [
     "Factorization",
-    "SurfaceParam",
     "TESTBED",
     "crt",
     "factorize",
     "kronecker",
     "moebius",
     "valuation",
-    "EtaContext",
     "eta",
     "eta_bruteforce",
     "eta_closed",

@@ -31,6 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
+from .arith import check_nonsquare
+
 
 @dataclass
 class RegionIntegral:
@@ -79,8 +81,7 @@ def omega_inf_region(a: int, tol: float = 1e-9) -> RegionIntegral:
     (0,1]^2 with Jacobian 4 w r / w = 4r, and the y5, y6 sign symmetries give
     a factor 4.
     """
-    if a == 0 or (a > 0 and math.isqrt(a) ** 2 == a):
-        raise ValueError("a must be a nonzero nonsquare")
+    check_nonsquare(a)
 
     def inner(w: float) -> float:
         def f(r: float) -> float:
@@ -172,8 +173,7 @@ def _tail_inv_x2_minus_c(T: float, c: float) -> float:
 
 def omega_inf_chart(a: int, tol: float = 1e-9) -> RegionIntegral:
     """The chart-measure integral with exact x1-sections."""
-    if a == 0 or (a > 0 and math.isqrt(a) ** 2 == a):
-        raise ValueError("a must be a nonzero nonsquare")
+    check_nonsquare(a)
 
     def near(x3: float) -> float:  # x3 in (0, 1]
         return _chart_section(a, x3) / x3

@@ -2,14 +2,13 @@
 
 Everything here works with plain Python integers and fractions.Fraction, so all
 density bookkeeping downstream stays exact.  Factorizations are cached
-process-wide behind a lock (get-or-compute), since the same small moduli are
-factored over and over by the counting loops.
+process-wide, since the same small moduli are factored over and over by the
+counting loops.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -109,10 +108,6 @@ class Factorization:
         return len(self.factors)
 
 
-_factor_cache: dict[int, Factorization] = {}
-_factor_lock = threading.Lock()
-
-
 def _factorize_uncached(n: int) -> tuple[tuple[int, int], ...]:
     out: dict[int, int] = {}
     for p in (2, 3, 5):
@@ -146,19 +141,12 @@ def _factorize_uncached(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(out.items()))
 
 
+@lru_cache(maxsize=None)
 def factorize(n: int) -> Factorization:
     """Exact factorization of |n|.  Raises for n = 0."""
     if n == 0:
         raise ValueError("cannot factorize 0")
-    n = abs(n)
-    with _factor_lock:
-        hit = _factor_cache.get(n)
-    if hit is not None:
-        return hit
-    result = Factorization(_factorize_uncached(n))
-    with _factor_lock:
-        # get-or-compute: first writer wins, result is deterministic anyway
-        return _factor_cache.setdefault(n, result)
+    return Factorization(_factorize_uncached(abs(n)))
 
 
 def valuation(p: int, n: int) -> int:
@@ -276,28 +264,12 @@ def ceil_sqrt(n: int) -> int:
     return s if s * s == n else s + 1
 
 
-class SurfaceParam:
-    """The surface parameter a: a nonzero nonsquare integer, with the
-    factorizations of a and 2a cached on the instance."""
-
-    def __init__(self, a: int):
-        if a == 0:
-            raise ValueError("a must be nonzero")
-        if a > 0 and math.isqrt(a) ** 2 == a:
-            raise ValueError(f"a = {a} is a perfect square")
-        self.a = a
-        self.fact_a = factorize(a)
-        self.fact_2a = factorize(2 * a)
-
-    def v(self, p: int) -> int:
-        """Valuation v_p(a)."""
-        for q, e in self.fact_a:
-            if q == p:
-                return e
-        return 0
-
-    def __repr__(self):
-        return f"SurfaceParam({self.a})"
+def check_nonsquare(a: int) -> int:
+    """Return the surface parameter a; raise ValueError unless it is a nonzero
+    nonsquare integer."""
+    if a == 0 or (a > 0 and math.isqrt(a) ** 2 == a):
+        raise ValueError(f"a = {a} must be a nonzero nonsquare integer")
+    return a
 
 
 # a-values exercising every branch: odd/even valuations at odd primes and at 2

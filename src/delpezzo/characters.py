@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import SurfaceParam, kronecker
+from .arith import check_nonsquare, kronecker
 
 
 @dataclass
@@ -39,10 +39,8 @@ class ToleranceError(RuntimeError):
 class CharacterChi:
     """chi(n) = kronecker(a, n) gated by gcd(n, 2a) = 1, periodic mod 8|a|."""
 
-    def __init__(self, a: int | SurfaceParam):
-        self.param = a if isinstance(a, SurfaceParam) else SurfaceParam(a)
-        a = self.param.a
-        self.a = a
+    def __init__(self, a: int):
+        self.a = check_nonsquare(a)
         self.modulus = 8 * abs(a)
         two_a = 2 * abs(a)
         table = np.zeros(self.modulus, dtype=np.int8)

@@ -8,15 +8,18 @@ count mismatch.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
-import math
 import os
 import sys
 import time
+import zlib
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
+from .arith import check_nonsquare
 
 SCHEMA_VERSION = 1
 CACHE_ENV = "DELPEZZO_CACHE_DIR"
@@ -30,22 +33,33 @@ def default_cache_dir() -> Path:
     return Path(os.environ.get(CACHE_ENV, ".delpezzo_cache"))
 
 
+@lru_cache(maxsize=None)
+def code_version() -> str:
+    """Checksum of the package's sources, so that a cached result never
+    outlives the code that produced it.  CRC-32, because importing hashlib
+    loads OpenSSL and adds about 3.5 MB to every command's memory."""
+    crc = 0
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        crc = zlib.crc32(path.name.encode() + b"\0" + path.read_bytes(), crc)
+    return f"{crc:08x}"
+
+
 class Cache:
-    """Append-only JSON-lines store keyed by (command, parameters, version)."""
+    """Append-only JSON-lines store keyed by (command, parameters, code version)."""
 
     def __init__(self, directory: Path):
         self.path = Path(directory) / "cache.jsonl"
 
-    def _key(self, command: str, params: dict) -> str:
+    def _key(self, command: str, params: dict, version: str) -> str:
         return json.dumps(
-            {"command": command, "parameters": params, "code_version": __version__},
+            {"command": command, "parameters": params, "code_version": version},
             sort_keys=True,
         )
 
     def get(self, command: str, params: dict):
         if not self.path.exists():
             return None
-        key = self._key(command, params)
+        key = self._key(command, params, code_version())
         hit = None
         with open(self.path, "r", encoding="utf-8") as fh:
             for line in fh:
@@ -55,7 +69,10 @@ class Cache:
                     continue
                 if (
                     rec.get("schema_version") == SCHEMA_VERSION
-                    and self._key(rec.get("command", ""), rec.get("parameters", {})) == key
+                    and self._key(
+                        rec.get("command", ""), rec.get("parameters", {}), rec.get("code_version")
+                    )
+                    == key
                 ):
                     hit = rec
         return hit
@@ -67,7 +84,7 @@ class Cache:
             "parameters": params,
             "result": result,
             "timestamp": time.time(),
-            "code_version": __version__,
+            "code_version": code_version(),
         }
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as fh:
@@ -75,19 +92,18 @@ class Cache:
         return rec
 
 
-def _check_a(a: int) -> None:
-    if a == 0 or (a > 0 and math.isqrt(a) ** 2 == a):
-        raise SystemExit2(f"a = {a} must be a nonzero nonsquare integer")
-
-
 class SystemExit2(Exception):
     """Usage error (exit code 2)."""
 
 
-def cmd_count(args) -> int:
-    _check_a(args.a)
-    from .counting import direct_count, torsor_count
+def _check_direct_range(B: int) -> None:
+    from .counting import DIRECT_B_MAX
 
+    if B > DIRECT_B_MAX:
+        raise SystemExit2(f"B = {B} exceeds the direct counter's limit {DIRECT_B_MAX}")
+
+
+def cmd_count(args) -> int:
     params = {
         "a": args.a,
         "B": str(args.B),
@@ -97,8 +113,11 @@ def cmd_count(args) -> int:
     cache = Cache(args.cache_dir)
     rec = cache.get("count", params)
     if rec is None:
+        from .counting import direct_count, torsor_count
+
         results = {}
         if args.method in ("direct", "both"):
+            _check_direct_range(args.B)
             r = direct_count(args.a, Fraction(args.B), jobs=args.jobs)
             results["direct"] = {"count": r.count, "elapsed": r.elapsed, "method": r.method}
         if args.method in ("torsor", "both"):
@@ -120,9 +139,6 @@ def cmd_count(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    _check_a(args.a)
-    from .constant import predict_constant
-
     params = {
         "a": args.a,
         "prime_cut": args.prime_cut,
@@ -133,6 +149,8 @@ def cmd_predict(args) -> int:
     cache = Cache(args.cache_dir)
     rec = cache.get("predict", params)
     if rec is None:
+        from .constant import predict_constant
+
         bd = predict_constant(args.a, prime_cut=args.prime_cut, tolerance=args.tolerance)
         factors = bd.factors()
         if args.mc_samples > 0:
@@ -153,22 +171,20 @@ def cmd_predict(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _check_a(args.a)
-    from .constant import compare, predict_constant
-
-    B_list = [int(x) for x in args.B_list.split(",")]
     params = {
         "a": args.a,
-        "B_list": B_list,
+        "B_list": args.B_list,
         "prime_cut": args.prime_cut,
-        "seed": args.seed,
     }
     cache = Cache(args.cache_dir)
     rec = cache.get("compare", params)
     if rec is None:
+        _check_direct_range(max(args.B_list))
+        from .constant import compare, predict_constant
+
         bd = predict_constant(args.a, prime_cut=args.prime_cut)
         try:
-            rows = compare(args.a, B_list, breakdown=bd)
+            rows = compare(args.a, args.B_list, breakdown=bd)
         except AssertionError as exc:
             print(str(exc), file=sys.stderr)
             return 3
@@ -319,10 +335,19 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
-    if args.inject_fault:
-        from .eta import set_fault_inject
+    if not args.inject_fault:
+        return _run_suites(args)
+    # report one square root too many at (2, 3, 17), to prove the suites can fail
+    eta_module = importlib.import_module(".eta", __package__)
+    eta_closed = eta_module.eta_closed
+    eta_module.eta_closed = lambda p, k, a: eta_closed(p, k, a) + ((p, k, a) == (2, 3, 17))
+    try:
+        return _run_suites(args)
+    finally:
+        eta_module.eta_closed = eta_closed
 
-        set_fault_inject(True)
+
+def _run_suites(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     failures = []
     for name in names:
@@ -339,6 +364,22 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _surface_a(text: str) -> int:
+    """argparse type of --a: a nonzero nonsquare integer."""
+    try:
+        return check_nonsquare(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _B_list(text: str) -> list[int]:
+    """argparse type of --B-list: comma-separated integers."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="delpezzo",
@@ -349,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("count", help="count points of height <= B")
-    c.add_argument("--a", type=int, required=True)
+    c.add_argument("--a", type=_surface_a, required=True)
     c.add_argument("--B", type=int, required=True)
     c.add_argument("--method", choices=("direct", "torsor", "both"), default="both")
     c.add_argument("--jobs", type=int, default=1)
@@ -358,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_count)
 
     p = sub.add_parser("predict", help="predicted leading constant, factored")
-    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--a", type=_surface_a, required=True)
     p.add_argument("--prime-cut", type=int, default=20000)
     p.add_argument("--mc-samples", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=1)
@@ -374,10 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=cmd_verify)
 
     m = sub.add_parser("compare", help="count vs prediction table")
-    m.add_argument("--a", type=int, required=True)
-    m.add_argument("--B-list", type=str, required=True)
+    m.add_argument("--a", type=_surface_a, required=True)
+    m.add_argument("--B-list", type=_B_list, required=True)
     m.add_argument("--prime-cut", type=int, default=20000)
-    m.add_argument("--seed", type=int, default=1)
     m.add_argument("--format", choices=("json", "csv"), default="csv")
     m.add_argument("--cache-dir", type=Path, default=default_cache_dir())
     m.set_defaults(func=cmd_compare)

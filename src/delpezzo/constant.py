@@ -80,27 +80,32 @@ class ConstantBreakdown:
         }
 
 
-def finite_product(a: int, prime_cut: int, l1_tolerance: float = 1e-7) -> EulerEstimate:
-    """prod_p omega_p by the convergence-factor splitting; error by doubling."""
+L1_TOLERANCE = 1e-7
+
+
+def finite_product(a: int, prime_cut: int, L1: EulerEstimate | None = None) -> EulerEstimate:
+    """prod_p omega_p by the convergence-factor splitting; error by doubling.
+
+    L1 is the estimate of L(1, chi) to use; by default it is summed to
+    L1_TOLERANCE."""
     if prime_cut < 100:
         raise ValueError("prime_cut must be at least 100")
     chi = CharacterChi(a)
-    L1 = chi.L1(l1_tolerance)
+    if L1 is None:
+        L1 = chi.L1(L1_TOLERANCE)
     bad = {p for p, _ in factorize(2 * a)}
-    value_at = {}
-    for cut in (prime_cut, 2 * prime_cut):
-        prod = 1.0
-        for p in primes_upto(cut):
-            if p in bad:
-                continue
+    prod = at_cut = 1.0
+    for p in primes_upto(2 * prime_cut):
+        if p not in bad:
             prod *= float(omega_p(p, a)) * (1 - chi.chi(p) / p)
-        value_at[cut] = prod
+        if p <= prime_cut:
+            at_cut = prod
     head = 1.0
     for p in bad:
         head *= float(omega_p(p, a))
-    val = head * L1.value * value_at[2 * prime_cut]
-    doubling = abs(value_at[2 * prime_cut] - value_at[prime_cut]) * head * abs(L1.value)
-    bound = doubling + head * value_at[2 * prime_cut] * L1.bound
+    val = head * L1.value * prod
+    doubling = abs(prod - at_cut) * head * abs(L1.value)
+    bound = doubling + head * prod * L1.bound
     return EulerEstimate(val, bound, prime_cut)
 
 
@@ -143,11 +148,11 @@ def predict_constant(
     a: int,
     prime_cut: int = 20000,
     tolerance: float = 1e-6,
-    l1_tolerance: float = 1e-7,
+    l1_tolerance: float = L1_TOLERANCE,
 ) -> ConstantBreakdown:
     """Every factor of the predicted constant over Q (field factors are 1)."""
-    chi = CharacterChi(a)
-    fp = finite_product(a, prime_cut, l1_tolerance)
+    L1 = CharacterChi(a).L1(l1_tolerance)
+    fp = finite_product(a, prime_cut, L1)
     om_chart = omega_inf_chart(a, tolerance)
     om_region = omega_inf_region(a, tolerance)
     c = float(ALPHA) * om_chart.value * fp.value  # rho_Q = 1, |disc| = 1
@@ -157,7 +162,7 @@ def predict_constant(
         omega_inf=om_chart,
         omega_inf_alt=om_region,
         finite_product=fp,
-        L1_chi=chi.L1(l1_tolerance),
+        L1_chi=L1,
         field=RATIONALS,
         c=c,
     )

@@ -3,10 +3,9 @@
 direct_count  enumerates coordinate triples (x1, x3, x4) of the projection
               away from the x4-line, maps them back to the surface, reduces,
               and deduplicates.  Any point of height <= B is reproduced by its
-              own triple, so the count is complete.  Two internal strategies
-              give the same set: the plain O(B^3) box scan, and a pruned scan
-              over primitive triples used for large B (derivation in
-              _direct_pruned_count).
+              own triple, so the count is complete.  The count is a pruned
+              scan over primitive triples (derivation in _direct_pruned_count);
+              the plain O(B^3) box scan _direct_box is kept as its test oracle.
 
 torsor_count  enumerates torsor tuples (a1, ..., a7) with a8 forced by the
               torsor equation and divides the orbit total by 32.  Signs are
@@ -33,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import ceil_sqrt, crt, factorize, moebius, squarefree_divisors, valuation
+from .arith import ceil_sqrt, check_nonsquare, crt, factorize, moebius, squarefree_divisors, valuation
 
 
 @dataclass
@@ -44,11 +43,6 @@ class CountResult:
     count: int
     elapsed: float
     stats: dict = field(default_factory=dict)
-
-
-def _check_nonsquare(a: int) -> None:
-    if a == 0 or (a > 0 and math.isqrt(a) ** 2 == a):
-        raise ValueError(f"a = {a} must be a nonzero nonsquare")
 
 
 def _floor(x) -> int:
@@ -129,8 +123,14 @@ def _ceil_sqrt_arr(n: np.ndarray) -> np.ndarray:
     return np.where(r * r == n, r, r + 1)
 
 
-def _direct_pruned_count(a: int, B1: int) -> int:
-    """Count points of height <= B1 by primitive-triple enumeration.
+# The pruned scan holds products such as B1 * D and a * x3^3, which grow like
+# B^3, in int64; larger heights are refused.
+DIRECT_B_MAX = 100_000
+
+
+def _direct_pruned_count(a: int, B1: int, ms=None) -> int:
+    """Count points of height <= B1 by primitive-triple enumeration, over the
+    reduced heights m = x4 / gcd(x3, x4) in `ms` (default: all m <= sqrt(B1)).
 
     Soundness of the pruning, for a primitive triple t = (x1, x3, x4) mapping
     to the primitive point y with image gcd g:
@@ -154,10 +154,8 @@ def _direct_pruned_count(a: int, B1: int) -> int:
         g | D := gcd(x3 m^3, x4 c^2) (and still g <= x3 x4), which prunes
         whole (x3, x4) pairs and tightens the x1 windows.
     """
-    if B1 > 100_000:
-        raise ValueError("direct enumeration overflows int64 beyond B = 1e5")
     total = 0
-    for m in range(1, math.isqrt(B1) + 1):
+    for m in range(1, math.isqrt(B1) + 1) if ms is None else ms:
         n = np.arange(1, B1 + 1, dtype=np.int64)
         if m > 1:
             n = n[np.gcd(n, m) == 1]
@@ -230,45 +228,23 @@ def _pruned_pairs(a: int, B1: int, m: int, c: np.ndarray, x3: np.ndarray) -> int
     return total
 
 
-_DIRECT_BOX_LIMIT = 200  # box scan up to here; pruned primitive scan beyond
-
-
-def _pruned_m_worker(args) -> int:
-    a, B1, ms = args
-    total = 0
-    for m in ms:
-        n = np.arange(1, B1 + 1, dtype=np.int64)
-        if m > 1:
-            n = n[np.gcd(n, m) == 1]
-        cmax = np.minimum(B1 // m, np.minimum(B1 // n, (B1 * n) // (m * m)))
-        keep = cmax >= 1
-        n, cmax = n[keep], cmax[keep]
-        if not len(n):
-            continue
-        c, owner = _ragged_ranges(np.ones(len(n), dtype=np.int64), cmax)
-        total += 2 * _pruned_pairs(a, B1, m, c, c * n[owner])
-    return total
-
-
-def direct_count(a: int, B, force_box: bool | None = None, jobs: int = 1) -> CountResult:
+def direct_count(a: int, B, jobs: int = 1) -> CountResult:
     """Count U(Q)-points of height <= B through the projection chart."""
-    _check_nonsquare(a)
+    check_nonsquare(a)
     B = Fraction(B)
     t0 = time.time()
     B1 = _floor(B)
     if B1 < 1:
         return CountResult(a, B, "direct", 0, time.time() - t0)
-    use_box = force_box if force_box is not None else B1 <= _DIRECT_BOX_LIMIT
-    if use_box:
-        n = len(_direct_box(a, B1))
-        method = "direct/box"
-    elif jobs > 1:
+    if B1 > DIRECT_B_MAX:
+        raise ValueError(f"direct enumeration overflows int64 beyond B = {DIRECT_B_MAX}")
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        mmax = math.isqrt(B1)
-        parts = [(a, B1, list(range(w + 1, mmax + 1, jobs))) for w in range(jobs)]
+        ms = range(1, math.isqrt(B1) + 1)
+        parts = [ms[w::jobs] for w in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            n = sum(pool.map(_pruned_m_worker, parts))
+            n = sum(pool.map(_direct_pruned_count, [a] * jobs, [B1] * jobs, parts))
         method = f"direct/pruned x{jobs}"
     else:
         n = _direct_pruned_count(a, B1)
@@ -314,7 +290,7 @@ def torsor_count(a: int, B, all_signs: bool = False, jobs: int = 1) -> CountResu
     jobs > 1 partitions the (a2, a3) outer pairs over worker processes and
     sums the partial weighted counts (deterministic merge).
     """
-    _check_nonsquare(a)
+    check_nonsquare(a)
     B = Fraction(B)
     t0 = time.time()
     B1 = _floor(B)
@@ -332,13 +308,16 @@ def torsor_count(a: int, B, all_signs: bool = False, jobs: int = 1) -> CountResu
         from concurrent.futures import ProcessPoolExecutor
 
         pairs = _a23_pairs(B1)
-        parts = [(a, B, B1, pairs[w::jobs]) for w in range(jobs)]
+        parts = [pairs[w::jobs] for w in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            weighted = sum(pool.map(_torsor_pairs_worker, parts))
-        return CountResult(a, B, f"torsor x{jobs}", 2 * weighted, time.time() - t0)
-    weighted, visited = _torsor_positive(a, B, B1)
+            sums = list(pool.map(_torsor_positive, [a] * jobs, [B] * jobs, [B1] * jobs, parts))
+        weighted, visited = (sum(col) for col in zip(*sums))
+        method = f"torsor x{jobs}"
+    else:
+        weighted, visited = _torsor_positive(a, B, B1)
+        method = "torsor"
     return CountResult(
-        a, B, "torsor", 2 * weighted, time.time() - t0,
+        a, B, method, 2 * weighted, time.time() - t0,
         {"weighted_positive": weighted, "visited": visited},
     )
 
@@ -351,13 +330,9 @@ def _a23_pairs(B1: int) -> list[tuple[int, int]]:
     ]
 
 
-def _torsor_pairs_worker(args) -> int:
-    a, B, B1, pairs = args
-    return sum(_torsor_positive(a, B, B1, pair)[0] for pair in pairs)
-
-
-def _torsor_positive(a: int, B: Fraction, B1: int, only_pair=None) -> tuple[int, int]:
-    """Weighted tuple count over a1..a6 >= 1 and a7 >= 0 (weight 2 if a7 > 0).
+def _torsor_positive(a: int, B: Fraction, B1: int, pairs=None) -> tuple[int, int]:
+    """Weighted tuple count over a1..a6 >= 1 and a7 >= 0 (weight 2 if a7 > 0),
+    for the outer (a2, a3) in `pairs` (default: all of _a23_pairs(B1)).
 
     Loop bounds are the exact height-monomial conditions
     M3 = a1^2 a2 a3^2 a5^3 <= B,  M4 = a2^3 a3^2 a4^4 a5 a6^2 <= B,
@@ -367,60 +342,54 @@ def _torsor_positive(a: int, B: Fraction, B1: int, only_pair=None) -> tuple[int,
     total = 0
     visited = 0
     Bn, Bd = B.numerator, B.denominator
-    a2_range = range(1, _icbrt(B1) + 1) if only_pair is None else (only_pair[0],)
-    for a2 in a2_range:
-        a2c = a2**3
-        a3_range = (
-            range(1, math.isqrt(B1 // a2c) + 1) if only_pair is None else (only_pair[1],)
-        )
-        for a3 in a3_range:
-            m4_23 = a2c * a3 * a3
-            a4 = 0
-            while True:
-                a4 += 1
-                m4_234 = m4_23 * a4**4
-                if m4_234 > B1:
-                    break
-                if math.gcd(a4, a3) != 1:
+    for a2, a3 in _a23_pairs(B1) if pairs is None else pairs:
+        m4_23 = a2**3 * a3 * a3
+        a4 = 0
+        while True:
+            a4 += 1
+            m4_234 = m4_23 * a4**4
+            if m4_234 > B1:
+                break
+            if math.gcd(a4, a3) != 1:
+                continue
+            c_base = a * a2**4 * a3**2 * a4**6
+            d7 = a2 * a3 * a4
+            for a1 in range(1, math.isqrt(B1 // (a2 * a3 * a3)) + 1):
+                if math.gcd(a1, d7) != 1:
                     continue
-                c_base = a * a2**4 * a3**2 * a4**6
-                d7 = a2 * a3 * a4
-                for a1 in range(1, math.isqrt(B1 // (a2 * a3 * a3)) + 1):
-                    if math.gcd(a1, d7) != 1:
+                m3_123 = a1 * a1 * a2 * a3 * a3
+                g5 = a2 * a4
+                for a5 in range(1, _icbrt(B1 // m3_123) + 1):
+                    if math.gcd(a5, g5) != 1:
                         continue
-                    m3_123 = a1 * a1 * a2 * a3 * a3
-                    g5 = a2 * a4
-                    for a5 in range(1, _icbrt(B1 // m3_123) + 1):
-                        if math.gcd(a5, g5) != 1:
+                    m4_2345 = m4_234 * a5
+                    m5_12345 = a1 * a2 * a2 * a3 * a3 * a4 * a4 * a5 * a5
+                    a6_hi = min(math.isqrt(B1 // m4_2345), B1 // m5_12345)
+                    g6 = a1 * a2 * a3 * a5
+                    d7a5 = d7 * a5
+                    for a6 in range(1, a6_hi + 1):
+                        if math.gcd(a6, g6) != 1:
                             continue
-                        m4_2345 = m4_234 * a5
-                        m5_12345 = a1 * a2 * a2 * a3 * a3 * a4 * a4 * a5 * a5
-                        a6_hi = min(math.isqrt(B1 // m4_2345), B1 // m5_12345)
-                        g6 = a1 * a2 * a3 * a5
-                        d7a5 = d7 * a5
-                        for a6 in range(1, a6_hi + 1):
-                            if math.gcd(a6, g6) != 1:
-                                continue
-                            visited += 1
-                            c = c_base * a6 * a6
-                            T = Bn * a1 // (Bd * a6)
-                            H2 = Bn // (Bd * d7a5 * a6)
-                            hi2 = c + T
-                            if hi2 < 0:
-                                continue
-                            lo2 = c - T
-                            U = min(math.isqrt(hi2), H2)
-                            L = ceil_sqrt(lo2) if lo2 > 0 else 0
-                            if U < L:
-                                continue
-                            for r in _sqrt_classes(c % a1, a1):
-                                a7 = L + (r - L) % a1
-                                while a7 <= U:
-                                    if math.gcd(a7, d7) == 1:
-                                        a8 = (c - a7 * a7) // a1
-                                        if math.gcd(a8, a5) == 1:
-                                            total += 2 if a7 > 0 else 1
-                                    a7 += a1
+                        visited += 1
+                        c = c_base * a6 * a6
+                        T = Bn * a1 // (Bd * a6)
+                        H2 = Bn // (Bd * d7a5 * a6)
+                        hi2 = c + T
+                        if hi2 < 0:
+                            continue
+                        lo2 = c - T
+                        U = min(math.isqrt(hi2), H2)
+                        L = ceil_sqrt(lo2) if lo2 > 0 else 0
+                        if U < L:
+                            continue
+                        for r in _sqrt_classes(c % a1, a1):
+                            a7 = L + (r - L) % a1
+                            while a7 <= U:
+                                if math.gcd(a7, d7) == 1:
+                                    a8 = (c - a7 * a7) // a1
+                                    if math.gcd(a8, a5) == 1:
+                                        total += 2 if a7 > 0 else 1
+                                a7 += a1
     return total, visited
 
 
@@ -493,7 +462,7 @@ def _count_ap(lo: int, hi: int, r: int, m: int) -> int:
 
 def moebius_slice_check(a: int, a1: int, a2: int, a3: int, a4: int, B) -> tuple[int, int]:
     """Both sides of the Moebius-inversion identity on one (a1..a4) slice."""
-    _check_nonsquare(a)
+    check_nonsquare(a)
     from .theta import theta0
 
     if theta0(a1, a2, a3, a4) != 1:

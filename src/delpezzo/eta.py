@@ -20,14 +20,9 @@ is what the density formulas use.
 from __future__ import annotations
 
 import math
-import threading
+from functools import lru_cache
 
-from .arith import factorize, kronecker, valuation
-
-
-def _check_a(a: int) -> None:
-    if a == 0 or (a > 0 and math.isqrt(a) ** 2 == a):
-        raise ValueError(f"a = {a} must be a nonzero nonsquare")
+from .arith import check_nonsquare, factorize, kronecker, valuation
 
 
 def _gprime(g: int) -> int:
@@ -50,7 +45,7 @@ def eta_bruteforce(q: int, a: int) -> int:
     rho^2 = a (mod p^k) is built by digit-wise lifting (children of a solution
     mod p^j are checked directly mod p^(j+1); no Hensel case analysis is used).
     """
-    _check_a(a)
+    check_nonsquare(a)
     return _eta_bruteforce_any(q, a)
 
 
@@ -108,19 +103,6 @@ def _eta_bruteforce_any(q: int, a: int) -> int:
     return good // lifts
 
 
-_closed_lock = threading.Lock()
-_closed_memo: dict[tuple[int, int, int], int] = {}
-
-# debug hook: when set, eta_closed(2, 3, 17) reports one more square root than
-# it has.  Used by the verification CLI to prove the suites can fail.
-FAULT_INJECT = False
-
-
-def set_fault_inject(value: bool) -> None:
-    global FAULT_INJECT
-    FAULT_INJECT = bool(value)
-
-
 def eta_closed(p: int, k: int, a: int) -> int:
     """eta(p^k; a) by the multiplicative case table.
 
@@ -131,46 +113,34 @@ def eta_closed(p: int, k: int, a: int) -> int:
     p = 2, v_2(a) even     : residue enumeration up to the Hensel threshold
                              v_2(4a)+1, constant beyond it.
     """
-    _check_a(a)
+    check_nonsquare(a)
     return _eta_closed_any(p, k, a)
 
 
+@lru_cache(maxsize=None)
 def _eta_closed_any(p: int, k: int, a: int) -> int:
     if k < 1:
         raise ValueError("k must be >= 1")
     if a == 0:
         raise ValueError("a must be nonzero")
-    if FAULT_INJECT and (p, k, a) == (2, 3, 17):
-        return _eta_bruteforce_any(8, 17) + 1
-    key = (p, k, a)
-    with _closed_lock:
-        hit = _closed_memo.get(key)
-    if hit is not None:
-        return hit
-
     v = valuation(p, a)
     if p != 2 and v == 0 and a % p != 0:
-        val = 1 + kronecker(a, p)
-    elif k <= v:
-        val = 1
-    elif v % 2 == 1:
-        val = 0
-    elif p != 2:
-        val = 1 + kronecker(a // p**v, p)
-    else:
-        cap = valuation(2, 4 * a) + 1  # = v + 3
-        val = _eta_bruteforce_any(2 ** min(k, cap), a)
-
-    with _closed_lock:
-        _closed_memo[key] = val
-    return val
+        return 1 + kronecker(a, p)
+    if k <= v:
+        return 1
+    if v % 2 == 1:
+        return 0
+    if p != 2:
+        return 1 + kronecker(a // p**v, p)
+    cap = valuation(2, 4 * a) + 1  # = v + 3
+    return _eta_bruteforce_any(2 ** min(k, cap), a)
 
 
 def eta(q: int, a: int) -> int:
     """eta(q; a) via multiplicativity over the factorization of q."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    _check_a(a)
+    check_nonsquare(a)
     out = 1
     if q > 1:
         for p, e in factorize(q):
@@ -179,22 +149,3 @@ def eta(q: int, a: int) -> int:
                 break
     return out
 
-
-class EtaContext:
-    """Memoized eta(p^k; a) for one surface parameter; thread-safe get-or-compute."""
-
-    def __init__(self, a: int):
-        _check_a(a)
-        self.a = a
-        self.memo: dict[tuple[int, int], int] = {}
-        self._lock = threading.Lock()
-
-    def prime_power(self, p: int, k: int) -> int:
-        key = (p, k)
-        with self._lock:
-            hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        val = eta_closed(p, k, self.a)
-        with self._lock:
-            return self.memo.setdefault(key, val)

@@ -23,20 +23,18 @@ comments of _tail_bound).  The oracle never uses the closed-form case table.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .arith import factorize, kronecker, valuation
+from .arith import check_nonsquare, factorize, kronecker, valuation
 from .eta import _eta_closed_any, eta_closed
 
 
 def r_a(p: int, a: int) -> Fraction:
     """The Euler-factor correction r_a(p) entering omega_p."""
-    if a == 0 or (a > 0 and math.isqrt(a) ** 2 == a):
-        raise ValueError("a must be a nonzero nonsquare")
+    check_nonsquare(a)
     v = valuation(p, a)
     if p != 2 and v == 0:
         return Fraction(kronecker(a, p))

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delpezzo.arith import (
-    SurfaceParam,
     ceil_sqrt,
+    check_nonsquare,
     crt,
     factorize,
     kronecker,
@@ -129,10 +129,9 @@ def test_ceil_sqrt():
         assert s * s >= n and (s - 1) * (s - 1) < n or n == 0
 
 
-def test_surface_param():
-    sp = SurfaceParam(12)
-    assert sp.v(2) == 2 and sp.v(3) == 1 and sp.v(5) == 0
-    with pytest.raises(ValueError):
-        SurfaceParam(4)
-    with pytest.raises(ValueError):
-        SurfaceParam(0)
+def test_check_nonsquare():
+    for a in (12, -4, -1, 2):
+        assert check_nonsquare(a) == a
+    for a in (4, 0, 1, 45**2):
+        with pytest.raises(ValueError):
+            check_nonsquare(a)

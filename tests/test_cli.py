@@ -112,3 +112,44 @@ def test_main_in_process(tmp_path):
     assert main(["count", "--a", "-1", "--B", "30", "--method", "torsor",
                  "--cache-dir", str(tmp_path)]) == 0
     assert main(["count", "--a", "9", "--B", "30"]) == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["count", "--a", "-1", "--B", "100001", "--method", "direct"],
+        ["count", "--a", "-1", "--B", "100001", "--method", "both"],
+        ["compare", "--a", "-1", "--B-list", "100,100001"],
+        ["compare", "--a", "-1", "--B-list", "1,x"],
+    ],
+)
+def test_out_of_range_usage_error(tmp_path, capsys, args):
+    assert main([*args, "--cache-dir", str(tmp_path)]) == 2
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "cache.jsonl").exists()
+
+
+def test_cache_misses_other_code_version(tmp_path):
+    c = Cache(tmp_path)
+    params = {"a": -1, "B": "60", "method": "both", "jobs": 1}
+    rec = c.put("count", params, {"direct": {"count": 5}})
+    rec["code_version"] = "0" * len(rec["code_version"])
+    c.path.write_text(json.dumps(rec) + "\n")
+    assert c.get("count", params) is None
+
+
+def test_cache_hit_skips_numeric_imports(tmp_path):
+    # a fresh interpreter: other test modules import the counters into this one
+    cache = ["--cache-dir", str(tmp_path)]
+    count = ["count", "--a", "-1", "--B", "40", *cache]
+    predict = ["predict", "--a", "-1", "--prime-cut", "300", "--mc-samples", "1000", *cache]
+    assert run_cli(count).returncode == run_cli(predict).returncode == 0
+    probe = (
+        "import sys; from delpezzo.cli import main; "
+        f"rc = main({count!r}) + main({predict!r}); "
+        "print(rc, sorted(m for m in ('delpezzo.counting', 'delpezzo.constant', 'numpy') "
+        "if m in sys.modules))"
+    )
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "0 []"

@@ -3,8 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delpezzo.counting import (
+    _direct_box,
     direct_count,
     moebius_slice_check,
     torsor_count,
@@ -28,8 +31,6 @@ def test_frozen_counts():
 
 
 def test_direct_points_lie_on_surface():
-    from delpezzo.counting import _direct_box
-
     for a in (-1, 5):
         pts = _direct_box(a, 30)
         assert pts
@@ -69,10 +70,35 @@ def test_counters_agree_small():
 def test_pruned_equals_box():
     for a in (-1, 2, 45, 12, 17):
         for B in (80, 150):
-            assert (
-                direct_count(a, B, force_box=True).count
-                == direct_count(a, B, force_box=False).count
-            ), (a, B)
+            assert len(_direct_box(a, B)) == direct_count(a, B).count, (a, B)
+
+
+# a = +-2^k m with m odd, k <= 5, kept when nonsquare
+_nonsquare_a = st.builds(
+    lambda sign, k, m: sign * 2**k * m,
+    st.sampled_from((-1, 1)),
+    st.integers(0, 5),
+    st.integers(0, 7).map(lambda j: 2 * j + 1),
+).filter(lambda a: a < 0 or math.isqrt(a) ** 2 != a)
+
+
+@settings(max_examples=12, deadline=None)
+@given(a=_nonsquare_a, B=st.fractions(min_value=0, max_value=60, max_denominator=7))
+def test_counters_agree_random(a, B):
+    box = len(_direct_box(a, math.floor(B))) if B >= 1 else 0
+    assert box == direct_count(a, B).count == torsor_count(a, B).count
+    assert box == torsor_count(a, B, all_signs=True).count
+
+
+def test_direct_refuses_large_B_before_workers(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(ValueError):
+        direct_count(-1, 100_001, jobs=2)
 
 
 def test_monotone_in_B():

@@ -1,9 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delpezzo.arith import TESTBED, omega, primes_upto
-from delpezzo.eta import EtaContext, eta, eta_bruteforce, eta_closed
+from delpezzo.eta import eta, eta_bruteforce, eta_closed
 
 
 def test_worked_2adic_values():
@@ -106,10 +108,14 @@ def test_summation_trend():
     assert max(ratios) / min(ratios) < 3.0, ratios
 
 
-def test_eta_context_memo():
-    ctx = EtaContext(12)
-    assert ctx.prime_power(2, 3) == eta_closed(2, 3, 12)
-    assert ctx.memo[(2, 3)] == eta_bruteforce(8, 12)
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from(primes_upto(53)),
+    k=st.integers(1, 8),
+    a=st.integers(-3000, 3000).filter(lambda a: a < 0 or math.isqrt(a) ** 2 != a),
+)
+def test_eta_closed_matches_bruteforce_random(p, k, a):
+    assert eta_closed(p, k, a) == eta_bruteforce(p**k, a)
 
 
 def test_square_a_rejected():
