@@ -57,12 +57,19 @@ class Cache:
         )
 
     def get(self, command: str, params: dict):
+        """The last record of (command, params) at this code version, or None.
+
+        Records are written with sorted keys, so only lines holding the
+        request's serialized parameters are parsed."""
         if not self.path.exists():
             return None
         key = self._key(command, params, code_version())
+        fragment = '"parameters": ' + json.dumps(params, sort_keys=True)
         hit = None
         with open(self.path, "r", encoding="utf-8") as fh:
             for line in fh:
+                if fragment not in line:
+                    continue
                 try:
                     rec = json.loads(line)
                 except json.JSONDecodeError:
@@ -380,6 +387,29 @@ def _B_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers") from None
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+
+
+def _prime_cut(text: str) -> int:
+    """argparse type of --prime-cut: an integer >= 100."""
+    cut = _int(text)
+    if cut < 100:
+        raise argparse.ArgumentTypeError(f"prime cut {cut} is below 100")
+    return cut
+
+
+def _mc_samples(text: str) -> int:
+    """argparse type of --mc-samples: 0 (no Monte Carlo estimate) or >= 2."""
+    n = _int(text)
+    if n < 0 or n == 1:
+        raise argparse.ArgumentTypeError(f"{n} samples: use 0 or at least 2")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="delpezzo",
@@ -400,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="predicted leading constant, factored")
     p.add_argument("--a", type=_surface_a, required=True)
-    p.add_argument("--prime-cut", type=int, default=20000)
-    p.add_argument("--mc-samples", type=int, default=10**6)
+    p.add_argument("--prime-cut", type=_prime_cut, default=20000)
+    p.add_argument("--mc-samples", type=_mc_samples, default=10**6)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--tolerance", type=float, default=1e-6)
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -417,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("compare", help="count vs prediction table")
     m.add_argument("--a", type=_surface_a, required=True)
     m.add_argument("--B-list", type=_B_list, required=True)
-    m.add_argument("--prime-cut", type=int, default=20000)
+    m.add_argument("--prime-cut", type=_prime_cut, default=20000)
     m.add_argument("--format", choices=("json", "csv"), default="csv")
     m.add_argument("--cache-dir", type=Path, default=default_cache_dir())
     m.set_defaults(func=cmd_compare)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,10 +108,11 @@ def test_crt_satisfies_all_congruences(congs):
     out = crt(congs)
     if out is None:
         # incompatible: brute-force confirms no solution below the lcm
-        lcm = math.lcm(*(m for _, m in congs))
-        assert not any(
-            all((x - r) % m == 0 for r, m in congs) for x in range(lcm)
-        )
+        x = np.arange(math.lcm(*(m for _, m in congs)))
+        solves = np.ones(len(x), dtype=bool)
+        for r, m in congs:
+            solves &= (x - r) % m == 0
+        assert not solves.any()
     else:
         x, mod = out
         assert mod == math.lcm(*(m for _, m in congs))

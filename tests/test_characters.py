@@ -80,3 +80,26 @@ def test_L1_unreachable_tolerance():
     best = err.value.best
     assert best.cut <= 10**6
     assert abs(best.value - math.pi / 4) <= best.bound
+
+
+def test_L1_digamma_equals_term_sum():
+    for a in TESTBED:
+        c = CharacterChi(a)
+        for tol in (1e-4, 1e-6):
+            est = c.L1(tol)
+            assert abs(est.value - c._sum_upto(est.cut)) <= 1e-12, (a, tol)
+
+
+@pytest.mark.parametrize(
+    "a, exact",
+    [
+        (-1, math.pi / 4),
+        (2, math.log(1 + math.sqrt(2)) / math.sqrt(2)),
+        (-2, math.pi / (2 * math.sqrt(2))),
+        # L(1, chi_5) = 2 log(golden ratio)/sqrt(5), times the removed factor at 2
+        (5, 1.5 * 2 * math.log((1 + math.sqrt(5)) / 2) / math.sqrt(5)),
+    ],
+)
+def test_L1_closed_forms(a, exact):
+    est = CharacterChi(a).L1(1e-7)
+    assert abs(est.value - exact) <= est.bound, (est.value - exact, est.bound)

@@ -153,3 +153,35 @@ def test_cache_hit_skips_numeric_imports(tmp_path):
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1] == "0 []"
+
+
+def test_cache_get_last_match_among_decoys(tmp_path):
+    c = Cache(tmp_path)
+    params = {"a": -1, "B": "60", "method": "both", "jobs": 1}
+    c.put("count", params, {"n": 1})
+    c.put("count", params, {"n": 2})
+    c.put("predict", params, {"n": 3})  # same params, another command
+    other = c.put("count", params, {"n": 4})
+    other["code_version"] = "0" * len(other["code_version"])
+    lines = c.path.read_text().splitlines()
+    lines[-1] = json.dumps(other, sort_keys=True)  # same params, another code version
+    lines.append(lines[1][:-10])  # a malformed (truncated) matching record
+    c.path.write_text("\n".join(lines) + "\n")
+    assert c.get("count", params)["result"] == {"n": 2}
+    assert c.get("predict", params)["result"] == {"n": 3}
+    assert c.get("count", {**params, "jobs": 2}) is None
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["predict", "--a", "-1", "--prime-cut", "99"],
+        ["compare", "--a", "-1", "--B-list", "100", "--prime-cut", "50"],
+        ["predict", "--a", "-1", "--mc-samples", "1"],
+        ["predict", "--a", "-1", "--mc-samples", "-5"],
+    ],
+)
+def test_bad_predict_input_usage_error(tmp_path, capsys, args):
+    assert main([*args, "--cache-dir", str(tmp_path)]) == 2
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "cache.jsonl").exists()

@@ -94,3 +94,37 @@ def test_compare_detects_mismatch(monkeypatch):
     monkeypatch.setattr(counting, "torsor_count", broken)
     with pytest.raises(AssertionError):
         compare(-1, [20], breakdown=bd)
+
+
+def test_omega_good_is_exact_omega_p():
+    from delpezzo.arith import TESTBED, primes_upto
+    from delpezzo.characters import CharacterChi
+    from delpezzo.constant import omega_good
+    from delpezzo.local_densities import omega_p
+
+    for a in TESTBED:
+        chi = CharacterChi(a)
+        for p in primes_upto(2000):
+            if (2 * a) % p:
+                x = chi.chi(p)
+                pair = 1 - Fraction(x, p)
+                assert omega_good(Fraction(p), x) * pair == omega_p(p, a) * pair, (a, p)
+
+
+def test_finite_product_matches_exact_loop():
+    from delpezzo.arith import TESTBED, factorize, primes_upto
+    from delpezzo.characters import CharacterChi
+    from delpezzo.local_densities import omega_p
+
+    for a in TESTBED:
+        chi = CharacterChi(a)
+        L1 = chi.L1(1e-6)
+        bad = {p for p, _ in factorize(2 * a)}
+        prod = 1.0
+        for p in primes_upto(2000):
+            if p in bad:
+                prod *= float(omega_p(p, a))
+            else:
+                prod *= float(omega_p(p, a)) * (1 - chi.chi(p) / p)
+        fp = finite_product(a, 1000, L1)
+        assert abs(fp.value / (prod * L1.value) - 1) <= 1e-13, a
