@@ -8,8 +8,12 @@ S_N is evaluated in O(m) operations, one digamma pair per residue class,
 
     S_N = (1/m) sum_{r=1..m} chi(r) [psi(K + r/m) - psi(r/m)],
 
-since sum_{j<K} 1/(r + j*m) = (psi(K + r/m) - psi(r/m))/m.  The term-by-term
-chunked sum of the same S_N is kept as the test oracle (`_sum_upto`).
+since sum_{j<K} 1/(r + j*m) = (psi(K + r/m) - psi(r/m))/m.  The digamma
+function psi is evaluated in numpy: the recurrence psi(x) = psi(x + 1) - 1/x
+shifts each argument to x >= 10, where the asymptotic series
+psi(x) ~ log x - 1/(2x) - sum_k B_2k / (2k x^2k) is summed to k = 7.  The
+term-by-term chunked sum of the same S_N is kept as the test oracle
+(`_sum_upto`).
 """
 
 from __future__ import annotations
@@ -39,6 +43,27 @@ class ToleranceError(RuntimeError):
     def __init__(self, msg: str, best: EulerEstimate):
         super().__init__(msg)
         self.best = best
+
+
+# B_2k / (2k) for k = 1..7, the coefficients of psi's asymptotic series in 1/x^2
+_PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
+
+
+def digamma(x) -> np.ndarray:
+    """psi(x) for an array of x > 0: shifted up to x + n >= 10 by the
+    recurrence, then the asymptotic series, whose first omitted term is below
+    1e-16 there."""
+    x = np.asarray(x, dtype=np.float64)
+    n = np.maximum(np.ceil(10 - x), 0)
+    shift = np.zeros_like(x)
+    for k in range(9, -1, -1):  # sum_{k < n} 1/(x + k), smallest terms first
+        shift += np.where(k < n, 1 / (x + k), 0.0)
+    x = x + n
+    inv2 = 1 / (x * x)
+    series = np.zeros_like(x)
+    for coeff in reversed(_PSI_SERIES):
+        series = (series + coeff) * inv2
+    return np.log(x) - 0.5 / x - series - shift
 
 
 class CharacterChi:
@@ -91,8 +116,6 @@ class CharacterChi:
 
     def _sum_periods(self, N: int) -> float:
         """S_N = sum_{n <= N} chi(n)/n for N a multiple of the modulus, by digamma."""
-        from scipy.special import digamma
-
         m = self.modulus
         r = np.arange(1, m + 1)
         chis = self.table[r % m].astype(np.float64)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import math
 import os
 import sys
 import time
@@ -402,6 +403,25 @@ def _prime_cut(text: str) -> int:
     return cut
 
 
+def _jobs(text: str) -> int:
+    """argparse type of --jobs: an integer >= 1."""
+    n = _int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} jobs: use at least 1")
+    return n
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of --tolerance: a positive finite float."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not (0 < tol < math.inf):
+        raise argparse.ArgumentTypeError(f"tolerance {text} is not a positive finite number")
+    return tol
+
+
 def _mc_samples(text: str) -> int:
     """argparse type of --mc-samples: 0 (no Monte Carlo estimate) or >= 2."""
     n = _int(text)
@@ -423,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--a", type=_surface_a, required=True)
     c.add_argument("--B", type=int, required=True)
     c.add_argument("--method", choices=("direct", "torsor", "both"), default="both")
-    c.add_argument("--jobs", type=int, default=1)
+    c.add_argument("--jobs", type=_jobs, default=1)
     c.add_argument("--format", choices=("json", "csv"), default="json")
     c.add_argument("--cache-dir", type=Path, default=default_cache_dir())
     c.set_defaults(func=cmd_count)
@@ -433,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime-cut", type=_prime_cut, default=20000)
     p.add_argument("--mc-samples", type=_mc_samples, default=10**6)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--tolerance", type=float, default=1e-6)
+    p.add_argument("--tolerance", type=_tolerance, default=1e-6)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--cache-dir", type=Path, default=default_cache_dir())
     p.set_defaults(func=cmd_predict)

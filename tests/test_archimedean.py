@@ -2,13 +2,17 @@ import math
 
 import pytest
 
+from delpezzo import archimedean
 from delpezzo.archimedean import (
     N_inf,
+    _gk21,
     omega_inf_chart,
     omega_inf_montecarlo,
     omega_inf_region,
+    quad,
     vol_SF,
 )
+from delpezzo.arith import TESTBED
 
 
 def test_N_inf_values():
@@ -82,3 +86,61 @@ def test_vol_SF_degenerate():
         vol_SF(-1, 1, 1, 1, 1, -5.0)
     with pytest.raises(ValueError):
         vol_SF(-1, 1, 1, 1, 1, 10.0, samples=1)
+
+
+def test_gk21_exact_to_degree_31():
+    # the Kronrod rule is exact for polynomials of degree 31, the embedded
+    # Gauss rule to degree 19, so up to d = 19 the error estimate of x^d is
+    # the roundoff floor 50 eps int|x^d| <= 1.2e-14
+    for d in range(32):
+        val, err = _gk21(lambda x: x**d, 0.0, 1.0)
+        assert abs(val - 1 / (d + 1)) <= 1e-15, d
+        if d <= 19:
+            assert err <= 1.2e-14, d
+    assert _gk21(lambda x: x**20, 0.0, 1.0)[1] > 1.2e-14
+
+
+@pytest.mark.parametrize(
+    "f, exact",
+    [
+        (math.exp, math.e - 1),  # smooth
+        (lambda x: abs(x - 1 / 3), 5 / 18),  # a kink inside
+        (lambda x: 1 / math.sqrt(x), 2.0),  # algebraic singularity at 0
+        (lambda x: x**-0.9, 10.0),
+    ],
+)
+def test_quad_known_integrals(f, exact):
+    for eps in (1e-6, 1e-10):
+        val, err = quad(f, 0.0, 1.0, limit=200, epsabs=eps, epsrel=eps)
+        assert abs(val - exact) <= err, (eps, val - exact, err)
+
+
+def test_quad_stops_at_limit():
+    val, err = quad(lambda x: x**-0.9, 0.0, 1.0, limit=5, epsabs=1e-12, epsrel=0.0)
+    assert err > 1e-12 and abs(val - 10.0) <= err
+
+
+def _scipy_quad(f, lo, hi, limit, epsabs, epsrel):
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(f, lo, hi, limit=limit, epsabs=epsabs, epsrel=epsrel)
+
+
+def test_integrals_within_error_of_scipy(monkeypatch):
+    # the same integrands by scipy's QUADPACK at a tight tolerance
+    with monkeypatch.context() as m:
+        m.setattr(archimedean, "quad", _scipy_quad)
+        refs = {a: (omega_inf_chart(a, 1e-11).value, omega_inf_region(a, 1e-11).value) for a in TESTBED}
+    for a in TESTBED:
+        for tol in (1e-6, 1e-9):
+            for om, ref in zip((omega_inf_chart(a, tol), omega_inf_region(a, tol)), refs[a]):
+                assert abs(om.value - ref) <= om.error_estimate, (a, tol, om.method, om.value - ref)
+
+
+@pytest.mark.parametrize("a", [-1000003, -569, 157, 236, 5215, 448115, 533172, 14372440])
+def test_chart_and_region_agree_within_errors(a):
+    # values of a where one 21-point panel stepped over a kink or a steep
+    # fall of the integrand before the integrals were split at those points
+    for tol in (1e-4, 1e-6, 1e-9):
+        c, r = omega_inf_chart(a, tol), omega_inf_region(a, tol)
+        assert abs(c.value - r.value) <= c.error_estimate + r.error_estimate, (tol, c.value - r.value)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from delpezzo.arith import TESTBED, kronecker
-from delpezzo.characters import CharacterChi, ToleranceError
+from delpezzo.characters import CharacterChi, ToleranceError, digamma
 
 
 def test_chi_minus_one_is_mod4_character():
@@ -88,6 +88,20 @@ def test_L1_digamma_equals_term_sum():
         for tol in (1e-4, 1e-6):
             est = c.L1(tol)
             assert abs(est.value - c._sum_upto(est.cut)) <= 1e-12, (a, tol)
+
+
+def test_digamma_matches_scipy():
+    from scipy.special import digamma as scipy_digamma
+
+    # every argument of _sum_periods, r/m and K + r/m, lies in this range
+    x = np.geomspace(1 / (8 * 45), 1e8, 200_001)
+    got, want = digamma(x), scipy_digamma(x)
+    # psi has its zero at x0 = 1.46163...; near it the shifted sum, a
+    # difference of two numbers near 2.4, is accurate only absolutely
+    near_zero = np.abs(x - 1.4616321449683622) < 0.3
+    rel = np.abs(got - want)[~near_zero] / np.abs(want[~near_zero])
+    assert rel.max() <= 4e-15
+    assert np.abs(got - want)[near_zero].max() <= 2e-15
 
 
 @pytest.mark.parametrize(

@@ -172,6 +172,21 @@ def test_cache_get_last_match_among_decoys(tmp_path):
     assert c.get("count", {**params, "jobs": 2}) is None
 
 
+def test_predict_miss_skips_scipy(tmp_path):
+    # a fresh interpreter: other test modules import scipy into this one
+    predict = ["predict", "--a", "-1", "--prime-cut", "300", "--mc-samples", "1000",
+               "--cache-dir", str(tmp_path)]
+    probe = (
+        "import sys; from delpezzo.cli import main; "
+        f"rc = main({predict!r}); "
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "cache.jsonl").exists()  # it was a miss
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -179,6 +194,13 @@ def test_cache_get_last_match_among_decoys(tmp_path):
         ["compare", "--a", "-1", "--B-list", "100", "--prime-cut", "50"],
         ["predict", "--a", "-1", "--mc-samples", "1"],
         ["predict", "--a", "-1", "--mc-samples", "-5"],
+        ["predict", "--a", "-1", "--tolerance", "0"],
+        ["predict", "--a", "-1", "--tolerance", "-1"],
+        ["predict", "--a", "-1", "--tolerance", "nan"],
+        ["predict", "--a", "-1", "--tolerance", "inf"],
+        ["predict", "--a", "-1", "--tolerance", "x"],
+        ["count", "--a", "-1", "--B", "60", "--jobs", "0"],
+        ["count", "--a", "-1", "--B", "60", "--jobs", "-2"],
     ],
 )
 def test_bad_predict_input_usage_error(tmp_path, capsys, args):
