@@ -116,7 +116,6 @@ def cmd_count(args) -> int:
         "a": args.a,
         "B": str(args.B),
         "method": args.method,
-        "jobs": args.jobs,
     }
     cache = Cache(args.cache_dir)
     rec = cache.get("count", params)
@@ -381,11 +380,15 @@ def _surface_a(text: str) -> int:
 
 
 def _B_list(text: str) -> list[int]:
-    """argparse type of --B-list: comma-separated integers."""
+    """argparse type of --B-list: comma-separated integers >= 2 (the ratio
+    divides by B log^4 B, which is 0 at B = 1)."""
     try:
-        return [int(x) for x in text.split(",")]
+        Bs = [int(x) for x in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers") from None
+    if min(Bs) < 2:
+        raise argparse.ArgumentTypeError(f"B = {min(Bs)} is below 2")
+    return Bs
 
 
 def _int(text: str) -> int:

@@ -9,17 +9,23 @@ direct_count  enumerates coordinate triples (x1, x3, x4) of the projection
 
 torsor_count  enumerates torsor tuples (a1, ..., a7) with a8 forced by the
               torsor equation and divides the orbit total by 32.  Signs are
-              factored out on the fast path: every height monomial and
-              coprimality condition depends only on absolute values, so the
-              full total is 64 * (positive-orthant total with a7 >= 0,
-              weight 2 when a7 > 0), and 64/32 = 2.  The all_signs path
-              enumerates sign patterns literally and checks divisibility by 32.
+              factored out: every height monomial and coprimality condition
+              depends only on absolute values, so the full total is
+              64 * (positive-orthant total with a7 >= 0, weight 2 when
+              a7 > 0), and 64/32 = 2.  The count walks one slice (a1..a4) at
+              a time (_slice_count), over the slice's (a5, a6) box and a7
+              window (_Slice).  The literal enumeration over all sign
+              patterns, _torsor_all_signs, is kept as its test oracle.
 
 moebius_slice_check  verifies, on one fixed slice (a1..a4), that the number
-              of completions (a5, a6, a7, a8) equals the Moebius-inverted sum
-              over (d56, d58, d5, d6, d7) and square-root classes rho, with
-              gamma7 solved by non-coprime CRT and lattice points counted by
-              floor arithmetic on the explicit a7 windows.
+              of completions (a5, a6, a7, a8), which is 4 * _slice_count,
+              equals the Moebius-inverted sum over (d56, d58, d5, d6, d7) and
+              square-root classes rho, with gamma7 solved by non-coprime CRT
+              and lattice points counted by floor arithmetic on the same box
+              and a7 window.
+
+With jobs > 1 both counters split their outer loop over worker processes
+(_fan_out) and sum the parts.
 """
 
 from __future__ import annotations
@@ -48,6 +54,18 @@ class CountResult:
 def _floor(x) -> int:
     x = Fraction(x)
     return x.numerator // x.denominator
+
+
+def _fan_out(worker, args: tuple, items, jobs: int) -> list:
+    """[worker(*args, part)] for the parts items[w::jobs], w < jobs, each part
+    in its own worker process when jobs > 1."""
+    if jobs == 1:
+        return [worker(*args, items)]
+    from concurrent.futures import ProcessPoolExecutor
+
+    parts = [items[w::jobs] for w in range(jobs)]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(worker, *([arg] * jobs for arg in args), parts))
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +256,9 @@ def direct_count(a: int, B, jobs: int = 1) -> CountResult:
         return CountResult(a, B, "direct", 0, time.time() - t0)
     if B1 > DIRECT_B_MAX:
         raise ValueError(f"direct enumeration overflows int64 beyond B = {DIRECT_B_MAX}")
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        ms = range(1, math.isqrt(B1) + 1)
-        parts = [ms[w::jobs] for w in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            n = sum(pool.map(_direct_pruned_count, [a] * jobs, [B1] * jobs, parts))
-        method = f"direct/pruned x{jobs}"
-    else:
-        n = _direct_pruned_count(a, B1)
-        method = "direct/pruned"
+    ms = range(1, math.isqrt(B1) + 1)
+    n = sum(_fan_out(_direct_pruned_count, (a, B1), ms, jobs))
+    method = f"direct/pruned x{jobs}" if jobs > 1 else "direct/pruned"
     return CountResult(a, B, method, n, time.time() - t0)
 
 
@@ -282,11 +292,9 @@ def _iroot4(n: int) -> int:
     return r
 
 
-def torsor_count(a: int, B, all_signs: bool = False, jobs: int = 1) -> CountResult:
+def torsor_count(a: int, B, jobs: int = 1) -> CountResult:
     """Count U(Q)-points of height <= B through the torsor parameterization.
 
-    all_signs=True enumerates every sign pattern literally and checks the raw
-    orbit total is divisible by 32 (validation mode, small B only).
     jobs > 1 partitions the (a2, a3) outer pairs over worker processes and
     sums the partial weighted counts (deterministic merge).
     """
@@ -296,28 +304,10 @@ def torsor_count(a: int, B, all_signs: bool = False, jobs: int = 1) -> CountResu
     B1 = _floor(B)
     if B1 < 1:
         return CountResult(a, B, "torsor", 0, time.time() - t0)
-    if all_signs:
-        raw, visited = _torsor_all_signs(a, B, B1)
-        if raw % 32:
-            raise AssertionError(f"raw torsor tuple total {raw} not divisible by 32")
-        return CountResult(
-            a, B, "torsor/all-signs", raw // 32, time.time() - t0,
-            {"raw_tuples": raw, "visited": visited},
-        )
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pairs = _a23_pairs(B1)
-        parts = [pairs[w::jobs] for w in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            sums = list(pool.map(_torsor_positive, [a] * jobs, [B] * jobs, [B1] * jobs, parts))
-        weighted, visited = (sum(col) for col in zip(*sums))
-        method = f"torsor x{jobs}"
-    else:
-        weighted, visited = _torsor_positive(a, B, B1)
-        method = "torsor"
+    parts = _fan_out(_torsor_positive, (a, B), _a23_pairs(B1), jobs)
+    weighted, visited = (sum(col) for col in zip(*parts))
     return CountResult(
-        a, B, method, 2 * weighted, time.time() - t0,
+        a, B, f"torsor x{jobs}" if jobs > 1 else "torsor", 2 * weighted, time.time() - t0,
         {"weighted_positive": weighted, "visited": visited},
     )
 
@@ -330,75 +320,101 @@ def _a23_pairs(B1: int) -> list[tuple[int, int]]:
     ]
 
 
-def _torsor_positive(a: int, B: Fraction, B1: int, pairs=None) -> tuple[int, int]:
-    """Weighted tuple count over a1..a6 >= 1 and a7 >= 0 (weight 2 if a7 > 0),
-    for the outer (a2, a3) in `pairs` (default: all of _a23_pairs(B1)).
-
-    Loop bounds are the exact height-monomial conditions
-    M3 = a1^2 a2 a3^2 a5^3 <= B,  M4 = a2^3 a3^2 a4^4 a5 a6^2 <= B,
-    M5 = a1 a2^2 a3^2 a4^2 a5^2 a6 <= B, and the a7 window encodes
-    M1 = a6 |c - a7^2| / a1 <= B and M2 = a2 a3 a4 a5 a6 |a7| <= B.
-    """
-    total = 0
-    visited = 0
-    Bn, Bd = B.numerator, B.denominator
-    for a2, a3 in _a23_pairs(B1) if pairs is None else pairs:
-        m4_23 = a2**3 * a3 * a3
-        a4 = 0
-        while True:
-            a4 += 1
-            m4_234 = m4_23 * a4**4
-            if m4_234 > B1:
-                break
+def _torsor_positive(a: int, B: Fraction, pairs) -> tuple[int, int]:
+    """Sum of _slice_count over the admissible slices (a1..a4), those with
+    gcd(a4, a3) = gcd(a1, a2 a3 a4) = 1, whose outer pair (a2, a3) is in
+    `pairs`.  a1 and a4 run up to m3 <= B and m4 <= B; beyond, the slice's
+    box is empty."""
+    B1 = _floor(B)
+    total = visited = 0
+    for a2, a3 in pairs:
+        for a4 in range(1, _iroot4(B1 // (a2**3 * a3 * a3)) + 1):
             if math.gcd(a4, a3) != 1:
                 continue
-            c_base = a * a2**4 * a3**2 * a4**6
-            d7 = a2 * a3 * a4
             for a1 in range(1, math.isqrt(B1 // (a2 * a3 * a3)) + 1):
-                if math.gcd(a1, d7) != 1:
-                    continue
-                m3_123 = a1 * a1 * a2 * a3 * a3
-                g5 = a2 * a4
-                for a5 in range(1, _icbrt(B1 // m3_123) + 1):
-                    if math.gcd(a5, g5) != 1:
-                        continue
-                    m4_2345 = m4_234 * a5
-                    m5_12345 = a1 * a2 * a2 * a3 * a3 * a4 * a4 * a5 * a5
-                    a6_hi = min(math.isqrt(B1 // m4_2345), B1 // m5_12345)
-                    g6 = a1 * a2 * a3 * a5
-                    d7a5 = d7 * a5
-                    for a6 in range(1, a6_hi + 1):
-                        if math.gcd(a6, g6) != 1:
-                            continue
-                        visited += 1
-                        c = c_base * a6 * a6
-                        T = Bn * a1 // (Bd * a6)
-                        H2 = Bn // (Bd * d7a5 * a6)
-                        hi2 = c + T
-                        if hi2 < 0:
-                            continue
-                        lo2 = c - T
-                        U = min(math.isqrt(hi2), H2)
-                        L = ceil_sqrt(lo2) if lo2 > 0 else 0
-                        if U < L:
-                            continue
-                        for r in _sqrt_classes(c % a1, a1):
-                            a7 = L + (r - L) % a1
-                            while a7 <= U:
-                                if math.gcd(a7, d7) == 1:
-                                    a8 = (c - a7 * a7) // a1
-                                    if math.gcd(a8, a5) == 1:
-                                        total += 2 if a7 > 0 else 1
-                                a7 += a1
+                if math.gcd(a1, a2 * a3 * a4) == 1:
+                    w, v = _slice_count(a, B, a1, a2, a3, a4)
+                    total += w
+                    visited += v
     return total, visited
 
 
-def _torsor_all_signs(a: int, B: Fraction, B1: int) -> tuple[int, int]:
-    """Literal enumeration over all sign patterns (small B validation path)."""
+class _Slice:
+    """One slice (a1..a4) of the torsor at height B.
+
+    A completion (a5, a6, a7) with a5, a6 >= 1, and a8 forced by the torsor
+    equation a1 a8 = c - a7^2 with c = c_base a6^2, has height <= B iff
+      M3 = m3 a5^3 <= B,  M4 = m4 a5 a6^2 <= B,  M5 = m5 a5^2 a6 <= B
+    (the (a5, a6) box), and
+      M1 = a6 |c - a7^2| / a1 <= B,  M2 = d7 a5 a6 |a7| <= B
+    (the a7 window).  Signs of a5, a6, a7 change no condition.
+    """
+
+    __slots__ = ("a1", "Bn", "Bd", "B1", "m3", "m4", "m5", "c_base", "d7")
+
+    def __init__(self, a: int, B: Fraction, a1: int, a2: int, a3: int, a4: int):
+        self.a1, self.Bn, self.Bd = a1, B.numerator, B.denominator
+        self.B1 = self.Bn // self.Bd
+        self.m3 = a1 * a1 * a2 * a3 * a3
+        self.m4 = a2**3 * a3 * a3 * a4**4
+        self.m5 = a1 * a2 * a2 * a3 * a3 * a4 * a4
+        self.c_base = a * a2**4 * a3 * a3 * a4**6
+        self.d7 = a2 * a3 * a4
+
+    def a5_hi(self) -> int:
+        return _icbrt(self.B1 // self.m3)
+
+    def a6_hi(self, a5: int) -> int:
+        return min(math.isqrt(self.B1 // (self.m4 * a5)), self.B1 // (self.m5 * a5 * a5))
+
+    def box(self, b5: int = 1, b6: int = 1):
+        """The box by rows: (a5, range of a6) with b5 | a5 and b6 | a6."""
+        for a5 in range(b5, self.a5_hi() + 1, b5):
+            yield a5, range(b6, self.a6_hi(a5) + 1, b6)
+
+    def window(self, a5: int, a6: int) -> tuple[int, int, int]:
+        """(c, L, U): a7 is in the window iff L <= |a7| <= U."""
+        c = self.c_base * a6 * a6
+        T = self.Bn * self.a1 // (self.Bd * a6)
+        if c + T < 0:
+            return c, 1, 0
+        U = min(math.isqrt(c + T), self.Bn // (self.Bd * self.d7 * a5 * a6))
+        L = ceil_sqrt(c - T) if c > T else 0
+        return c, L, U
+
+
+def _slice_count(a: int, B: Fraction, a1: int, a2: int, a3: int, a4: int) -> tuple[int, int]:
+    """Completions of one slice with a5, a6 >= 1 and a7 >= 0 (weight 2 if
+    a7 > 0) under the remaining coprimality conditions, and the number of
+    coprime (a5, a6) visited."""
+    s = _Slice(a, B, a1, a2, a3, a4)
+    g5, g6, d7 = a2 * a4, a1 * a2 * a3, s.d7
+    total = visited = 0
+    for a5, a6s in s.box():
+        if math.gcd(a5, g5) != 1:
+            continue
+        for a6 in a6s:
+            if math.gcd(a6, g6 * a5) != 1:
+                continue
+            visited += 1
+            c, L, U = s.window(a5, a6)
+            if U < L:
+                continue
+            for r in _sqrt_classes(c % a1, a1):
+                for a7 in range(L + (r - L) % a1, U + 1, a1):
+                    if math.gcd(a7, d7) == 1 and math.gcd((c - a7 * a7) // a1, a5) == 1:
+                        total += 2 if a7 > 0 else 1
+    return total, visited
+
+
+def _torsor_all_signs(a: int, B) -> int:
+    """Literal count of torsor tuples over all sign patterns, 32 per point
+    (the test oracle of torsor_count; small B only)."""
     from .torsor import TorsorTuple, height_tilde, validate
 
+    B = Fraction(B)
+    B1 = _floor(B)
     raw = 0
-    visited = 0
     for a1 in _signed(math.isqrt(B1)):
         for a2 in _signed(_icbrt(B1)):
             for a3 in _signed(math.isqrt(B1)):
@@ -414,7 +430,6 @@ def _torsor_all_signs(a: int, B: Fraction, B1: int) -> tuple[int, int]:
                             c = a * a2**4 * a3**2 * a4**6 * a6**2
                             H2 = B1 // abs(a2 * a3 * a4 * a5 * a6)
                             for a7 in range(-H2, H2 + 1):
-                                visited += 1
                                 if (c - a7 * a7) % a1:
                                     continue
                                 a8 = (c - a7 * a7) // a1
@@ -422,7 +437,7 @@ def _torsor_all_signs(a: int, B: Fraction, B1: int) -> tuple[int, int]:
                                 ok, _ = validate(t, a)
                                 if ok and height_tilde(a, a1, a2, a3, a4, a5, a6, a7) <= B:
                                     raw += 1
-    return raw, visited
+    return raw
 
 
 def _signed(hi: int):
@@ -433,21 +448,6 @@ def _signed(hi: int):
 
 # ---------------------------------------------------------------------------
 # Moebius slice identity
-
-
-def _a7_windows(c: int, T: int, H2: int) -> list[tuple[int, int]]:
-    """Intervals of a7 in Z with |c - a7^2| <= T and |a7| <= H2."""
-    hi2 = c + T
-    if hi2 < 0 or H2 < 0:
-        return []
-    lo2 = c - T
-    U = min(math.isqrt(hi2), H2)
-    L = ceil_sqrt(lo2) if lo2 > 0 else 0
-    if U < L:
-        return []
-    if L == 0:
-        return [(-U, U)]
-    return [(-U, -L), (L, U)]
 
 
 def _count_ap(lo: int, hi: int, r: int, m: int) -> int:
@@ -474,55 +474,13 @@ def moebius_slice_check(a: int, a1: int, a2: int, a3: int, a4: int, B) -> tuple[
 def _slice_lhs(a: int, a1: int, a2: int, a3: int, a4: int, B: Fraction) -> int:
     """Completions (a5, a6, a7, a8) with the torsor equation, the remaining
     coprimality conditions, and height <= B;  a5, a6 range over both signs."""
-    B1 = _floor(B)
-    if B1 < 1:
-        return 0
-    m3 = a1 * a1 * a2 * a3 * a3
-    m4 = a2**3 * a3**2 * a4**4
-    m5 = a1 * a2 * a2 * a3 * a3 * a4 * a4
-    c_base = a * a2**4 * a3**2 * a4**6
-    d7 = a2 * a3 * a4
-    if m3 > B1:
-        return 0
-    count = 0
-    for a5a in range(1, _icbrt(B1 // m3) + 1):
-        if math.gcd(a5a, a2 * a4) != 1:
-            continue
-        a6_hi = min(math.isqrt(B1 // (m4 * a5a)), B1 // (m5 * a5a * a5a))
-        for a6a in range(1, a6_hi + 1):
-            if math.gcd(a6a, a1 * a2 * a3 * a5a) != 1:
-                continue
-            c = c_base * a6a * a6a
-            T = _floor(B * a1 / a6a)
-            H2 = _floor(B / (d7 * a5a * a6a))
-            n_good = 0
-            for lo, hi in _a7_windows(c, T, H2):
-                for a7 in range(lo, hi + 1):
-                    if (c - a7 * a7) % a1:
-                        continue
-                    if math.gcd(a7, d7) != 1:
-                        continue
-                    a8 = (c - a7 * a7) // a1
-                    if math.gcd(a8, a5a) != 1:
-                        continue
-                    n_good += 1
-            count += 4 * n_good  # signs of a5 and a6 (windows are symmetric)
-    return count
+    return 4 * _slice_count(a, B, a1, a2, a3, a4)[0]
 
 
 def _slice_rhs(a: int, a1: int, a2: int, a3: int, a4: int, B: Fraction) -> int:
     """The Moebius-inverted side: sum over inversion data and rho classes."""
-    B1 = _floor(B)
-    if B1 < 1:
-        return 0
-    m3 = a1 * a1 * a2 * a3 * a3
-    if m3 > B1:
-        return 0
-    m4 = a2**3 * a3**2 * a4**4
-    m5 = a1 * a2 * a2 * a3 * a3 * a4 * a4
-    c_base = a * a2**4 * a3**2 * a4**6
-    A5 = _icbrt(B1 // m3)
-    A6 = math.isqrt(B1 // m4) if m4 <= B1 else 0
+    s = _Slice(a, B, a1, a2, a3, a4)
+    A5, A6 = s.a5_hi(), s.a6_hi(1)
     if A5 < 1 or A6 < 1:
         return 0
     a_odd = [(p, e) for p, e in factorize(a) if e % 2 == 1]
@@ -573,10 +531,7 @@ def _slice_rhs(a: int, a1: int, a2: int, a3: int, a4: int, B: Fraction) -> int:
                             gamma7, mod7 = sol
                             if mod7 != b7:
                                 raise AssertionError("gamma7 modulus mismatch")
-                            total += mu * _lattice_count(
-                                a, a1, a2, a3, a4, B, b5, b6, b7, gamma7,
-                                m3, m4, m5, c_base,
-                            )
+                            total += mu * _lattice_count(s, b5, b6, b7, gamma7)
     return total
 
 
@@ -587,23 +542,17 @@ def _rho_ok(rho: int, q: int, gp: int) -> bool:
     return math.gcd(rho if rho else q * gp, q * gp) == gp
 
 
-def _lattice_count(a, a1, a2, a3, a4, B, b5, b6, b7, gamma7, m3, m4, m5, c_base) -> int:
+def _lattice_count(s: _Slice, b5: int, b6: int, b7: int, gamma7: int) -> int:
     """#{(a5, a6, a7) : b5 | a5 != 0, b6 | a6 != 0, a7 = gamma7 a6 (mod b7),
     height <= B}."""
-    B1 = _floor(B)
-    d7 = a2 * a3 * a4
     count = 0
-    for a5a in range(b5, _icbrt(B1 // m3) + 1, b5):
-        a6_hi = min(math.isqrt(B1 // (m4 * a5a)), B1 // (m5 * a5a * a5a))
-        for a6a in range(b6, a6_hi + 1, b6):
-            c = c_base * a6a * a6a
-            T = _floor(B * a1 / a6a)
-            H2 = _floor(B / (d7 * a5a * a6a))
-            windows = _a7_windows(c, T, H2)
-            if not windows:
+    for a5, a6s in s.box(b5, b6):
+        for a6 in a6s:
+            _, L, U = s.window(a5, a6)
+            if U < L:
                 continue
-            # a6 = +-a6a give residues +-gamma7 a6a; a5 signs are free
-            for r in (gamma7 * a6a % b7, -gamma7 * a6a % b7):
-                n7 = sum(_count_ap(lo, hi, r, b7) for lo, hi in windows)
-                count += 2 * n7
+            windows = [(-U, U)] if L == 0 else [(-U, -L), (L, U)]
+            # a6 and -a6 give residues +-gamma7 a6; a5 signs are free
+            for r in (gamma7 * a6 % b7, -gamma7 * a6 % b7):
+                count += 2 * sum(_count_ap(lo, hi, r, b7) for lo, hi in windows)
     return count

@@ -17,21 +17,11 @@ mu * eta / norm.  That finite sum must equal the table value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import factorize, primes_upto, valuation
 from .eta import eta_bruteforce, eta_closed
 from .local_densities import r_a
-
-
-@dataclass(frozen=True)
-class ValuationPattern:
-    v: tuple[int, int, int, int]
-
-    @property
-    def supp(self) -> frozenset[int]:
-        return frozenset(i + 1 for i, x in enumerate(self.v) if x != 0)
 
 
 def theta0(a1: int, a2: int, a3: int, a4: int) -> int:

@@ -121,12 +121,24 @@ def test_main_in_process(tmp_path):
         ["count", "--a", "-1", "--B", "100001", "--method", "both"],
         ["compare", "--a", "-1", "--B-list", "100,100001"],
         ["compare", "--a", "-1", "--B-list", "1,x"],
+        ["compare", "--a", "-1", "--B-list", "1", "--format", "json"],
+        ["compare", "--a", "-1", "--B-list", "0,5", "--format", "csv"],
     ],
 )
 def test_out_of_range_usage_error(tmp_path, capsys, args):
     assert main([*args, "--cache-dir", str(tmp_path)]) == 2
     assert "error" in capsys.readouterr().err
     assert not (tmp_path / "cache.jsonl").exists()
+
+
+def test_count_cache_key_ignores_jobs(tmp_path, capsys):
+    args = ["count", "--a", "-1", "--B", "200", "--cache-dir", str(tmp_path)]
+    assert main([*args, "--jobs", "1"]) == 0
+    first = capsys.readouterr().out
+    records = (tmp_path / "cache.jsonl").read_text()
+    assert main([*args, "--jobs", "2"]) == 0
+    assert capsys.readouterr().out == first
+    assert (tmp_path / "cache.jsonl").read_text() == records
 
 
 def test_cache_misses_other_code_version(tmp_path):

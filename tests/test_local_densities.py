@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from delpezzo.arith import TESTBED, factorize, kronecker, primes_upto, valuation
 from delpezzo.local_densities import (
@@ -71,6 +74,21 @@ def test_bruteforce_oracle_generic_prime():
     for p, a in ((7, 3), (11, -1), (13, 5)):
         bf = omega_p_bruteforce(p, a, valuation(p, 4 * a) + 6)
         assert abs(omega_p(p, a) - bf.value) <= bf.tail_bound, (p, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from(primes_upto(13)),
+    j=st.integers(0, 4),
+    m=st.integers(1, 60),
+    sign=st.sampled_from((-1, 1)),
+)
+def test_omega_p_within_oracle_tail_random(p, j, m, sign):
+    # a = +-p^j m, at the oracle's smallest depth v_p(4a) + 4
+    a = sign * p**j * m
+    assume(a < 0 or math.isqrt(a) ** 2 != a)
+    bf = omega_p_bruteforce(p, a, valuation(p, 4 * a) + 4)
+    assert abs(omega_p(p, a) - bf.value) <= bf.tail_bound, (p, a)
 
 
 def test_bruteforce_vmax_floor():

@@ -8,7 +8,6 @@ from delpezzo.eta import eta_bruteforce
 from delpezzo.local_densities import r_a
 from delpezzo.theta import (
     FiniteEulerProduct,
-    ValuationPattern,
     theta0,
     theta1,
     theta1_average,
@@ -25,10 +24,6 @@ def test_theta0():
     assert theta0(3, 5, 7, 11) == 1
     with pytest.raises(ValueError):
         theta0(0, 1, 1, 1)
-
-
-def test_valuation_pattern_supp():
-    assert ValuationPattern((0, 2, 0, 1)).supp == frozenset({2, 4})
 
 
 def test_theta1_local_table():
