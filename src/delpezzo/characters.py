@@ -95,15 +95,19 @@ class CharacterChi:
         r = x % self.modulus
         return int(self._running[r - 1]) if r else 0
 
-    def L1(self, tolerance: float, max_terms: int = 2_000_000_000) -> EulerEstimate:
-        """L(1, chi) = sum chi(n)/n with tail bound 2*max|A|/(N+1) <= tolerance."""
+    def L1(self, tolerance: float, max_terms: int | None = None) -> EulerEstimate:
+        """L(1, chi) = sum chi(n)/n with tail bound 2*max|A|/(N+1) <= tolerance.
+
+        _sum_periods costs O(modulus) for any N, so N is uncapped unless
+        max_terms is given; beyond it ToleranceError carries the estimate at
+        the cap."""
         if tolerance <= 0:
             raise ValueError("tolerance must be positive")
         m = self.modulus
         amax = self.partial_max
         need = int(2 * amax / tolerance) + 1
         N = ((need + m - 1) // m) * m  # whole periods
-        if N > max_terms:
+        if max_terms is not None and N > max_terms:
             N_cap = (max_terms // m) * m
             est = self._sum_periods(N_cap)
             bound = 2 * amax / (N_cap + 1)

@@ -132,36 +132,6 @@ def finite_product(a: int, prime_cut: int, L1: EulerEstimate | None = None) -> E
     return EulerEstimate(val, bound, prime_cut)
 
 
-def naive_partial_product(a: int, cut: int) -> float:
-    """The raw conditionally convergent prod_{p <= cut} omega_p (slow route)."""
-    prod = 1.0
-    for p in primes_upto(cut):
-        prod *= float(omega_p(p, a))
-    return prod
-
-
-def naive_product_curve(a: int, cut: int):
-    """(primes, running products of omega_p) in float64, vectorized away from
-    p | 2a, for studying the conditional oscillation at large cuts."""
-    import numpy as np
-
-    ps, chis, bad = _prime_table(a, cut)
-    factors = omega_good(ps, chis)
-    for p in bad:
-        factors[ps == p] = float(omega_p(p, a))
-    return ps, np.cumprod(factors)
-
-
-def naive_product_smoothed(a: int, cut: int) -> float:
-    """Cesaro-style average of the conditional partial products over the last
-    stretch of primes (one chi-period worth of residues)."""
-    import numpy as np
-
-    ps, curve = naive_product_curve(a, cut)
-    window = max(1000, len(ps) // 10)
-    return float(np.mean(curve[-window:]))
-
-
 def predict_constant(
     a: int,
     prime_cut: int = 20000,

@@ -141,8 +141,9 @@ def _ceil_sqrt_arr(n: np.ndarray) -> np.ndarray:
     return np.where(r * r == n, r, r + 1)
 
 
-# The pruned scan holds products such as B1 * D and a * x3^3, which grow like
-# B^3, in int64; larger heights are refused.
+# The pruned scan holds products such as B1 * D, x4^3 and a * x3^3 in int64;
+# its ranges keep x3, x4 <= B^(3/4) and D <= B^(5/4), so they grow like
+# |a| B^(9/4).  Larger heights are refused.
 DIRECT_B_MAX = 100_000
 
 
@@ -150,34 +151,41 @@ def _direct_pruned_count(a: int, B1: int, ms=None) -> int:
     """Count points of height <= B1 by primitive-triple enumeration, over the
     reduced heights m = x4 / gcd(x3, x4) in `ms` (default: all m <= sqrt(B1)).
 
-    Soundness of the pruning, for a primitive triple t = (x1, x3, x4) mapping
-    to the primitive point y with image gcd g:
-      * (y1, y3, y4) = (x3 x4 / g) * t, and an integral multiple of a
-        primitive integer vector needs an integer multiplier, so g | x3 x4
-        and H(y) >= |X_i| / (|x3| x4) for every image component X_i; in
-        particular |x1| <= B, |x3| <= B, x4 <= B, x4^2 <= B |x3| and
-        |a x3^2 - x1^2| <= B x4;
-      * g | gcd(x4^3, x3^2 x4, x3 x4^2) = x4 c^2 with c = gcd(x3, x4), so
-        H(y) >= x4^3 / (x4 c^2) = (x4/c)^2 and m = x4/c <= sqrt(B);
+    Soundness of the pruning, for a primitive triple t = (x1, x3, x4) with
+    x3 = c n, x4 = c m, c = gcd(x3, x4), mapping to the primitive point y with
+    image gcd g.  The image components are X_0 = (a x3^2 - x1^2) x3,
+    X_1 = x1 x3 x4 and the x1-independent x4^3, x3^2 x4 and x3 x4^2, whose gcd
+    is x4 c^2.
+      * g | D := gcd(x3 m, x4 c^2) = x4 gcd(n, c^2).  For a prime q not
+        dividing x3, v_q(g) <= v_q(x3^2 x4) = v_q(m); for q | x3 not dividing
+        x4, v_q(g) <= v_q(x4^3) = 0; for q | c primitivity makes q coprime to
+        x1, so v_q(g) <= v_q(X_0) = v_q(x3).  So g | x3 m, and g | x4 c^2;
+      * hence g = gcd(D, X_0, X_1): D divides x4 c^2, the gcd of the three
+        x1-independent components, so two gcds per x1 replace the
+        five-column reduction;
+      * H(y) >= |X_i| / D for every component.  The x1-independent ones give
+        the pair test max(x4^3, x3^2 x4, x3 x4^2) <= B D, which, as
+        gcd(n, c^2) <= min(n, c^2), implies the enumeration ranges
+        m <= sqrt(B), n <= sqrt(B), c^2 m <= B, c^2 n <= B and
+        (c m)^2 <= B n; X_0 and X_1 give the x1 windows
+        |a x3^2 - x1^2| <= B D / x3 and |x1| <= B D / (x3 x4);
       * distinct primitive triples with x4 >= 1 give distinct points, and the
         primitive part of any point's own triple lies in the search domain,
         so counting passing triples counts each point exactly once;
       * x3 -> -x3 flips the signs of three image components, preserving the
         gcd, the height, and primitivity, and pairs distinct points, so only
         x3 > 0 is enumerated and the total is doubled (likewise x1 = +-t
-        are distinct points counted by weight 2 for t > 0);
-      * for q | c primitivity gives q coprime to x1, so the q-valuation of
-        X_0 = (a x3^2 - x1^2) x3 is exactly v_q(x3); combined with
-        g | x4 c^2 this yields the x1-independent divisor bound
-        g | D := gcd(x3 m^3, x4 c^2) (and still g <= x3 x4), which prunes
-        whole (x3, x4) pairs and tightens the x1 windows.
+        are distinct points counted by weight 2 for t > 0).
     """
     total = 0
     for m in range(1, math.isqrt(B1) + 1) if ms is None else ms:
-        n = np.arange(1, B1 + 1, dtype=np.int64)
+        n = np.arange(1, math.isqrt(B1) + 1, dtype=np.int64)
         if m > 1:
             n = n[np.gcd(n, m) == 1]
-        cmax = np.minimum(B1 // m, np.minimum(B1 // n, (B1 * n) // (m * m)))
+        # c^2 n <= B, c^2 m <= B and (c m)^2 <= B n
+        cmax = np.minimum(
+            np.minimum(_floor_sqrt_arr(B1 // n), math.isqrt(B1 // m)), _floor_sqrt_arr(B1 * n) // m
+        )
         keep = cmax >= 1
         n, cmax = n[keep], cmax[keep]
         if not len(n):
@@ -190,28 +198,32 @@ def _direct_pruned_count(a: int, B1: int, ms=None) -> int:
 def _pruned_pairs(a: int, B1: int, m: int, c: np.ndarray, x3: np.ndarray) -> int:
     """Weighted passing-triple count over the (x3, x4 = c*m) pairs, x1 = t >= 0."""
     x4 = c * m
-    D = np.minimum(np.gcd(x3 * m**3, x4 * c * c), x3 * x4)
+    D = np.gcd(x3 * m, x4 * c * c)
+    M234 = np.maximum(x4 * x4 * x4, x3 * x4 * np.maximum(x3, x4))
     BD = B1 * D
-    keep = (x4 * x4 * x4 <= BD) & (x3 * x3 * x4 <= BD) & (x3 * x4 * x4 <= BD)
+    keep = M234 <= BD
     if not keep.any():
         return 0
-    c, x3, x4, BD = (v[keep] for v in (c, x3, x4, BD))
+    c, x3, x4, D, M234, BD = (v[keep] for v in (c, x3, x4, D, M234, BD))
     ax3sq = a * x3 * x3
     lim0 = BD // x3  # |a x3^2 - t^2| <= B g / |x3| <= lim0
     hi2 = ax3sq + lim0
     keep = hi2 >= 0
     if not keep.any():
         return 0
-    c, x3, x4, ax3sq, hi2, lim0, BD = (
-        v[keep] for v in (c, x3, x4, ax3sq, hi2, lim0, BD)
+    c, x3, x4, D, M234, ax3sq, hi2, lim0, BD = (
+        v[keep] for v in (c, x3, x4, D, M234, ax3sq, hi2, lim0, BD)
     )
     lo2 = ax3sq - lim0
-    U = np.minimum(np.minimum(_floor_sqrt_arr(hi2), B1), BD // (x3 * x4))
+    x34 = x3 * x4
+    U = np.minimum(_floor_sqrt_arr(hi2), BD // x34)
     L = np.where(lo2 > 0, _ceil_sqrt_arr(np.maximum(lo2, 0)), 0)
     keep = U >= L
     if not keep.any():
         return 0
-    c, x3, x4, L, U = (v[keep] for v in (c, x3, x4, L, U))
+    c, x3, x34, D, M234, ax3sq, L, U = (
+        v[keep] for v in (c, x3, x34, D, M234, ax3sq, L, U)
+    )
 
     total = 0
     cum = np.cumsum(U - L + 1)
@@ -221,27 +233,13 @@ def _pruned_pairs(a: int, B1: int, m: int, c: np.ndarray, x3: np.ndarray) -> int
         stop = min(int(np.searchsorted(cum, base + 4_000_000, side="left")) + 1, len(c))
         t, owner = _ragged_ranges(L[start:stop], U[start:stop])
         if len(t):
-            cc = c[start:stop][owner]
-            prim = np.gcd(t, cc) == 1
-            t, owner = t[prim], owner[prim]
-            if len(t):
-                xx3 = x3[start:stop][owner]
-                xx4 = x4[start:stop][owner]
-                x3sq = xx3 * xx3
-                arr = np.stack(
-                    [
-                        (a * x3sq - t * t) * xx3,
-                        t * xx3 * xx4,
-                        xx4 * xx4 * xx4,
-                        x3sq * xx4,
-                        xx3 * xx4 * xx4,
-                    ],
-                    axis=1,
-                )
-                g = np.gcd.reduce(np.abs(arr), axis=1)
-                passing = np.max(np.abs(arr), axis=1) <= B1 * g
-                w = np.where(t > 0, 2, 1)
-                total += int(w[passing].sum())
+            prim = np.gcd(t, c[start:stop][owner]) == 1
+            t, owner = t[prim], owner[prim] + start
+            X0 = (ax3sq[owner] - t * t) * x3[owner]
+            X1 = t * x34[owner]
+            Bg = B1 * np.gcd(np.gcd(D[owner], X1), X0)
+            passing = (np.abs(X0) <= Bg) & (X1 <= Bg) & (M234[owner] <= Bg)
+            total += int(np.count_nonzero(passing) + np.count_nonzero(passing & (t > 0)))
         start = stop
     return total
 

@@ -143,10 +143,19 @@ def _pf(p: int, e: int) -> Fraction:
     return Fraction(p**e) if e >= 0 else Fraction(1, p**-e)
 
 
+# Largest residue table _kappa_histogram builds (256 MiB of int64); the deepest
+# oracle runs of the tests and `verify --suite densities` need 13^6 = 4.8e6.
+KAPPA_MAX_ENTRIES = 2**25
+
+
 def _kappa_histogram(p: int, a_unit: int, nmax: int) -> tuple[list[int], int]:
     """#{units u mod p^nmax : v_p(a_unit - u^2) = j} for j < nmax, plus the
     count with v >= nmax (including exact zeros)."""
     mod = p**nmax
+    if mod > KAPPA_MAX_ENTRIES:
+        raise ValueError(
+            f"residue table of {p}^{nmax} entries exceeds {KAPPA_MAX_ENTRIES}; lower Vmax"
+        )
     u = np.arange(mod, dtype=np.int64)
     u = u[u % p != 0]
     x = (a_unit - u * u) % mod

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -69,6 +70,16 @@ def test_predict_alpha_and_determinism(tmp_path):
     assert abs(out["alpha"] - 1 / 1728) < 1e-18
     r2 = run_cli(args)
     assert json.loads(r2.stdout) == out
+
+
+def test_predict_past_old_L1_term_cap(tmp_path):
+    # tolerance 1e-7 needs N > 2e9 terms of L(1, chi) here; the sum costs O(8|a|)
+    r = run_cli(["predict", "--a", "10007", "--mc-samples", "0", "--format", "json",
+                 "--cache-dir", str(tmp_path)])
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert math.isfinite(out["L1_bound"]) and 0 < out["L1_bound"] <= 1e-7
+    assert math.isfinite(out["L1_chi"]) and out["L1_chi"] > 0
 
 
 def test_compare_csv_contract(tmp_path):

@@ -1,15 +1,45 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from delpezzo.arith import primes_upto
 from delpezzo.constant import (
     RATIONALS,
+    _prime_table,
     compare,
     finite_product,
-    naive_partial_product,
+    omega_good,
     predict_constant,
 )
+from delpezzo.local_densities import omega_p
+
+
+def naive_partial_product(a: int, cut: int) -> float:
+    """The raw conditionally convergent prod_{p <= cut} omega_p (slow route)."""
+    prod = 1.0
+    for p in primes_upto(cut):
+        prod *= float(omega_p(p, a))
+    return prod
+
+
+def naive_product_curve(a: int, cut: int):
+    """(primes, running products of omega_p) in float64, vectorized away from
+    p | 2a, for studying the conditional oscillation at large cuts."""
+    ps, chis, bad = _prime_table(a, cut)
+    factors = omega_good(ps, chis)
+    for p in bad:
+        factors[ps == p] = float(omega_p(p, a))
+    return ps, np.cumprod(factors)
+
+
+def naive_product_smoothed(a: int, cut: int) -> float:
+    """Cesaro-style average of the conditional partial products over the last
+    stretch of primes (one chi-period worth of residues)."""
+    ps, curve = naive_product_curve(a, cut)
+    window = max(1000, len(ps) // 10)
+    return float(np.mean(curve[-window:]))
 
 
 def test_field_invariants_rationals():
@@ -52,8 +82,6 @@ def test_splitting_vs_naive_partial_product():
 
 
 def test_splitting_vs_smoothed_naive_at_1e7():
-    from delpezzo.constant import naive_product_smoothed
-
     fp = finite_product(-1, 10_000)
     nv = naive_product_smoothed(-1, 10**7)
     assert abs(nv / fp.value - 1) < 1e-3
@@ -97,10 +125,8 @@ def test_compare_detects_mismatch(monkeypatch):
 
 
 def test_omega_good_is_exact_omega_p():
-    from delpezzo.arith import TESTBED, primes_upto
+    from delpezzo.arith import TESTBED
     from delpezzo.characters import CharacterChi
-    from delpezzo.constant import omega_good
-    from delpezzo.local_densities import omega_p
 
     for a in TESTBED:
         chi = CharacterChi(a)
@@ -112,9 +138,8 @@ def test_omega_good_is_exact_omega_p():
 
 
 def test_finite_product_matches_exact_loop():
-    from delpezzo.arith import TESTBED, factorize, primes_upto
+    from delpezzo.arith import TESTBED, factorize
     from delpezzo.characters import CharacterChi
-    from delpezzo.local_densities import omega_p
 
     for a in TESTBED:
         chi = CharacterChi(a)

@@ -2,8 +2,9 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delpezzo.counting import (
@@ -88,6 +89,29 @@ def test_counters_agree_random(a, B):
     box = len(_direct_box(a, math.floor(B))) if B >= 1 else 0
     assert box == direct_count(a, B).count == torsor_count(a, B).count
     assert 32 * box == _torsor_all_signs(a, B)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.integers(-500, 500).filter(lambda a: a != 0),
+    k=st.integers(1, 40),
+    u=st.integers(1, 60),
+    v=st.integers(1, 60),
+    t=st.integers(0, 3000),
+)
+def test_image_gcd_from_three_columns(a, k, u, v, t):
+    # the pruned scan's g = gcd(gcd(D, X1), X0), D = gcd(x3 m, x4 c^2), is the
+    # gcd of all five image components of a primitive triple (t, x3, x4)
+    x3, x4 = k * u, k * v  # a common factor k makes c = gcd(x3, x4) > 1 likely
+    c = math.gcd(x3, x4)
+    assume(math.gcd(t, c) == 1)
+    m = x4 // c
+    t, x3, x4 = (np.array([w], dtype=np.int64) for w in (t, x3, x4))
+    X0 = (a * x3 * x3 - t * t) * x3
+    X1 = t * x3 * x4
+    cols = np.stack([X0, X1, x4**3, x3 * x3 * x4, x3 * x4 * x4], axis=1)
+    D = np.gcd(x3 * m, x4 * c * c)
+    assert np.gcd(np.gcd(D, X1), X0) == np.gcd.reduce(np.abs(cols), axis=1)
 
 
 def test_direct_refuses_large_B_before_workers(monkeypatch):

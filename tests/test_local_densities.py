@@ -96,6 +96,13 @@ def test_bruteforce_vmax_floor():
         omega_p_bruteforce(2, 12, 3)
 
 
+def test_bruteforce_refuses_oversized_residue_table():
+    # depth v_p(4a) + 8 would need a table of 13^8 = 8.2e8 residues
+    a = 13**4 * 5
+    with pytest.raises(ValueError, match="residue table"):
+        omega_p_bruteforce(13, a, valuation(13, 4 * a) + 8)
+
+
 def test_measure_squares():
     assert measure_squares(5, 4, 0, 1) == Fraction(2, 5)
     assert measure_squares(2, 17, 0, 3) == Fraction(1, 2)
