@@ -114,13 +114,11 @@ def _affine_rank(points: list[tuple[Fraction, ...]]) -> int:
     return rank
 
 
-def _simplex_volume(simplex: list[tuple[Fraction, ...]]) -> Fraction:
-    d = len(simplex) - 1
-    base = simplex[0]
-    M = [[x - b for x, b in zip(p, base)] for p in simplex[1:]]
-    # exact determinant by fraction-free-ish Gaussian elimination
+def _det(M) -> Fraction:
+    """Exact determinant of a square matrix by Gaussian elimination."""
+    d = len(M)
     det = Fraction(1)
-    M = [row[:] for row in M]
+    M = [list(row) for row in M]
     for col in range(d):
         piv = next((r for r in range(col, d) if M[r][col] != 0), None)
         if piv is None:
@@ -134,7 +132,13 @@ def _simplex_volume(simplex: list[tuple[Fraction, ...]]) -> Fraction:
             if M[r][col] != 0:
                 f = M[r][col] * inv
                 M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return abs(det) / factorial(d)
+    return det
+
+
+def _simplex_volume(simplex: list[tuple[Fraction, ...]]) -> Fraction:
+    base = simplex[0]
+    M = [[x - b for x, b in zip(p, base)] for p in simplex[1:]]
+    return abs(_det(M)) / factorial(len(M))
 
 
 def _triangulate_face(
@@ -186,22 +190,23 @@ def exact_volume(P: HPolytope, anchor_order: int = 0) -> Fraction:
 
 
 def _is_bounded(P: HPolytope) -> bool:
-    # bounded <=> the recession cone {d : A d <= 0} is trivial; probe with an
-    # LP maximizing a box-bounded recession direction
-    from scipy.optimize import linprog
+    """Exact test that the recession cone {r : A r <= 0} is {0}.
 
-    A = [[float(c) for c in coeffs] for coeffs, _ in P.inequalities]
+    The cone is pointed iff rank A = dim.  A pointed cone other than {0} has
+    an extreme ray, and the rows tight on it have rank dim - 1; so it is
+    spanned by the null direction of some dim - 1 independent rows, which is
+    their cofactor vector r_j = (-1)^j det(rows without column j)."""
+    A = [coeffs for coeffs, _ in P.inequalities]
     d = P.dim
-    for sign in (1.0, -1.0):
-        res = linprog(
-            c=[sign] * d,
-            A_ub=A,
-            b_ub=[0.0] * len(A),
-            bounds=[(-1.0, 1.0)] * d,
-            method="highs",
-        )
-        if res.status == 0 and abs(res.fun) > 1e-9:
-            return False
+    if _affine_rank([(0,) * d, *A]) < d:
+        return False
+    for rows in itertools.combinations(A, d - 1):
+        r = [(-1) ** j * _det([row[:j] + row[j + 1 :] for row in rows]) for j in range(d)]
+        if not any(r):
+            continue  # the rows are dependent
+        for sign in (1, -1):
+            if all(sign * sum(c * x for c, x in zip(row, r)) <= 0 for row in A):
+                return False
     return True
 
 

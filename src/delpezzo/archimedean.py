@@ -246,6 +246,11 @@ def _chart_section(a: float, x3: float) -> float:
     K = max(|x3|, 1/|x3|) >= 1."""
     c = a * x3 * x3
     K = max(abs(x3), 1.0 / abs(x3))
+    if c > 0 and 8 * math.ulp(math.sqrt(c)) > 1:
+        # the band x_- < x1 < x_+ of width 1 where the max is x1 spans under 8
+        # floats: a panel midpoint there can fall on the wrong branch, and the
+        # pole of 1/(x1^2 - c) on a panel end
+        return _far_section(c)
 
     # breakpoints of the max on x1 >= 0
     pts = {0.0}
@@ -284,6 +289,22 @@ def _chart_section(a: float, x3: float) -> float:
     # exact tail: int_T^inf dx / (x^2 - c)
     total += _tail_inv_x2_minus_c(T, c)
     return 2.0 * total  # x1 < 0 by symmetry
+
+
+def _far_section(c: float) -> float:
+    """_chart_section at large x3 > 0 and a > 1, in closed form.
+
+    With x_-+ = (sqrt(1 + 4c) -+ 1)/2 (so x_+ - x_- = 1 and x_+ x_- = c),
+    the max is c - x1^2 up to x_-, x1 up to x_+ and x1^2 - c beyond, once
+    x3 >= 1/(a - 1).  The distances to the pole sqrt(c) are taken from
+    r - 2 sqrt(c) = 1/(r + 2 sqrt(c)), r = sqrt(1 + 4c), not from the rounded
+    positions, so the value stays exact where floats no longer resolve them."""
+    s = math.sqrt(c)
+    r = math.sqrt(1 + 4 * c)
+    lo, hi = (r - 1) / 2, (r + 1) / 2
+    e = 1 / (r + 2 * s)  # s - x_- = (1 - e)/2, x_+ - s = (1 + e)/2
+    poles = math.log((s + lo) / ((1 - e) / 2)) + math.log((hi + s) / ((1 + e) / 2))
+    return 2.0 * (poles / (2 * s) + math.log1p(1 / lo))
 
 
 # The antiderivatives below are written as one log1p or atan of the whole

@@ -96,28 +96,35 @@ def omega_good(p, chi):
     return value
 
 
-def _prime_table(a: int, cut: int):
+def _prime_table(chi: CharacterChi, cut: int):
     """(primes p <= cut, chi(p) as float64, the primes dividing 2a)."""
     import numpy as np
 
-    chi = CharacterChi(a)
-    bad = [p for p, _ in factorize(2 * a)]
+    bad = [p for p, _ in factorize(2 * chi.a)]
     ps = np.array(primes_upto(cut), dtype=np.int64)
     return ps, chi.table[ps % chi.modulus].astype(np.float64), bad
 
 
-def finite_product(a: int, prime_cut: int, L1: EulerEstimate | None = None) -> EulerEstimate:
+def finite_product(
+    a: int,
+    prime_cut: int,
+    L1: EulerEstimate | None = None,
+    chi: CharacterChi | None = None,
+) -> EulerEstimate:
     """prod_p omega_p by the convergence-factor splitting; error by doubling.
 
     L1 is the estimate of L(1, chi) to use; by default it is summed to
-    L1_TOLERANCE."""
+    L1_TOLERANCE.  chi is the character of a, built here if not given (its
+    table costs O(|a|) kronecker symbols, so callers that hold one pass it)."""
     import numpy as np
 
     if prime_cut < 100:
         raise ValueError("prime_cut must be at least 100")
+    if chi is None:
+        chi = CharacterChi(a)
     if L1 is None:
-        L1 = CharacterChi(a).L1(L1_TOLERANCE)
-    ps, chis, bad = _prime_table(a, 2 * prime_cut)
+        L1 = chi.L1(L1_TOLERANCE)
+    ps, chis, bad = _prime_table(chi, 2 * prime_cut)
     factors = omega_good(ps, chis) * (1 - chis / ps)
     factors[np.isin(ps, bad)] = 1.0
     curve = np.cumprod(factors)
@@ -139,8 +146,9 @@ def predict_constant(
     l1_tolerance: float = L1_TOLERANCE,
 ) -> ConstantBreakdown:
     """Every factor of the predicted constant over Q (field factors are 1)."""
-    L1 = CharacterChi(a).L1(l1_tolerance)
-    fp = finite_product(a, prime_cut, L1)
+    chi = CharacterChi(a)
+    L1 = chi.L1(l1_tolerance)
+    fp = finite_product(a, prime_cut, L1, chi)
     om_chart = omega_inf_chart(a, tolerance)
     om_region = omega_inf_region(a, tolerance)
     c = float(ALPHA) * om_chart.value * fp.value  # rho_Q = 1, |disc| = 1

@@ -63,13 +63,15 @@ def _eta_bruteforce_any(q: int, a: int) -> int:
     modulus = q // g * gp
 
     if modulus <= 10**6:
-        count = 0
-        for rho in range(modulus):
-            if (rho * rho - a) % q != 0:
-                continue
-            if math.gcd(rho, modulus) == gp:
-                count += 1
-        return count
+        # every residue class mod `modulus`, scanned at once; numpy is
+        # imported here so that a cache hit of the CLI never loads it.
+        # int64 is exact: g/g' <= g' <= modulus, so q = modulus*g/g' <= modulus^2
+        # <= 1e12, and rho^2 - (a mod q) lies in (-1e12, 1e12).
+        import numpy as np
+
+        rho = np.arange(modulus, dtype=np.int64)
+        roots = rho[(rho * rho - a % q) % q == 0]
+        return int(np.count_nonzero(np.gcd(roots, modulus) == gp))
 
     fq = factorize(q)
     if len(fq) != 1:

@@ -50,6 +50,14 @@ def test_unbounded_along_diagonal_rejected():
         exact_volume(HPolytope(rows))
 
 
+def test_unbounded_strip_rejected():
+    # {x + y <= 1, -x - y <= 0, -x <= 0} recedes along (1, -1), whose
+    # coordinates sum to 0; its vertices (0, 0) and (0, 1) span only a line
+    rows = [((f(1), f(1)), f(1)), ((f(-1), f(-1)), f(0)), ((f(-1), f(0)), f(0))]
+    with pytest.raises(ValueError, match="unbounded"):
+        exact_volume(HPolytope(rows))
+
+
 def test_v0_polytope_membership():
     P = v0_polytope()
     assert P.contains((0, 0, 0, 0))

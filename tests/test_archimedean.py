@@ -5,6 +5,8 @@ import pytest
 from delpezzo import archimedean
 from delpezzo.archimedean import (
     N_inf,
+    _chart_section,
+    _far_section,
     _gk21,
     omega_inf_chart,
     omega_inf_montecarlo,
@@ -35,6 +37,21 @@ def test_region_equals_chart():
 def test_region_bounded_for_negative_a():
     r = omega_inf_region(-7)
     assert math.isfinite(r.value) and r.value > 0
+
+
+def test_chart_section_far_from_the_origin():
+    # beyond x3 ~ 1/(a eps) the breakpoints near sqrt(a) x3 round onto it;
+    # the section there is about 2 log(x3)/(sqrt(a) x3)
+    v = _chart_section(5, 1 / 9.9e-16)
+    assert math.isfinite(v) and 0 <= v <= 1e-12
+    assert math.isfinite(_chart_section(5, 1e30))
+    # the closed form the far sections use equals the panel sum where both hold
+    for a in (2, 5, 45):
+        for x3 in (1.0, 10.0, 1e4):
+            assert _far_section(a * x3 * x3) == pytest.approx(_chart_section(a, x3), rel=1e-12)
+    far = lambda u: _chart_section(5, 1 / u) / u
+    val, _ = quad(far, 0.0, 1.0, limit=400, epsabs=1e-13, epsrel=1e-13)
+    assert math.isfinite(val)
 
 
 def test_not_scale_invariant():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from delpezzo.arith import primes_upto
+from delpezzo.characters import CharacterChi
 from delpezzo.constant import (
     RATIONALS,
     _prime_table,
@@ -27,7 +28,7 @@ def naive_partial_product(a: int, cut: int) -> float:
 def naive_product_curve(a: int, cut: int):
     """(primes, running products of omega_p) in float64, vectorized away from
     p | 2a, for studying the conditional oscillation at large cuts."""
-    ps, chis, bad = _prime_table(a, cut)
+    ps, chis, bad = _prime_table(CharacterChi(a), cut)
     factors = omega_good(ps, chis)
     for p in bad:
         factors[ps == p] = float(omega_p(p, a))
@@ -53,6 +54,21 @@ def test_alpha_exact_in_breakdown():
     assert bd.alpha == Fraction(1, 1728)
     assert bd.c > 0
     assert bd.omega_inf.value > 0 and bd.finite_product.value > 0
+
+
+def test_predict_builds_one_character(monkeypatch):
+    # the chi table costs O(|a|) kronecker symbols; L(1, chi) and the Euler
+    # product share one build
+    builds = []
+    init = CharacterChi.__init__
+
+    def counted(self, a):
+        builds.append(a)
+        init(self, a)
+
+    monkeypatch.setattr(CharacterChi, "__init__", counted)
+    predict_constant(-7, prime_cut=500)
+    assert builds == [-7]
 
 
 def test_finite_product_positive_factors():
@@ -126,7 +142,6 @@ def test_compare_detects_mismatch(monkeypatch):
 
 def test_omega_good_is_exact_omega_p():
     from delpezzo.arith import TESTBED
-    from delpezzo.characters import CharacterChi
 
     for a in TESTBED:
         chi = CharacterChi(a)
@@ -139,7 +154,6 @@ def test_omega_good_is_exact_omega_p():
 
 def test_finite_product_matches_exact_loop():
     from delpezzo.arith import TESTBED, factorize
-    from delpezzo.characters import CharacterChi
 
     for a in TESTBED:
         chi = CharacterChi(a)

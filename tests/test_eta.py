@@ -1,11 +1,24 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delpezzo.arith import TESTBED, omega, primes_upto
-from delpezzo.eta import eta, eta_bruteforce, eta_closed
+from delpezzo.eta import _gprime, eta, eta_bruteforce, eta_closed
+
+
+def literal_eta(q: int, a: int) -> int:
+    """eta(q; a) by a Python loop over every residue mod q*g'/g (the oracle
+    of eta_bruteforce's numpy scan)."""
+    g = math.gcd(q, abs(a))
+    gp = _gprime(g)
+    modulus = q // g * gp
+    count = 0
+    for rho in range(modulus):
+        if (rho * rho - a) % q == 0 and math.gcd(rho, modulus) == gp:
+            count += 1
+    return count
 
 
 def test_worked_2adic_values():
@@ -116,6 +129,24 @@ def test_summation_trend():
 )
 def test_eta_closed_matches_bruteforce_random(p, k, a):
     assert eta_closed(p, k, a) == eta_bruteforce(p**k, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.one_of(st.integers(2, 2 * 10**5), st.sampled_from([7**7, 5**8 * 2, 3**12, 2**19])),
+    a=st.integers(1, 10**12),
+    sign=st.sampled_from([1, -1]),
+    shared=st.integers(0, 12),
+)
+@example(q=7**7, a=7**3 * 3, sign=1, shared=0)
+@example(q=5**8 * 2, a=5**5 * 2 * 3, sign=-1, shared=0)
+def test_scan_matches_literal_loop(q, a, sign, shared):
+    # `shared` moves a toward a large gcd with q, where g' and the
+    # gcd-normalization matter; the moduli scanned stay below 10**6
+    a = sign * a * math.gcd(q, 210**shared)
+    if a > 0 and math.isqrt(a) ** 2 == a:
+        a = -a
+    assert eta_bruteforce(q, a) == literal_eta(q, a)
 
 
 def test_square_a_rejected():
