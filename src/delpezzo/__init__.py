@@ -5,11 +5,10 @@ parameterization."""
 
 __version__ = "0.1.0"
 
-from .arith import Factorization, TESTBED, crt, factorize, kronecker, moebius, valuation
+from .arith import TESTBED, crt, factorize, kronecker, moebius, valuation
 from .eta import eta, eta_bruteforce, eta_closed
 
 __all__ = [
-    "Factorization",
     "TESTBED",
     "crt",
     "factorize",

@@ -18,7 +18,9 @@ Two independent routes to omega_inf:
            piece, so the inner integral is exact and only the outer x3
            integral is numerical.  On 0 < x3 <= 1 it is taken in s, x3 = s^2,
            which turns the 4/sqrt(x3) growth at 0 into a bounded integrand,
-           and split where the max changes form; on x3 >= 1 in u = 1/x3.
+           and split where the max changes form.  On x3 >= 1 the section is
+           one closed form: pi/(sqrt|a| x3) for a < 0, so that half is
+           pi/sqrt|a|, and `_far_section` for a > 0, integrated in u = 1/x3.
 
 Both routes use `quad`, a globally adaptive 21-point Gauss-Kronrod rule
 (QUADPACK's QAG with qk21, Piessens et al. 1983) whose error estimate is
@@ -30,7 +32,8 @@ identity between the height form and the chart measure.
 
 vol_SF estimates vol{ (x5, x6, x7): Ntilde(a1..a4; x5, x6, x7) <= B } by
 Monte Carlo with the exact x7-section, for comparison against
-(2/3) omega_inf B / (a2 a3 a4).
+(2/3) omega_inf B / (a2 a3 a4).  At a1..a4 = 1 and B = 1 that volume is
+(2/3) omega_inf, the third estimate of omega_inf (omega_inf_montecarlo).
 """
 
 from __future__ import annotations
@@ -246,11 +249,6 @@ def _chart_section(a: float, x3: float) -> float:
     K = max(|x3|, 1/|x3|) >= 1."""
     c = a * x3 * x3
     K = max(abs(x3), 1.0 / abs(x3))
-    if c > 0 and 8 * math.ulp(math.sqrt(c)) > 1:
-        # the band x_- < x1 < x_+ of width 1 where the max is x1 spans under 8
-        # floats: a panel midpoint there can fall on the wrong branch, and the
-        # pole of 1/(x1^2 - c) on a panel end
-        return _far_section(c)
 
     # breakpoints of the max on x1 >= 0
     pts = {0.0}
@@ -292,7 +290,7 @@ def _chart_section(a: float, x3: float) -> float:
 
 
 def _far_section(c: float) -> float:
-    """_chart_section at large x3 > 0 and a > 1, in closed form.
+    """_chart_section at x3 >= 1 and a > 1, in closed form.
 
     With x_-+ = (sqrt(1 + 4c) -+ 1)/2 (so x_+ - x_- = 1 and x_+ x_- = c),
     the max is c - x1^2 up to x_-, x1 up to x_+ and x1^2 - c beyond, once
@@ -337,6 +335,17 @@ def _tail_inv_x2_minus_c(T: float, c: float) -> float:
     return 1.0 / T
 
 
+def _far_half(a: int, tol: float) -> tuple[float, float]:
+    """int_{x3 >= 1} section(x3) dx3/x3 and its error estimate.  There K = x3
+    and the max has one form: for a < 0 it is x1^2 + |a| x3^2 >= max(|x1|, x3)
+    throughout, so the section is pi/(sqrt|a| x3); for a > 0 (so a >= 2) it is
+    _far_section, valid for x3 >= 1/(a - 1)."""
+    if a < 0:
+        return math.pi / math.sqrt(-a), 0.0
+    # x3 = 1/u, u in (0, 1], dx3/x3 = du/u
+    return quad(lambda u: _far_section(a / (u * u)) / u, 0.0, 1.0, limit=400, epsabs=tol, epsrel=1e-10)
+
+
 def omega_inf_chart(a: int, tol: float = 1e-9) -> RegionIntegral:
     """The chart-measure integral with exact x1-sections."""
     check_nonsquare(a)
@@ -344,22 +353,17 @@ def omega_inf_chart(a: int, tol: float = 1e-9) -> RegionIntegral:
     def near(s: float) -> float:  # x3 = s^2, s in (0, 1], dx3/x3 = 2 ds/s
         return 2.0 * _chart_section(a, s * s) / s
 
-    def far(u: float) -> float:  # x3 = 1/u, u in (0, 1], dx3/x3 = du/u
-        return _chart_section(a, 1.0 / u) / u
-
     # With K = 1/x3, c = a x3^2, the max in the x1-section changes form at
     # |c| = K, i.e. |a| x3^3 = 1, where near() starts to fall steeply from
     # about 8, and for a > 0 also where the x1 branch meets the band
     # |c - x1^2| <= K, at c = K^2 -+ K, i.e. a x3^4 +- x3 = 1; between these
     # points near() is smooth.  Without a panel edge at each, a 21-point
-    # rule can step over a kink with a small error estimate.  For x3 >= 1
-    # (K = x3) nothing changes form: |c| >= K, and c = K^2 + K only at
-    # x3 = 1/(a - 1) <= 1.
+    # rule can step over a kink with a small error estimate.
     x3_cuts = [abs(a) ** (-1 / 3)]
     if a > 0:
         x3_cuts += [_quartic_root(a, 1.0, sign) for sign in (1, -1)]
     cuts = sorted({0.0, 1.0, *(math.sqrt(min(x3, 1.0)) for x3 in x3_cuts)})
-    val, err = quad(far, 0.0, 1.0, limit=400, epsabs=tol, epsrel=1e-10)
+    val, err = _far_half(a, tol)
     for lo, hi in zip(cuts, cuts[1:]):
         v, e = quad(near, lo, hi, limit=400, epsabs=tol, epsrel=1e-10)
         val, err = val + v, err + e
@@ -368,18 +372,10 @@ def omega_inf_chart(a: int, tol: float = 1e-9) -> RegionIntegral:
 
 
 def omega_inf_montecarlo(a: int, samples: int, seed: int) -> RegionIntegral:
-    """Third estimate of omega_inf by MC over the compactified (w, r) square."""
-    rng = np.random.default_rng(seed)
-    w = rng.random(samples)
-    r = rng.random(samples)
-    good = (w > 0) & (r > 0)
-    w, r = w[good], r[good]
-    y5 = w * w
-    y6 = r * r / w
-    vals = r * _section_len_vec(a * y6 * y6, 1.0 / y6, 1.0 / (y5 * y6))
-    est = 16.0 * float(vals.mean())
-    stderr = 16.0 * float(vals.std(ddof=1)) / math.sqrt(len(vals))
-    return RegionIntegral(1.5 * est, "montecarlo", 1.5 * stderr, {"samples": samples, "seed": seed})
+    """Third estimate of omega_inf: (3/2) vol_SF on the slice a1..a4 = 1 at
+    B = 1, where Ntilde is N_inf."""
+    v = vol_SF(a, 1, 1, 1, 1, 1.0, samples, seed)
+    return RegionIntegral(1.5 * v.value, v.method, 1.5 * v.error_estimate, v.detail)
 
 
 def vol_SF(
@@ -397,8 +393,8 @@ def vol_SF(
     The x7-section is exact; (x5, x6) are sampled through x5 = s w^2,
     x6 = t r^2/|w| * k6 on the bounded box fixed by the monomial constraints
     M3 = a1^2 a2 a3^2 |x5|^3 <= B and M4 = a2^3 a3^2 a4^4 |x5| x6^2 <= B;
-    M5 <= B is implied on that box but enforced anyway.  Compare against
-    (2/3) omega_inf(a) B / (a2 a3 a4).
+    M5 = a1 a2^2 a3^2 a4^2 x5^2 |x6| = sqrt(M3 M4) <= B is implied there.
+    Compare against (2/3) omega_inf(a) B / (a2 a3 a4).
     """
     if B <= 0:
         raise ValueError("B must be positive")
@@ -406,7 +402,6 @@ def vol_SF(
         raise ValueError("need at least 2 samples")
     S5 = (B / (a1 * a1 * a2 * a3 * a3)) ** (1 / 3)
     S4 = B / (a2**3 * a3**2 * a4**4)
-    S55 = B / (a1 * a2 * a2 * a3 * a3 * a4 * a4)
     S2 = B / (a2 * a3 * a4)
     S1 = B * a1
     cc = a * a2**4 * a3**2 * a4**6
@@ -420,13 +415,10 @@ def vol_SF(
     w, r = w[good], r[good]
     x5 = w * w
     x6 = r * r / w
-    jac = 4.0 * (S5 ** (1 / 2)) * (S4 ** (1 / 4)) * r  # dx5 dx6 = 2w dw * 2r/w dr
-    c2 = cc * x6 * x6
-    slack = S1 / x6
-    cap = S2 / (x5 * x6)
-    lens = _section_len_vec(c2, slack, cap)
-    lens = np.where(x5 * x5 * x6 <= S55, lens, 0.0)
-    vals = jac * lens
+    lens = _section_len_vec(cc * x6 * x6, S1 / x6, S2 / (x5 * x6))
+    # dx5 dx6 = 2w dw * 2r/w dr; formed after the section so that its array
+    # and the section's temporaries are not alive at once
+    vals = 4.0 * (S5 ** (1 / 2)) * (S4 ** (1 / 4)) * r * lens
     est = 4.0 * float(vals.mean())  # sign symmetry in x5 and x6
     stderr = 4.0 * float(vals.std(ddof=1)) / math.sqrt(len(vals))
     return RegionIntegral(est, "montecarlo", stderr, {"samples": samples, "seed": seed, "B": B})

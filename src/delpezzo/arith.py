@@ -9,7 +9,6 @@ counting loops.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 # Deterministic Miller-Rabin witness set, valid for n < 3.3 * 10^24.
@@ -78,37 +77,13 @@ def _pollard_brent(n: int) -> int:
         seed += 2
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization of |n| as an ordered tuple of (prime, exponent)."""
-
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        primes = [p for p, _ in self.factors]
-        if primes != sorted(primes) or len(set(primes)) != len(primes):
-            raise ValueError("primes must be strictly increasing")
-        if any(e < 1 for _, e in self.factors):
-            raise ValueError("exponents must be >= 1")
-
-    @property
-    def n(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def __len__(self):
-        return len(self.factors)
-
-
-def _factorize_uncached(n: int) -> tuple[tuple[int, int], ...]:
+@lru_cache(maxsize=None)
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Exact factorization of |n| as (prime, exponent) pairs, primes
+    increasing.  Raises for n = 0."""
+    if n == 0:
+        raise ValueError("cannot factorize 0")
+    n = abs(n)
     out: dict[int, int] = {}
     for p in (2, 3, 5):
         while n % p == 0:
@@ -139,14 +114,6 @@ def _factorize_uncached(n: int) -> tuple[tuple[int, int], ...]:
                 stack.append(g)
                 stack.append(m // g)
     return tuple(sorted(out.items()))
-
-
-@lru_cache(maxsize=None)
-def factorize(n: int) -> Factorization:
-    """Exact factorization of |n|.  Raises for n = 0."""
-    if n == 0:
-        raise ValueError("cannot factorize 0")
-    return Factorization(_factorize_uncached(abs(n)))
 
 
 def valuation(p: int, n: int) -> int:

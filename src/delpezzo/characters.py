@@ -36,15 +36,6 @@ class EulerEstimate:
     cut: int
 
 
-class ToleranceError(RuntimeError):
-    """Raised when an estimate cannot reach the requested tolerance; carries
-    the best estimate computed so far."""
-
-    def __init__(self, msg: str, best: EulerEstimate):
-        super().__init__(msg)
-        self.best = best
-
-
 # B_2k / (2k) for k = 1..7, the coefficients of psi's asymptotic series in 1/x^2
 _PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
 
@@ -95,26 +86,15 @@ class CharacterChi:
         r = x % self.modulus
         return int(self._running[r - 1]) if r else 0
 
-    def L1(self, tolerance: float, max_terms: int | None = None) -> EulerEstimate:
+    def L1(self, tolerance: float) -> EulerEstimate:
         """L(1, chi) = sum chi(n)/n with tail bound 2*max|A|/(N+1) <= tolerance.
-
-        _sum_periods costs O(modulus) for any N, so N is uncapped unless
-        max_terms is given; beyond it ToleranceError carries the estimate at
-        the cap."""
+        _sum_periods costs O(modulus) for any N, so N is not capped."""
         if tolerance <= 0:
             raise ValueError("tolerance must be positive")
         m = self.modulus
         amax = self.partial_max
         need = int(2 * amax / tolerance) + 1
         N = ((need + m - 1) // m) * m  # whole periods
-        if max_terms is not None and N > max_terms:
-            N_cap = (max_terms // m) * m
-            est = self._sum_periods(N_cap)
-            bound = 2 * amax / (N_cap + 1)
-            raise ToleranceError(
-                f"tolerance {tolerance} needs {N} terms (cap {max_terms})",
-                EulerEstimate(est, bound, N_cap),
-            )
         value = self._sum_periods(N)
         return EulerEstimate(value, 2 * amax / (N + 1), N)
 

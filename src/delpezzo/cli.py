@@ -15,7 +15,6 @@ import os
 import sys
 import time
 import zlib
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -125,10 +124,10 @@ def cmd_count(args) -> int:
         results = {}
         if args.method in ("direct", "both"):
             _check_direct_range(args.B)
-            r = direct_count(args.a, Fraction(args.B), jobs=args.jobs)
+            r = direct_count(args.a, args.B, jobs=args.jobs)
             results["direct"] = {"count": r.count, "elapsed": r.elapsed, "method": r.method}
         if args.method in ("torsor", "both"):
-            r = torsor_count(args.a, Fraction(args.B), jobs=args.jobs)
+            r = torsor_count(args.a, args.B, jobs=args.jobs)
             results["torsor"] = {"count": r.count, "elapsed": r.elapsed, "method": r.method}
         rec = cache.put("count", params, results)
     results = rec["result"]

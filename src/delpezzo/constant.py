@@ -139,15 +139,10 @@ def finite_product(
     return EulerEstimate(val, bound, prime_cut)
 
 
-def predict_constant(
-    a: int,
-    prime_cut: int = 20000,
-    tolerance: float = 1e-6,
-    l1_tolerance: float = L1_TOLERANCE,
-) -> ConstantBreakdown:
+def predict_constant(a: int, prime_cut: int = 20000, tolerance: float = 1e-6) -> ConstantBreakdown:
     """Every factor of the predicted constant over Q (field factors are 1)."""
     chi = CharacterChi(a)
-    L1 = chi.L1(l1_tolerance)
+    L1 = chi.L1(L1_TOLERANCE)
     fp = finite_product(a, prime_cut, L1, chi)
     om_chart = omega_inf_chart(a, tolerance)
     om_region = omega_inf_region(a, tolerance)
@@ -172,24 +167,18 @@ class CompareRow:
     ratio: float
 
 
-def compare(a: int, B_list, breakdown: ConstantBreakdown | None = None, methods=("direct", "torsor")):
+def compare(a: int, B_list, breakdown: ConstantBreakdown):
     """Rows (B, N(B), c B (log B)^4, ratio) with N(B) cross-checked between
-    the requested counters (raises on mismatch)."""
+    the direct and the torsor counter (raises on mismatch)."""
     from .counting import direct_count, torsor_count
 
-    bd = breakdown or predict_constant(a)
     rows = []
     for B in B_list:
-        counts = {}
-        if "direct" in methods:
-            counts["direct"] = direct_count(a, B).count
-        if "torsor" in methods:
-            counts["torsor"] = torsor_count(a, B).count
-        vals = set(counts.values())
-        if len(vals) > 1:
+        counts = {"direct": direct_count(a, B).count, "torsor": torsor_count(a, B).count}
+        n = counts["direct"]
+        if counts["torsor"] != n:
             raise AssertionError(f"counter mismatch at B={B}: {counts}")
-        n = vals.pop()
-        pred = bd.c * B * math.log(B) ** 4 if B > 1 else 0.0
+        pred = breakdown.c * B * math.log(B) ** 4 if B > 1 else 0.0
         ratio = n / pred if pred > 0 else math.inf
         rows.append(CompareRow(B=float(B), count=n, prediction=pred, ratio=ratio))
     return rows

@@ -33,27 +33,22 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .arith import ceil_sqrt, check_nonsquare, crt, factorize, moebius, squarefree_divisors, valuation
+from .arith import ceil_sqrt, check_nonsquare, crt, moebius, squarefree_divisors
+from .eta import rho_classes
 
 
 @dataclass
 class CountResult:
     a: int
-    B: Fraction
+    B: int
     method: str
     count: int
     elapsed: float
     stats: dict = field(default_factory=dict)
-
-
-def _floor(x) -> int:
-    x = Fraction(x)
-    return x.numerator // x.denominator
 
 
 def _fan_out(worker, args: tuple, items, jobs: int) -> list:
@@ -147,9 +142,9 @@ def _ceil_sqrt_arr(n: np.ndarray) -> np.ndarray:
 DIRECT_B_MAX = 100_000
 
 
-def _direct_pruned_count(a: int, B1: int, ms=None) -> int:
+def _direct_pruned_count(a: int, B1: int, ms) -> int:
     """Count points of height <= B1 by primitive-triple enumeration, over the
-    reduced heights m = x4 / gcd(x3, x4) in `ms` (default: all m <= sqrt(B1)).
+    reduced heights m = x4 / gcd(x3, x4) in `ms`, a share of m <= sqrt(B1).
 
     Soundness of the pruning, for a primitive triple t = (x1, x3, x4) with
     x3 = c n, x4 = c m, c = gcd(x3, x4), mapping to the primitive point y with
@@ -178,7 +173,7 @@ def _direct_pruned_count(a: int, B1: int, ms=None) -> int:
         are distinct points counted by weight 2 for t > 0).
     """
     total = 0
-    for m in range(1, math.isqrt(B1) + 1) if ms is None else ms:
+    for m in ms:
         n = np.arange(1, math.isqrt(B1) + 1, dtype=np.int64)
         if m > 1:
             n = n[np.gcd(n, m) == 1]
@@ -245,67 +240,64 @@ def _pruned_pairs(a: int, B1: int, m: int, c: np.ndarray, x3: np.ndarray) -> int
 
 
 def direct_count(a: int, B, jobs: int = 1) -> CountResult:
-    """Count U(Q)-points of height <= B through the projection chart."""
+    """Count U(Q)-points of height <= B through the projection chart.  Heights
+    are integers, so this is the count at floor(B)."""
     check_nonsquare(a)
-    B = Fraction(B)
     t0 = time.time()
-    B1 = _floor(B)
+    B1 = math.floor(B)
     if B1 < 1:
-        return CountResult(a, B, "direct", 0, time.time() - t0)
+        return CountResult(a, B1, "direct", 0, time.time() - t0)
     if B1 > DIRECT_B_MAX:
         raise ValueError(f"direct enumeration overflows int64 beyond B = {DIRECT_B_MAX}")
     ms = range(1, math.isqrt(B1) + 1)
     n = sum(_fan_out(_direct_pruned_count, (a, B1), ms, jobs))
     method = f"direct/pruned x{jobs}" if jobs > 1 else "direct/pruned"
-    return CountResult(a, B, method, n, time.time() - t0)
+    return CountResult(a, B1, method, n, time.time() - t0)
 
 
 # ---------------------------------------------------------------------------
 # torsor counter
 
 
-@lru_cache(maxsize=200_000)
-def _sqrt_classes(c_mod: int, m: int) -> tuple[int, ...]:
-    """Residues r mod m with r^2 = c_mod (mod m)."""
-    return tuple(r for r in range(m) if (r * r - c_mod) % m == 0)
+@lru_cache(maxsize=None)
+def _sqrt_table(m: int) -> dict[int, list[int]]:
+    """{c: the residues r mod m with r^2 = c (mod m)} over the squares c mod
+    m, built in one pass.  One table per a1 <= sqrt(B) is kept, about B/2
+    residues in all."""
+    roots: dict[int, list[int]] = {}
+    for r in range(m):
+        roots.setdefault(r * r % m, []).append(r)
+    return roots
 
 
-def _icbrt(n: int) -> int:
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)), 0 for n < 1."""
     if n < 1:
         return 0
-    r = round(n ** (1 / 3))
-    while r > 0 and r**3 > n:
+    r = round(n ** (1 / k))
+    while r > 0 and r**k > n:
         r -= 1
-    while (r + 1) ** 3 <= n:
-        r += 1
-    return r
-
-
-def _iroot4(n: int) -> int:
-    if n < 1:
-        return 0
-    r = math.isqrt(math.isqrt(n))
-    while (r + 1) ** 4 <= n:
+    while (r + 1) ** k <= n:
         r += 1
     return r
 
 
 def torsor_count(a: int, B, jobs: int = 1) -> CountResult:
     """Count U(Q)-points of height <= B through the torsor parameterization.
+    Heights are integers, so this is the count at floor(B).
 
     jobs > 1 partitions the (a2, a3) outer pairs over worker processes and
     sums the partial weighted counts (deterministic merge).
     """
     check_nonsquare(a)
-    B = Fraction(B)
     t0 = time.time()
-    B1 = _floor(B)
+    B1 = math.floor(B)
     if B1 < 1:
-        return CountResult(a, B, "torsor", 0, time.time() - t0)
-    parts = _fan_out(_torsor_positive, (a, B), _a23_pairs(B1), jobs)
+        return CountResult(a, B1, "torsor", 0, time.time() - t0)
+    parts = _fan_out(_torsor_positive, (a, B1), _a23_pairs(B1), jobs)
     weighted, visited = (sum(col) for col in zip(*parts))
     return CountResult(
-        a, B, f"torsor x{jobs}" if jobs > 1 else "torsor", 2 * weighted, time.time() - t0,
+        a, B1, f"torsor x{jobs}" if jobs > 1 else "torsor", 2 * weighted, time.time() - t0,
         {"weighted_positive": weighted, "visited": visited},
     )
 
@@ -313,46 +305,44 @@ def torsor_count(a: int, B, jobs: int = 1) -> CountResult:
 def _a23_pairs(B1: int) -> list[tuple[int, int]]:
     return [
         (a2, a3)
-        for a2 in range(1, _icbrt(B1) + 1)
+        for a2 in range(1, _iroot(B1, 3) + 1)
         for a3 in range(1, math.isqrt(B1 // a2**3) + 1)
     ]
 
 
-def _torsor_positive(a: int, B: Fraction, pairs) -> tuple[int, int]:
+def _torsor_positive(a: int, B1: int, pairs) -> tuple[int, int]:
     """Sum of _slice_count over the admissible slices (a1..a4), those with
     gcd(a4, a3) = gcd(a1, a2 a3 a4) = 1, whose outer pair (a2, a3) is in
     `pairs`.  a1 and a4 run up to m3 <= B and m4 <= B; beyond, the slice's
     box is empty."""
-    B1 = _floor(B)
     total = visited = 0
     for a2, a3 in pairs:
-        for a4 in range(1, _iroot4(B1 // (a2**3 * a3 * a3)) + 1):
+        for a4 in range(1, _iroot(B1 // (a2**3 * a3 * a3), 4) + 1):
             if math.gcd(a4, a3) != 1:
                 continue
             for a1 in range(1, math.isqrt(B1 // (a2 * a3 * a3)) + 1):
                 if math.gcd(a1, a2 * a3 * a4) == 1:
-                    w, v = _slice_count(a, B, a1, a2, a3, a4)
+                    w, v = _slice_count(a, B1, a1, a2, a3, a4)
                     total += w
                     visited += v
     return total, visited
 
 
 class _Slice:
-    """One slice (a1..a4) of the torsor at height B.
+    """One slice (a1..a4) of the torsor at integer height B1.
 
     A completion (a5, a6, a7) with a5, a6 >= 1, and a8 forced by the torsor
     equation a1 a8 = c - a7^2 with c = c_base a6^2, has height <= B iff
-      M3 = m3 a5^3 <= B,  M4 = m4 a5 a6^2 <= B,  M5 = m5 a5^2 a6 <= B
+      M3 = m3 a5^3 <= B1,  M4 = m4 a5 a6^2 <= B1,  M5 = m5 a5^2 a6 <= B1
     (the (a5, a6) box), and
-      M1 = a6 |c - a7^2| / a1 <= B,  M2 = d7 a5 a6 |a7| <= B
+      M1 = a6 |c - a7^2| / a1 <= B1,  M2 = d7 a5 a6 |a7| <= B1
     (the a7 window).  Signs of a5, a6, a7 change no condition.
     """
 
-    __slots__ = ("a1", "Bn", "Bd", "B1", "m3", "m4", "m5", "c_base", "d7")
+    __slots__ = ("a1", "B1", "m3", "m4", "m5", "c_base", "d7")
 
-    def __init__(self, a: int, B: Fraction, a1: int, a2: int, a3: int, a4: int):
-        self.a1, self.Bn, self.Bd = a1, B.numerator, B.denominator
-        self.B1 = self.Bn // self.Bd
+    def __init__(self, a: int, B1: int, a1: int, a2: int, a3: int, a4: int):
+        self.a1, self.B1 = a1, B1
         self.m3 = a1 * a1 * a2 * a3 * a3
         self.m4 = a2**3 * a3 * a3 * a4**4
         self.m5 = a1 * a2 * a2 * a3 * a3 * a4 * a4
@@ -360,7 +350,7 @@ class _Slice:
         self.d7 = a2 * a3 * a4
 
     def a5_hi(self) -> int:
-        return _icbrt(self.B1 // self.m3)
+        return _iroot(self.B1 // self.m3, 3)
 
     def a6_hi(self, a5: int) -> int:
         return min(math.isqrt(self.B1 // (self.m4 * a5)), self.B1 // (self.m5 * a5 * a5))
@@ -373,20 +363,21 @@ class _Slice:
     def window(self, a5: int, a6: int) -> tuple[int, int, int]:
         """(c, L, U): a7 is in the window iff L <= |a7| <= U."""
         c = self.c_base * a6 * a6
-        T = self.Bn * self.a1 // (self.Bd * a6)
+        T = self.B1 * self.a1 // a6
         if c + T < 0:
             return c, 1, 0
-        U = min(math.isqrt(c + T), self.Bn // (self.Bd * self.d7 * a5 * a6))
+        U = min(math.isqrt(c + T), self.B1 // (self.d7 * a5 * a6))
         L = ceil_sqrt(c - T) if c > T else 0
         return c, L, U
 
 
-def _slice_count(a: int, B: Fraction, a1: int, a2: int, a3: int, a4: int) -> tuple[int, int]:
+def _slice_count(a: int, B1: int, a1: int, a2: int, a3: int, a4: int) -> tuple[int, int]:
     """Completions of one slice with a5, a6 >= 1 and a7 >= 0 (weight 2 if
     a7 > 0) under the remaining coprimality conditions, and the number of
     coprime (a5, a6) visited."""
-    s = _Slice(a, B, a1, a2, a3, a4)
+    s = _Slice(a, B1, a1, a2, a3, a4)
     g5, g6, d7 = a2 * a4, a1 * a2 * a3, s.d7
+    roots = _sqrt_table(a1)
     total = visited = 0
     for a5, a6s in s.box():
         if math.gcd(a5, g5) != 1:
@@ -398,7 +389,7 @@ def _slice_count(a: int, B: Fraction, a1: int, a2: int, a3: int, a4: int) -> tup
             c, L, U = s.window(a5, a6)
             if U < L:
                 continue
-            for r in _sqrt_classes(c % a1, a1):
+            for r in roots.get(c % a1, ()):
                 for a7 in range(L + (r - L) % a1, U + 1, a1):
                     if math.gcd(a7, d7) == 1 and math.gcd((c - a7 * a7) // a1, a5) == 1:
                         total += 2 if a7 > 0 else 1
@@ -410,16 +401,15 @@ def _torsor_all_signs(a: int, B) -> int:
     (the test oracle of torsor_count; small B only)."""
     from .torsor import TorsorTuple, height_tilde, validate
 
-    B = Fraction(B)
-    B1 = _floor(B)
+    B1 = math.floor(B)
     raw = 0
     for a1 in _signed(math.isqrt(B1)):
-        for a2 in _signed(_icbrt(B1)):
+        for a2 in _signed(_iroot(B1, 3)):
             for a3 in _signed(math.isqrt(B1)):
                 if a1 * a1 * abs(a2) * a3 * a3 > B1:
                     continue
-                for a4 in _signed(_iroot4(B1)):
-                    for a5 in _signed(_icbrt(B1)):
+                for a4 in _signed(_iroot(B1, 4)):
+                    for a5 in _signed(_iroot(B1, 3)):
                         if a1 * a1 * abs(a2 * a5**3) * a3 * a3 > B1:
                             continue
                         for a6 in _signed(math.isqrt(B1)):
@@ -465,23 +455,23 @@ def moebius_slice_check(a: int, a1: int, a2: int, a3: int, a4: int, B) -> tuple[
 
     if theta0(a1, a2, a3, a4) != 1:
         raise ValueError("slice requires theta0(a1..a4) = 1")
-    B = Fraction(B)
-    return _slice_lhs(a, a1, a2, a3, a4, B), _slice_rhs(a, a1, a2, a3, a4, B)
+    B1 = math.floor(B)
+    return _slice_lhs(a, a1, a2, a3, a4, B1), _slice_rhs(a, a1, a2, a3, a4, B1)
 
 
-def _slice_lhs(a: int, a1: int, a2: int, a3: int, a4: int, B: Fraction) -> int:
+def _slice_lhs(a: int, a1: int, a2: int, a3: int, a4: int, B1: int) -> int:
     """Completions (a5, a6, a7, a8) with the torsor equation, the remaining
     coprimality conditions, and height <= B;  a5, a6 range over both signs."""
-    return 4 * _slice_count(a, B, a1, a2, a3, a4)[0]
+    return 4 * _slice_count(a, B1, a1, a2, a3, a4)[0]
 
 
-def _slice_rhs(a: int, a1: int, a2: int, a3: int, a4: int, B: Fraction) -> int:
-    """The Moebius-inverted side: sum over inversion data and rho classes."""
-    s = _Slice(a, B, a1, a2, a3, a4)
+def _slice_rhs(a: int, a1: int, a2: int, a3: int, a4: int, B1: int) -> int:
+    """The Moebius-inverted side: sum over inversion data and the rho classes
+    that eta(d58 a1; a) counts."""
+    s = _Slice(a, B1, a1, a2, a3, a4)
     A5, A6 = s.a5_hi(), s.a6_hi(1)
     if A5 < 1 or A6 < 1:
         return 0
-    a_odd = [(p, e) for p, e in factorize(a) if e % 2 == 1]
 
     total = 0
     for d56 in range(1, A6 + 1):
@@ -492,19 +482,7 @@ def _slice_rhs(a: int, a1: int, a2: int, a3: int, a4: int, B: Fraction) -> int:
             mu58 = moebius(d58)
             if mu58 == 0 or math.gcd(d58, a2 * a3 * a4) != 1:
                 continue
-            d58a1 = d58 * a1
-            if any(valuation(p, d58a1) > e for p, e in a_odd):
-                continue
-            g = math.gcd(d58a1, abs(a))
-            gp = 1
-            for p, e in factorize(g):
-                gp *= p ** ((e + 1) // 2)
-            q = d58a1 // g
-            rhos = [
-                rho
-                for rho in range(q * gp)
-                if _rho_ok(rho, q, gp) and (rho * rho - a) % d58a1 == 0
-            ]
+            rhos, mod_rho, gp = rho_classes(d58 * a1, a)
             if not rhos:
                 continue
             lcm_5658 = math.lcm(d56, d58)
@@ -521,9 +499,9 @@ def _slice_rhs(a: int, a1: int, a2: int, a3: int, a4: int, B: Fraction) -> int:
                     mu56856 = mu56 * mu58 * mu5 * moebius(d6)
                     for d7 in squarefree_divisors(a2 * a3 * a4):
                         mu = mu56856 * moebius(d7)
-                        b7 = d7 * q * gp
+                        b7 = d7 * mod_rho
                         for rho in rhos:
-                            sol = crt([(0, gp * d7), (rho * rr % (q * gp), q * gp)])
+                            sol = crt([(0, gp * d7), (rho * rr % mod_rho, mod_rho)])
                             if sol is None:
                                 raise AssertionError("gamma7 CRT must be compatible")
                             gamma7, mod7 = sol
@@ -531,13 +509,6 @@ def _slice_rhs(a: int, a1: int, a2: int, a3: int, a4: int, B: Fraction) -> int:
                                 raise AssertionError("gamma7 modulus mismatch")
                             total += mu * _lattice_count(s, b5, b6, b7, gamma7)
     return total
-
-
-def _rho_ok(rho: int, q: int, gp: int) -> bool:
-    """rho*Z + (q*gp)*Z = gp*Z."""
-    if q * gp == 1:
-        return rho == 0
-    return math.gcd(rho if rho else q * gp, q * gp) == gp
 
 
 def _lattice_count(s: _Slice, b5: int, b6: int, b7: int, gamma7: int) -> int:

@@ -6,15 +6,15 @@ qZ + aZ), and let g' = prod_p p^ceil(v_p(g)/2).  Then
     eta(q; a) = #{ rho mod q*g'/g :  gcd-normalization rho*Z + (q*g'/g)*Z = g'*Z
                                      and rho^2 = a mod q }.
 
-It is multiplicative in q.  At prime powers it has a closed form except at
-p = 2 with even v_2(a), where only Hensel stabilization
-eta(2^k) = eta(2^(v_2(4a)+1)) for k > v_2(4a)+1 is available; the evaluator
-falls back to residue enumeration in that finite window (the window is tiny,
-so exactness costs nothing).
+It is multiplicative in q and has a closed form at every prime power.  At
+p = 2 with even v = v_2(a) < k, rho = 2^(v/2) r with r odd and
+r^2 = a/2^v (mod 2^(k-v)), and an odd unit u has 1, 2 [u = 1 mod 4] and
+4 [u = 1 mod 8] odd square roots mod 2^j for j = 1, 2 and j >= 3.
 
-Two independent evaluators are provided on purpose: eta_bruteforce counts
-residues directly and is the oracle; eta_closed implements the case table and
-is what the density formulas use.
+Two independent evaluators are provided on purpose: rho_classes lists the
+classes themselves by residue enumeration, and eta_bruteforce counts them (the
+oracle; the Moebius side of the slice identity iterates the same classes);
+eta_closed implements the case table and is what the density formulas use.
 """
 
 from __future__ import annotations
@@ -32,32 +32,24 @@ def _gprime(g: int) -> int:
     return out
 
 
-def _vp_or_inf(p: int, n: int) -> float:
-    if n == 0:
-        return math.inf
-    return valuation(p, n)
-
-
 def eta_bruteforce(q: int, a: int) -> int:
-    """eta(q; a) by direct residue enumeration mod q*g'/g.
-
-    For prime powers p^k too large to scan, the solution set of
-    rho^2 = a (mod p^k) is built by digit-wise lifting (children of a solution
-    mod p^j are checked directly mod p^(j+1); no Hensel case analysis is used).
-    """
+    """eta(q; a) by direct residue enumeration mod q*g'/g."""
     check_nonsquare(a)
-    return _eta_bruteforce_any(q, a)
+    return len(rho_classes(q, a)[0])
 
 
-def _eta_bruteforce_any(q: int, a: int) -> int:
-    # same count without the nonsquare gate; the definition of eta does not
-    # need it, and the square-measure identity is exercised at square a too
+def rho_classes(q: int, a: int) -> tuple[list[int], int, int]:
+    """(the classes rho that eta(q; a) counts, their modulus q*g'/g, g').
+
+    No nonsquare gate: the definition does not need it.  For prime powers p^k
+    too large to scan, the solution set of rho^2 = a (mod p^k) is built by
+    digit-wise lifting (children of a solution mod p^j are checked directly
+    mod p^(j+1); no Hensel case analysis is used).
+    """
     if q < 1:
         raise ValueError("q must be >= 1")
     if a == 0:
         raise ValueError("a must be nonzero")
-    if q == 1:
-        return 1
     g = math.gcd(q, abs(a))
     gp = _gprime(g)
     modulus = q // g * gp
@@ -71,12 +63,12 @@ def _eta_bruteforce_any(q: int, a: int) -> int:
 
         rho = np.arange(modulus, dtype=np.int64)
         roots = rho[(rho * rho - a % q) % q == 0]
-        return int(np.count_nonzero(np.gcd(roots, modulus) == gp))
+        return roots[np.gcd(roots, modulus) == gp].tolist(), modulus, gp
 
     fq = factorize(q)
     if len(fq) != 1:
         raise ValueError("direct enumeration limit exceeded for composite q")
-    p, k = fq.factors[0]
+    p, k = fq[0]
     # solutions of rho^2 = a mod p^j, lifted one digit at a time
     sols = [r for r in range(p) if (r * r - a) % p == 0]
     mod = p
@@ -92,28 +84,20 @@ def _eta_bruteforce_any(q: int, a: int) -> int:
     # classes mod `modulus` with the gcd-normalization; each such class holds
     # exactly p^k/modulus full solutions mod p^k (well-definedness of the
     # congruence on the coarser classes is forced by the normalization)
-    vg = valuation(p, g)
-    vgp = (vg + 1) // 2
-    vmod = k - vg + vgp
-    good = 0
-    for s in sols:
-        vs = _vp_or_inf(p, s)
-        if min(vs, vmod) == vgp:
-            good += 1
-    lifts = p ** (k - vmod)
-    assert good % lifts == 0
-    return good // lifts
+    good = [s for s in sols if math.gcd(s, modulus) == gp]
+    classes = sorted({s % modulus for s in good})
+    assert len(good) == len(classes) * (q // modulus)
+    return classes, modulus, gp
 
 
 def eta_closed(p: int, k: int, a: int) -> int:
     """eta(p^k; a) by the multiplicative case table.
 
-    p not dividing 2a      : 1 + (a|p)
-    k <= v_p(a)            : 1
-    k >  v_p(a), v odd     : 0
-    k >  v_p(a), v even, p odd : 1 + (a/p^v | p)
-    p = 2, v_2(a) even     : residue enumeration up to the Hensel threshold
-                             v_2(4a)+1, constant beyond it.
+    k <= v = v_p(a)            : 1
+    k >  v, v odd              : 0
+    k >  v, v even, p odd      : 1 + (a/p^v | p)
+    k >  v, v even, p = 2      : 1, 2 [a/2^v = 1 mod 4], 4 [a/2^v = 1 mod 8]
+                                 for k - v = 1, 2, >= 3
     """
     check_nonsquare(a)
     return _eta_closed_any(p, k, a)
@@ -126,16 +110,15 @@ def _eta_closed_any(p: int, k: int, a: int) -> int:
     if a == 0:
         raise ValueError("a must be nonzero")
     v = valuation(p, a)
-    if p != 2 and v == 0 and a % p != 0:
-        return 1 + kronecker(a, p)
     if k <= v:
         return 1
     if v % 2 == 1:
         return 0
+    u = a // p**v
     if p != 2:
-        return 1 + kronecker(a // p**v, p)
-    cap = valuation(2, 4 * a) + 1  # = v + 3
-    return _eta_bruteforce_any(2 ** min(k, cap), a)
+        return 1 + kronecker(u, p)
+    m = 2 ** min(k - v, 3)  # u is a square mod 2^(k-v) iff u = 1 mod m
+    return m // 2 if u % m == 1 else 0
 
 
 def eta(q: int, a: int) -> int:

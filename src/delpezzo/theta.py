@@ -181,38 +181,14 @@ def theta1_average(a: int, a2: int, a3: int, a4: int, x: int):
     generic factors to both sides.
     """
     t2 = theta2(a, a2, a3, a4)
-    cut_primes = set(primes_upto(max(x, 2)))
-    for n in (2 * a, a2, a3, a4):
-        cut_primes.update(p for p, _ in factorize(n))
-    cut_primes = sorted(cut_primes)
-
-    # common generic scaffold: product of theta1 generic factors over the cut,
-    # then per a1 only the exceptional corrections vary
-    generic1 = {p: theta1_local(p, a, (0, 0, 0, 0)) for p in cut_primes}
-    base = Fraction(1)
-    for p in cut_primes:
-        base *= generic1[p]
-
+    cut = sorted(set(primes_upto(max(x, 2))).union(t2.exceptional))
+    # the generic factors over the cut are common to every a1; per a1 its
+    # exceptional factors (at the primes of 2a a1 a2 a3 a4, all in the cut)
+    # replace the generic ones there
+    generic = dict(zip(cut, map(theta1(a, 1, a2, a3, a4).generic, cut)))
     total = Fraction(0)
-    if x >= 1:
-        for a1 in range(1, x + 1):
-            corr = Fraction(1)
-            special = {p for p, _ in factorize(2 * a * a1 * a2 * a3 * a4)}
-            for p in special:
-                vv = (
-                    valuation(p, a1),
-                    valuation(p, a2),
-                    valuation(p, a3),
-                    valuation(p, a4),
-                )
-                f = theta1_local(p, a, vv)
-                if f == 0:
-                    corr = Fraction(0)
-                    break
-                corr *= f / generic1[p]
-            if corr:
-                total += corr
-        total *= base
-
-    prediction = x * t2.value_over_cut(cut_primes[-1]) if cut_primes else Fraction(x)
-    return total, prediction
+    for a1 in range(1, x + 1):
+        t1 = theta1(a, a1, a2, a3, a4)
+        total += math.prod((f / generic[p] for p, f in t1.exceptional.items()), start=Fraction(1))
+    total *= math.prod(generic.values(), start=Fraction(1))
+    return total, x * t2.value_over_cut(cut[-1])

@@ -6,6 +6,7 @@ from delpezzo import archimedean
 from delpezzo.archimedean import (
     N_inf,
     _chart_section,
+    _far_half,
     _far_section,
     _gk21,
     omega_inf_chart,
@@ -40,18 +41,24 @@ def test_region_bounded_for_negative_a():
 
 
 def test_chart_section_far_from_the_origin():
-    # beyond x3 ~ 1/(a eps) the breakpoints near sqrt(a) x3 round onto it;
-    # the section there is about 2 log(x3)/(sqrt(a) x3)
-    v = _chart_section(5, 1 / 9.9e-16)
-    assert math.isfinite(v) and 0 <= v <= 1e-12
-    assert math.isfinite(_chart_section(5, 1e30))
-    # the closed form the far sections use equals the panel sum where both hold
+    # the closed form the far half uses equals the panel sum where both hold
     for a in (2, 5, 45):
         for x3 in (1.0, 10.0, 1e4):
             assert _far_section(a * x3 * x3) == pytest.approx(_chart_section(a, x3), rel=1e-12)
-    far = lambda u: _chart_section(5, 1 / u) / u
-    val, _ = quad(far, 0.0, 1.0, limit=400, epsabs=1e-13, epsrel=1e-13)
-    assert math.isfinite(val)
+    # the far half against quad of the panel-sum integrand; at this tolerance
+    # bisection stops well before x3 ~ 1/(a eps), where the panel sum's
+    # breakpoints near sqrt(a) x3 round onto it
+    for a in (2, 5, 45):
+        far = lambda u: _chart_section(a, 1 / u) / u
+        ref, ref_err = quad(far, 0.0, 1.0, limit=400, epsabs=1e-9, epsrel=1e-10)
+        val, err = _far_half(a, 1e-9)
+        assert abs(val - ref) <= err + ref_err, (a, val - ref)
+    # for a < 0 the section at x3 >= 1 is pi/(sqrt|a| x3), and the half pi/sqrt|a|
+    for a in (a for a in TESTBED if a < 0):
+        far = lambda u: _chart_section(a, 1 / u) / u
+        ref, _ = quad(far, 0.0, 1.0, limit=400, epsabs=1e-14, epsrel=1e-14)
+        assert _far_half(a, 1e-9) == (math.pi / math.sqrt(-a), 0.0)
+        assert abs(ref - math.pi / math.sqrt(-a)) <= 1e-13, (a, ref - math.pi / math.sqrt(-a))
 
 
 def test_not_scale_invariant():

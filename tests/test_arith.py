@@ -29,8 +29,7 @@ def test_factorize_examples():
 
 def test_factorize_reconstructs():
     for n in list(range(1, 2000)) + [10**12 + 39, 2**31 - 1, 600851475143]:
-        f = factorize(n)
-        assert f.n == n
+        assert math.prod(p**e for p, e in factorize(n)) == n
 
 
 def test_moebius_examples():

@@ -181,10 +181,10 @@ def test_slices_reassemble_count():
 
     a, B = 2, 50
     total = 0
-    from delpezzo.counting import _icbrt, _slice_lhs
+    from delpezzo.counting import _iroot, _slice_lhs
 
     for a1 in range(1, math.isqrt(B) + 1):
-        for a2 in range(1, _icbrt(B) + 1):
+        for a2 in range(1, _iroot(B, 3) + 1):
             for a3 in range(1, math.isqrt(B) + 1):
                 if a1 * a1 * a2 * a3 * a3 > B:
                     break
@@ -193,5 +193,5 @@ def test_slices_reassemble_count():
                         break
                     if theta0(a1, a2, a3, a4) != 1:
                         continue
-                    total += _slice_lhs(a, a1, a2, a3, a4, Fraction(B))
+                    total += _slice_lhs(a, a1, a2, a3, a4, B)
     assert total == 2 * torsor_count(a, B).count

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import pytest
@@ -57,6 +58,22 @@ def test_squarefree_2adic_table():
         assert eta_closed(2, 2, a) == (2 if a % 4 == 1 else 0)
         for k in (3, 5, 8):
             assert eta_closed(2, k, a) == (4 if a % 8 == 1 else 0), (a, k)
+
+
+def test_closed_form_needs_no_scan(monkeypatch):
+    # eta_closed is a case table at every prime power, p = 2 included: it
+    # must agree with the residue scan without calling it
+    eta_module = importlib.import_module("delpezzo.eta")  # the package's `eta` is the function
+
+    want = {(p, k, a): eta_bruteforce(p**k, a) for a in TESTBED for p in primes_upto(53) for k in range(1, 11)}
+
+    def no_scan(q, a):
+        raise AssertionError("eta_closed called the residue scan")
+
+    eta_module._eta_closed_any.cache_clear()
+    monkeypatch.setattr(eta_module, "rho_classes", no_scan)
+    for (p, k, a), n in want.items():
+        assert eta_closed(p, k, a) == n, (p, k, a)
 
 
 def test_closed_vs_bruteforce_small_grid():

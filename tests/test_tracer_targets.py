@@ -1,6 +1,7 @@
-"""Every function the traced benchmark wraps (perfbench/tracer.py TARGETS)
-must still exist, so that a rename in the package fails here and not only in
-the traced benchmark run."""
+"""Names that code outside the package resolves must exist: every function
+the traced benchmark wraps (perfbench/tracer.py TARGETS), so that a rename in
+the package fails here and not only in the traced benchmark run, and every
+name the package exports."""
 
 import importlib
 import importlib.util
@@ -19,3 +20,10 @@ def test_tracer_targets_resolve_to_callables():
         for part in attr.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), f"{mod_name}.{attr}"
+
+
+def test_package_exports_resolve():
+    import delpezzo
+
+    missing = [name for name in delpezzo.__all__ if not hasattr(delpezzo, name)]
+    assert not missing, missing
