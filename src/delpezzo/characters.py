@@ -18,12 +18,11 @@ term-by-term chunked sum of the same S_N is kept as the test oracle
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import check_nonsquare, kronecker
+from .arith import check_nonsquare, factorize
 
 
 @dataclass
@@ -57,18 +56,45 @@ def digamma(x) -> np.ndarray:
     return np.log(x) - 0.5 / x - series - shift
 
 
+def _chi_table(a: int) -> np.ndarray:
+    """chi(n) for n = 0..8|a|-1, as int8.
+
+    For odd n > 0 coprime to a, kronecker(a, n) is the Jacobi symbol, so
+    (a|n) = (sign a|n) (2|n)^v_2(a) prod_p (p|n)^v_p(a) over the odd p | a,
+    with (-1|n) = -1 iff n = 3 (mod 4), (2|n) = -1 iff n = 3, 5 (mod 8) and,
+    by reciprocity, (p|n) = (n mod p|p), negated iff p = n = 3 (mod 4).
+    The Legendre symbol (.|p) is a table of the squares mod p.
+    """
+    n = np.arange(8 * abs(a), dtype=np.int64)
+    table = (n % 2).astype(np.int8)  # gcd(n, 2) = 1
+    n3mod4 = n % 4 == 3
+    if a < 0:
+        table[n3mod4] *= -1
+    for p, e in factorize(abs(a)):
+        if p == 2:
+            if e % 2:
+                table[(n % 8 == 3) | (n % 8 == 5)] *= -1
+            continue
+        r = n % p
+        if e % 2:
+            legendre = np.full(p, -1, dtype=np.int8)
+            legendre[np.arange(p, dtype=np.int64) ** 2 % p] = 1
+            legendre[0] = 0
+            table *= legendre[r]
+            if p % 4 == 3:
+                table[n3mod4] *= -1
+        else:
+            table[r == 0] = 0
+    return table
+
+
 class CharacterChi:
     """chi(n) = kronecker(a, n) gated by gcd(n, 2a) = 1, periodic mod 8|a|."""
 
     def __init__(self, a: int):
         self.a = check_nonsquare(a)
         self.modulus = 8 * abs(a)
-        two_a = 2 * abs(a)
-        table = np.zeros(self.modulus, dtype=np.int8)
-        for n in range(1, self.modulus + 1):
-            if math.gcd(n, two_a) == 1:
-                table[n % self.modulus] = kronecker(a, n)
-        self.table = table  # indexed by n mod modulus
+        self.table = table = _chi_table(a)  # indexed by n mod modulus
         if int(table.sum()) != 0:
             raise AssertionError("character table does not sum to zero over a period")
         self._running = np.cumsum(table[np.r_[1 : self.modulus, 0]])  # A(1..m)

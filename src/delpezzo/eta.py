@@ -12,9 +12,12 @@ r^2 = a/2^v (mod 2^(k-v)), and an odd unit u has 1, 2 [u = 1 mod 4] and
 4 [u = 1 mod 8] odd square roots mod 2^j for j = 1, 2 and j >= 3.
 
 Two independent evaluators are provided on purpose: rho_classes lists the
-classes themselves by residue enumeration, and eta_bruteforce counts them (the
-oracle; the Moebius side of the slice identity iterates the same classes);
-eta_closed implements the case table and is what the density formulas use.
+classes themselves by exhaustive enumeration, and eta_bruteforce counts them
+(the oracle; the Moebius side of the slice identity iterates the same
+classes); eta_closed implements the case table and is what the density
+formulas use.  At a prime power the enumeration is root_tower, which lifts
+the square roots of a one p-adic digit at a time; a composite q is scanned
+residue by residue.  Neither path consults the case table.
 """
 
 from __future__ import annotations
@@ -33,18 +36,34 @@ def _gprime(g: int) -> int:
 
 
 def eta_bruteforce(q: int, a: int) -> int:
-    """eta(q; a) by direct residue enumeration mod q*g'/g."""
+    """eta(q; a) by exhaustive enumeration of its classes (rho_classes)."""
     check_nonsquare(a)
     return len(rho_classes(q, a)[0])
+
+
+def root_tower(p: int, k: int, a: int) -> list[list[int]]:
+    """levels[j] = the roots r mod p^j of r^2 = a (mod p^j), for j = 0..k.
+
+    Exhaustive: every root mod p^(j+1) reduces to a root s mod p^j, so the
+    p children s + p^j t of each root s are checked directly mod p^(j+1).
+    Python ints throughout; no Hensel case analysis is used.
+    """
+    levels = [[0]]
+    mod = 1
+    for _ in range(k):
+        nxt = mod * p
+        levels.append([c for s in levels[-1] for c in range(s, nxt, mod) if (c * c - a) % nxt == 0])
+        mod = nxt
+    return levels
 
 
 def rho_classes(q: int, a: int) -> tuple[list[int], int, int]:
     """(the classes rho that eta(q; a) counts, their modulus q*g'/g, g').
 
-    No nonsquare gate: the definition does not need it.  For prime powers p^k
-    too large to scan, the solution set of rho^2 = a (mod p^k) is built by
-    digit-wise lifting (children of a solution mod p^j are checked directly
-    mod p^(j+1); no Hensel case analysis is used).
+    No nonsquare gate: the definition does not need it.  A prime power
+    q = p^k takes the roots of rho^2 = a (mod p^k) from root_tower; a
+    composite q is a numpy scan of every residue class mod q*g'/g, which
+    must stay below 10**6 entries.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -53,41 +72,29 @@ def rho_classes(q: int, a: int) -> tuple[list[int], int, int]:
     g = math.gcd(q, abs(a))
     gp = _gprime(g)
     modulus = q // g * gp
-
-    if modulus <= 10**6:
-        # every residue class mod `modulus`, scanned at once; numpy is
-        # imported here so that a cache hit of the CLI never loads it.
-        # int64 is exact: g/g' <= g' <= modulus, so q = modulus*g/g' <= modulus^2
-        # <= 1e12, and rho^2 - (a mod q) lies in (-1e12, 1e12).
-        import numpy as np
-
-        rho = np.arange(modulus, dtype=np.int64)
-        roots = rho[(rho * rho - a % q) % q == 0]
-        return roots[np.gcd(roots, modulus) == gp].tolist(), modulus, gp
-
     fq = factorize(q)
-    if len(fq) != 1:
+
+    if len(fq) == 1:
+        p, k = fq[0]
+        # classes mod `modulus` with the gcd-normalization; each such class
+        # holds exactly p^k/modulus roots mod p^k (well-definedness of the
+        # congruence on the coarser classes is forced by the normalization)
+        good = [s for s in root_tower(p, k, a)[k] if math.gcd(s, modulus) == gp]
+        classes = sorted({s % modulus for s in good})
+        assert len(good) == len(classes) * (q // modulus)
+        return classes, modulus, gp
+
+    if modulus > 10**6:
         raise ValueError("direct enumeration limit exceeded for composite q")
-    p, k = fq[0]
-    # solutions of rho^2 = a mod p^j, lifted one digit at a time
-    sols = [r for r in range(p) if (r * r - a) % p == 0]
-    mod = p
-    for _ in range(k - 1):
-        nxt = []
-        newmod = mod * p
-        for s in sols:
-            for t in range(p):
-                c = s + mod * t
-                if (c * c - a) % newmod == 0:
-                    nxt.append(c)
-        sols, mod = nxt, newmod
-    # classes mod `modulus` with the gcd-normalization; each such class holds
-    # exactly p^k/modulus full solutions mod p^k (well-definedness of the
-    # congruence on the coarser classes is forced by the normalization)
-    good = [s for s in sols if math.gcd(s, modulus) == gp]
-    classes = sorted({s % modulus for s in good})
-    assert len(good) == len(classes) * (q // modulus)
-    return classes, modulus, gp
+    # every residue class mod `modulus`, scanned at once; numpy is imported
+    # here so that a cache hit of the CLI never loads it.  int64 is exact:
+    # g/g' <= g' <= modulus, so q = modulus*g/g' <= modulus^2 <= 1e12, and
+    # rho^2 - (a mod q) lies in (-1e12, 1e12).
+    import numpy as np
+
+    rho = np.arange(modulus, dtype=np.int64)
+    roots = rho[(rho * rho - a % q) % q == 0]
+    return roots[np.gcd(roots, modulus) == gp].tolist(), modulus, gp
 
 
 def eta_closed(p: int, k: int, a: int) -> int:

@@ -15,10 +15,13 @@ Independent oracle:  omega_p_bruteforce integrates
 over Q_p^2 by exact summation over valuation cells (alpha, beta) = (v(x1), v(x3)).
 On a cell the integrand is constant unless 2*alpha = 2*beta + v_p(a) ("tie"
 cells), where kappa = v_p(a(x3/x1)^2 - 1) enters; there the unit residues
-u = x1 / p^alpha are enumerated at just enough precision to resolve kappa up to
-the point where the max stops depending on it.  Truncation outside the cell
-window is controlled by a rigorous geometric tail bound (derivation in the
-comments of _tail_bound).  The oracle never uses the closed-form case table.
+u = x1 / p^alpha are counted by kappa at just enough precision to resolve it up
+to the point where the max stops depending on it.  The counts come from the
+exhaustive square-root tower of eta.root_tower (digit-by-digit lifting of
+u^2 = a/p^v_p(a)), so no residue table is built and any depth is reachable.
+Truncation outside the cell window is controlled by a rigorous geometric tail
+bound (derivation in the comments of _tail_bound).  The oracle never uses the
+closed-form case table.
 """
 
 from __future__ import annotations
@@ -26,10 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .arith import check_nonsquare, factorize, kronecker, valuation
-from .eta import _eta_closed_any, eta_closed
+from .eta import _eta_closed_any, eta_closed, root_tower
 
 
 def r_a(p: int, a: int) -> Fraction:
@@ -143,34 +144,17 @@ def _pf(p: int, e: int) -> Fraction:
     return Fraction(p**e) if e >= 0 else Fraction(1, p**-e)
 
 
-# Largest residue table _kappa_histogram builds (256 MiB of int64); the deepest
-# oracle runs of the tests and `verify --suite densities` need 13^6 = 4.8e6.
-KAPPA_MAX_ENTRIES = 2**25
-
-
 def _kappa_histogram(p: int, a_unit: int, nmax: int) -> tuple[list[int], int]:
     """#{units u mod p^nmax : v_p(a_unit - u^2) = j} for j < nmax, plus the
-    count with v >= nmax (including exact zeros)."""
-    mod = p**nmax
-    if mod > KAPPA_MAX_ENTRIES:
-        raise ValueError(
-            f"residue table of {p}^{nmax} entries exceeds {KAPPA_MAX_ENTRIES}; lower Vmax"
-        )
-    u = np.arange(mod, dtype=np.int64)
-    u = u[u % p != 0]
-    x = (a_unit - u * u) % mod
-    v = np.zeros(len(x), dtype=np.int64)
-    nz = x != 0
-    v[~nz] = nmax  # exact multiples of p^nmax: kappa >= nmax
-    while True:
-        m = nz & (x % p == 0)
-        if not m.any():
-            break
-        x[m] //= p
-        v[m] += 1
-    hist = [int(np.count_nonzero(v == j)) for j in range(nmax)]
-    ge = int(np.count_nonzero(v == nmax))
-    return hist, ge
+    count with v >= nmax (including exact zeros).
+
+    With R_j the number of roots of u^2 = a_unit mod p^j (all units), the
+    units with v >= j number p^(nmax-j) R_j for j >= 1 and phi(p^nmax) for
+    j = 0; the histogram is the difference of consecutive counts.
+    """
+    R = [len(level) for level in root_tower(p, nmax, a_unit)]
+    at_least = [p ** (nmax - 1) * (p - 1)] + [p ** (nmax - j) * R[j] for j in range(1, nmax + 1)]
+    return [at_least[j] - at_least[j + 1] for j in range(nmax)], R[nmax]
 
 
 def omega_p_bruteforce(p: int, a: int, Vmax: int) -> LocalDensity:

@@ -10,8 +10,9 @@ over any prime cut without truncation error in the exceptional part.
 theta1_factor_identity re-derives the theta1 factor at one prime from first
 principles: it enumerates the local Moebius data (d56, d58, d5, d6, d7) with
 squarefree p-exponents in {0,1}, forms g = p^min(e58 + v1, v_p(a)),
-g' = p^ceil(v_p(g)/2), counts rho by residue enumeration, and sums
-mu * eta / norm.  That finite sum must equal the table value.
+g' = p^ceil(v_p(g)/2), counts rho exhaustively (eta_bruteforce, which
+lifts the square roots mod p^k digit by digit), and sums mu * eta / norm.
+That finite sum must equal the table value.
 """
 
 from __future__ import annotations
@@ -132,9 +133,10 @@ def theta1_factor_identity(p: int, a: int, v: tuple[int, int, int, int]):
 
     and sums mu * (rho count) / p^D with
     D = e5+e6+e7+e56+e58+max(e56,e58) - floor(min(e58+v1, v_p(a))/2),
-    where the rho count is eta(p^(e58+v1); a) evaluated by residue
-    enumeration.  theta0 violations force the table value 0 and an empty sum
-    contribution pattern is not asserted there.
+    where the rho count is eta(p^(e58+v1); a) evaluated by exhaustive
+    enumeration: eta_bruteforce lifts the roots mod p^(e58+v1) one digit at a
+    time through eta.root_tower (no case table).  theta0 violations force the
+    table value 0 and an empty sum contribution pattern is not asserted there.
     """
     v1, v2, v3, v4 = v
     n = valuation(p, a)

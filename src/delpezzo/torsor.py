@@ -160,10 +160,14 @@ def act(u: tuple[int, int, int, int, int], t: TorsorTuple) -> TorsorTuple:
     return TorsorTuple(*new)
 
 
+# the 32 coordinate sign vectors of the action: act(u, (1, ..., 1)) for each u
+_ORBIT_SIGNS = tuple(
+    act(tuple(-1 if mask >> i & 1 else 1 for i in range(5)), TorsorTuple(*[1] * 8)).coords()
+    for mask in range(32)
+)
+
+
 def orbit(t: TorsorTuple) -> set[tuple[int, ...]]:
     """All sign-orbit members of a tuple."""
-    out = set()
-    for mask in range(32):
-        u = tuple(1 if mask >> i & 1 == 0 else -1 for i in range(5))
-        out.add(act(u, t).coords())
-    return out
+    coords = t.coords()
+    return {tuple(s * c for s, c in zip(signs, coords)) for signs in _ORBIT_SIGNS}

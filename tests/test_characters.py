@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from delpezzo.arith import TESTBED, kronecker
 from delpezzo.characters import CharacterChi, digamma
@@ -31,6 +33,31 @@ def test_chi_basics():
         assert sum(c.chi(n) for n in range(1, c.modulus + 1)) == 0
         for n in range(1, 2 * c.modulus + 1):
             assert c.chi(n) == c.chi(n + c.modulus)
+
+
+def literal_chi_table(a: int) -> np.ndarray:
+    """CharacterChi's table by one kronecker call per n (the oracle of the
+    reciprocity-built numpy table)."""
+    m = 8 * abs(a)
+    table = np.zeros(m, dtype=np.int8)
+    for n in range(1, m + 1):
+        if math.gcd(n, 2 * abs(a)) == 1:
+            table[n % m] = kronecker(a, n)
+    return table
+
+
+def test_chi_table_equals_kronecker_loop_testbed():
+    for a in TESTBED:
+        assert np.array_equal(CharacterChi(a).table, literal_chi_table(a)), a
+
+
+@settings(max_examples=8, deadline=None)
+@given(a=st.integers(-10**5, 10**5).filter(lambda a: a < 0 or (a > 1 and math.isqrt(a) ** 2 != a)))
+@example(a=-(3**3) * 7**2 * 11)  # odd and even exponents, p = 3 (mod 4)
+@example(a=2**5 * 3 * 5**2)
+@example(a=-(10**5))
+def test_chi_table_equals_kronecker_loop_random(a):
+    assert np.array_equal(CharacterChi(a).table, literal_chi_table(a))
 
 
 def test_chi_completely_multiplicative():

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import subprocess
 import sys
 
@@ -80,6 +81,26 @@ def test_predict_past_old_L1_term_cap(tmp_path):
     out = json.loads(r.stdout)
     assert math.isfinite(out["L1_bound"]) and 0 < out["L1_bound"] <= 1e-7
     assert math.isfinite(out["L1_chi"]) and out["L1_chi"] > 0
+
+
+def _random_surface_a(rng, bound):
+    while True:
+        a = rng.choice([1, -1]) * rng.randint(2, bound)
+        if a < 0 or math.isqrt(a) ** 2 != a:
+            return a
+
+
+@pytest.mark.parametrize("a", [_random_surface_a(random.Random(seed), 10**6) for seed in range(3)])
+def test_predict_large_a_finite_within_time(tmp_path, a):
+    # the character table and L(1, chi) are O(8|a|) numpy passes: seconds at
+    # |a| ~ 1e6, where a kronecker call per residue class took 20 s
+    r = run_cli(["predict", "--a", str(a), "--format", "json", "--cache-dir", str(tmp_path)],
+                timeout=10)
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    for key in ("L1_bound", "finite_product_bound", "omega_inf_rel_gap", "omega_inf_mc_stderr", "c"):
+        assert math.isfinite(out[key]), key
+    assert 0 < out["L1_bound"] <= 1e-7 and out["c"] > 0
 
 
 def test_compare_csv_contract(tmp_path):

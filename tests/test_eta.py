@@ -6,20 +6,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delpezzo.arith import TESTBED, omega, primes_upto
-from delpezzo.eta import _gprime, eta, eta_bruteforce, eta_closed
+from delpezzo.eta import _gprime, eta, eta_bruteforce, eta_closed, rho_classes, root_tower
 
 
-def literal_eta(q: int, a: int) -> int:
-    """eta(q; a) by a Python loop over every residue mod q*g'/g (the oracle
-    of eta_bruteforce's numpy scan)."""
+def literal_rho_classes(q: int, a: int) -> list[int]:
+    """The classes eta(q; a) counts, by a Python loop over every residue mod
+    q*g'/g (the oracle of rho_classes: of its root tower at prime powers and
+    of its numpy scan at composite q)."""
     g = math.gcd(q, abs(a))
     gp = _gprime(g)
     modulus = q // g * gp
-    count = 0
-    for rho in range(modulus):
-        if (rho * rho - a) % q == 0 and math.gcd(rho, modulus) == gp:
-            count += 1
-    return count
+    return [rho for rho in range(modulus) if (rho * rho - a) % q == 0 and math.gcd(rho, modulus) == gp]
+
+
+def literal_eta(q: int, a: int) -> int:
+    """eta(q; a) as the number of literal_rho_classes (the oracle of
+    eta_bruteforce)."""
+    return len(literal_rho_classes(q, a))
 
 
 def test_worked_2adic_values():
@@ -159,11 +162,39 @@ def test_eta_closed_matches_bruteforce_random(p, k, a):
 @example(q=5**8 * 2, a=5**5 * 2 * 3, sign=-1, shared=0)
 def test_scan_matches_literal_loop(q, a, sign, shared):
     # `shared` moves a toward a large gcd with q, where g' and the
-    # gcd-normalization matter; the moduli scanned stay below 10**6
+    # gcd-normalization matter; prime powers q go through the root tower,
+    # composite q through the residue scan, whose moduli stay below 10**6
     a = sign * a * math.gcd(q, 210**shared)
     if a > 0 and math.isqrt(a) ** 2 == a:
         a = -a
     assert eta_bruteforce(q, a) == literal_eta(q, a)
+
+
+PRIME_POWERS = [(p, k) for p in primes_upto(53) for k in range(1, 18) if p**k <= 2 * 10**5]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    pk=st.sampled_from(PRIME_POWERS),
+    m=st.integers(1, 10**4),
+    j=st.one_of(st.just(0), st.integers(1, 20)),
+    sign=st.sampled_from([1, -1]),
+)
+@example(pk=(2, 17), m=1, j=20, sign=1)
+@example(pk=(3, 11), m=2, j=6, sign=-1)
+@example(pk=(53, 3), m=7, j=3, sign=1)
+def test_root_tower_classes_match_literal_loop(pk, m, j, sign):
+    # a = +-m p^j: half the draws put a high power of p in a, where g' and the
+    # gcd-normalization decide which roots count
+    p, k = pk
+    a = sign * m * p**j
+    assert rho_classes(p**k, a)[0] == literal_rho_classes(p**k, a)
+
+
+def test_root_tower_levels_are_all_roots():
+    for p, k, a in ((2, 9, 17), (3, 6, -18), (5, 5, 5**4 * 2), (7, 4, 0)):
+        for j, level in enumerate(root_tower(p, k, a)):
+            assert sorted(level) == [r for r in range(p**j) if (r * r - a) % p**j == 0], (p, j, a)
 
 
 def test_square_a_rejected():

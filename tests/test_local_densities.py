@@ -1,6 +1,8 @@
+import importlib
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from delpezzo.arith import TESTBED, factorize, kronecker, primes_upto, valuation
 from delpezzo.local_densities import (
     MeasureMismatchError,
+    _kappa_histogram,
     measure_squares,
     omega_p,
     omega_p_bruteforce,
@@ -96,11 +99,63 @@ def test_bruteforce_vmax_floor():
         omega_p_bruteforce(2, 12, 3)
 
 
-def test_bruteforce_refuses_oversized_residue_table():
-    # depth v_p(4a) + 8 would need a table of 13^8 = 8.2e8 residues
+def test_bruteforce_reaches_depth_past_residue_tables():
+    # depth v_p(4a) + 8 resolves kappa mod 13^8: a residue table would hold
+    # 8.2e8 entries, the square-root tower a few roots per level
     a = 13**4 * 5
-    with pytest.raises(ValueError, match="residue table"):
-        omega_p_bruteforce(13, a, valuation(13, 4 * a) + 8)
+    bf = omega_p_bruteforce(13, a, valuation(13, 4 * a) + 8)
+    assert abs(omega_p(13, a) - bf.value) <= bf.tail_bound
+
+
+def test_oracles_use_no_case_table(monkeypatch):
+    # the exhaustive oracles must not lean on the closed forms they check
+    eta_module = importlib.import_module("delpezzo.eta")  # the package's `eta` is the function
+    ld = importlib.import_module("delpezzo.local_densities")
+
+    def case_table(*args):
+        raise AssertionError("an oracle called a closed form")
+
+    for module, name in ((eta_module, "eta_closed"), (eta_module, "_eta_closed_any"),
+                         (ld, "eta_closed"), (ld, "_eta_closed_any"), (ld, "omega_p"),
+                         (ld, "r_a"), (ld, "s_a")):
+        monkeypatch.setattr(module, name, case_table)
+    for p, a in ((2, 17), (3, -18), (13, 13**4 * 5)):
+        ld.omega_p_bruteforce(p, a, valuation(p, 4 * a) + 6)
+        for k in range(1, 8):
+            eta_module.eta_bruteforce(p**k, a)
+
+
+def literal_kappa(p: int, a_unit: int, nmax: int) -> tuple[list[int], int]:
+    """_kappa_histogram by a numpy scan of every unit mod p^nmax, dividing
+    a_unit - u^2 by p until it is a unit (the oracle of the root tower)."""
+    mod = p**nmax
+    u = np.arange(mod, dtype=np.int64)
+    u = u[u % p != 0]
+    x = (a_unit - u * u) % mod
+    v = np.zeros(len(x), dtype=np.int64)
+    nz = x != 0
+    v[~nz] = nmax  # exact multiples of p^nmax: kappa >= nmax
+    while True:
+        m = nz & (x % p == 0)
+        if not m.any():
+            break
+        x[m] //= p
+        v[m] += 1
+    hist = [int(np.count_nonzero(v == j)) for j in range(nmax)]
+    ge = int(np.count_nonzero(v == nmax))
+    return hist, ge
+
+
+# square and nonsquare units at every p, shallow, and each p at the deepest
+# n with p^n <= 5e6
+KAPPA_GRID = [
+    (p, u, n) for p in (2, 3, 5, 7, 13) for u in (-1, 2, 17) if u % p for n in range(1, 6)
+] + [(2, 17, 22), (3, -1, 14), (5, 2, 9), (7, -1, 7), (13, 2, 6), (13, 17, 6)]
+
+
+@pytest.mark.parametrize("p, u, n", KAPPA_GRID)
+def test_kappa_histogram_matches_residue_scan(p, u, n):
+    assert _kappa_histogram(p, u, n) == literal_kappa(p, u, n)
 
 
 def test_measure_squares():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delpezzo.torsor import (
     ACTION_WEIGHTS,
@@ -109,3 +111,14 @@ def test_normalize_point_sign_convention():
 
 def test_projective_point_height():
     assert ProjectivePoint((1, 0, -2, 3, -1)).height == 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=8, max_size=8))
+def test_orbit_equals_action_of_every_sign_vector(coords):
+    t = TorsorTuple(*coords)
+    want = set()
+    for mask in range(32):
+        u = tuple(1 if mask >> i & 1 == 0 else -1 for i in range(5))
+        want.add(act(u, t).coords())
+    assert orbit(t) == want
