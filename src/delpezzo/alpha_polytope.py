@@ -63,22 +63,31 @@ def v0_polytope() -> HPolytope:
     return HPolytope(rows)
 
 
-def _solve_square(rows: list[tuple[tuple[Fraction, ...], Fraction]]):
-    """Solve the square rational system; None if singular."""
-    d = len(rows)
-    M = [list(coeffs) + [rhs] for coeffs, rhs in rows]
-    for col in range(d):
-        piv = next((r for r in range(col, d) if M[r][col] != 0), None)
+def _eliminate(rows, ncols: int):
+    """Exact Gauss-Jordan elimination of the rows over their first ncols
+    columns.  Returns (reduced rows, rank, det): the pivot rows come first,
+    each scaled to a leading 1 and cleared above and below, and det is the
+    determinant of the first ncols columns when the rows are square there
+    (0 when they are singular)."""
+    M = [list(row) for row in rows]
+    rank, det = 0, Fraction(1)
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(M)) if M[r][col] != 0), None)
         if piv is None:
-            return None
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(d):
-            if r != col and M[r][col] != 0:
-                factor = M[r][col]
-                M[r] = [x - factor * y for x, y in zip(M[r], M[col])]
-    return tuple(M[r][d] for r in range(d))
+            det = Fraction(0)
+            continue
+        if piv != rank:
+            M[rank], M[piv] = M[piv], M[rank]
+            det = -det
+        lead = M[rank][col]
+        det *= lead
+        M[rank] = [x / lead for x in M[rank]]
+        for r in range(len(M)):
+            if r != rank and M[r][col] != 0:
+                f = M[r][col]
+                M[r] = [x - f * y for x, y in zip(M[r], M[rank])]
+        rank += 1
+    return M, rank, det
 
 
 def vertices(P: HPolytope) -> list[tuple[Fraction, ...]]:
@@ -86,59 +95,22 @@ def vertices(P: HPolytope) -> list[tuple[Fraction, ...]]:
     d = P.dim
     out: set[tuple[Fraction, ...]] = set()
     for subset in itertools.combinations(range(len(P.inequalities)), d):
-        rows = [P.inequalities[i] for i in subset]
-        v = _solve_square(rows)
-        if v is not None and P.contains(v):
+        M, rank, _ = _eliminate([(*P.inequalities[i][0], P.inequalities[i][1]) for i in subset], d)
+        v = tuple(row[d] for row in M)
+        if rank == d and P.contains(v):
             out.add(v)
     return sorted(out)
 
 
 def _affine_rank(points: list[tuple[Fraction, ...]]) -> int:
-    if len(points) <= 1:
-        return 0
     base = points[0]
-    vecs = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    rank = 0
-    ncols = len(base)
-    pivot_rows: list[list[Fraction]] = []
-    for vec in vecs:
-        v = vec[:]
-        for pr in pivot_rows:
-            lead = next((j for j in range(ncols) if pr[j] != 0), None)
-            if lead is not None and v[lead] != 0:
-                f = v[lead] / pr[lead]
-                v = [a - f * b for a, b in zip(v, pr)]
-        if any(x != 0 for x in v):
-            pivot_rows.append(v)
-            rank += 1
-    return rank
-
-
-def _det(M) -> Fraction:
-    """Exact determinant of a square matrix by Gaussian elimination."""
-    d = len(M)
-    det = Fraction(1)
-    M = [list(row) for row in M]
-    for col in range(d):
-        piv = next((r for r in range(col, d) if M[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = -det
-        det *= M[col][col]
-        inv = 1 / M[col][col]
-        for r in range(col + 1, d):
-            if M[r][col] != 0:
-                f = M[r][col] * inv
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return det
+    return _eliminate([[x - b for x, b in zip(p, base)] for p in points[1:]], len(base))[1]
 
 
 def _simplex_volume(simplex: list[tuple[Fraction, ...]]) -> Fraction:
     base = simplex[0]
     M = [[x - b for x, b in zip(p, base)] for p in simplex[1:]]
-    return abs(_det(M)) / factorial(len(M))
+    return abs(_eliminate(M, len(M))[2]) / factorial(len(M))
 
 
 def _triangulate_face(
@@ -198,10 +170,10 @@ def _is_bounded(P: HPolytope) -> bool:
     their cofactor vector r_j = (-1)^j det(rows without column j)."""
     A = [coeffs for coeffs, _ in P.inequalities]
     d = P.dim
-    if _affine_rank([(0,) * d, *A]) < d:
+    if _eliminate(A, d)[1] < d:
         return False
     for rows in itertools.combinations(A, d - 1):
-        r = [(-1) ** j * _det([row[:j] + row[j + 1 :] for row in rows]) for j in range(d)]
+        r = [(-1) ** j * _eliminate([row[:j] + row[j + 1 :] for row in rows], d - 1)[2] for j in range(d)]
         if not any(r):
             continue  # the rows are dependent
         for sign in (1, -1):
@@ -215,16 +187,14 @@ def v0_volume() -> Fraction:
     return exact_volume(v0_polytope())
 
 
-def polytope_mc_volume(P: HPolytope, samples: int, seed: int, box=None):
-    """Hit-rate Monte Carlo volume estimate with standard error."""
+def polytope_mc_volume(P: HPolytope, samples: int, seed: int):
+    """Hit-rate Monte Carlo volume estimate with standard error, sampled on
+    the bounding box of the vertices."""
     rng = np.random.default_rng(seed)
-    d = P.dim
-    if box is None:
-        box = _bounding_box(P)
-    lo = np.array([float(l) for l, _ in box])
-    hi = np.array([float(h) for _, h in box])
+    verts = np.array(vertices(P), dtype=float)
+    lo, hi = verts.min(axis=0), verts.max(axis=0)
     box_vol = float(np.prod(hi - lo))
-    pts = rng.random((samples, d)) * (hi - lo) + lo
+    pts = rng.random((samples, P.dim)) * (hi - lo) + lo
     A = np.array([[float(c) for c in coeffs] for coeffs, _ in P.inequalities])
     b = np.array([float(rhs) for _, rhs in P.inequalities])
     inside = np.all(pts @ A.T <= b + 0.0, axis=1)
@@ -232,14 +202,6 @@ def polytope_mc_volume(P: HPolytope, samples: int, seed: int, box=None):
     est = box_vol * rate
     stderr = box_vol * float(np.sqrt(max(rate * (1 - rate), 1e-12) / samples))
     return est, stderr
-
-
-def _bounding_box(P: HPolytope):
-    verts = vertices(P)
-    d = P.dim
-    return [
-        (min(v[i] for v in verts), max(v[i] for v in verts)) for i in range(d)
-    ]
 
 
 def v0_montecarlo(B: float, samples: int, seed: int):

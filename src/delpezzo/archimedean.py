@@ -145,24 +145,13 @@ def N_inf(a: int, y5: float, y6: float, y7: float) -> float:
     )
 
 
-def _section_len(c2: float, slack: float, cap: float) -> float:
+def _section_len(c2, slack, cap):
     """Length of {y7 : |y7| <= cap, |c2 - y7^2| <= slack} (union of <= 4
-    intervals, symmetric in y7)."""
-    hi = c2 + slack
-    if hi <= 0 or cap <= 0:
-        return 0.0
-    lo = c2 - slack
-    upper = min(cap, math.sqrt(hi))
-    lower = math.sqrt(lo) if lo > 0 else 0.0
-    return 2.0 * max(0.0, upper - lower)
-
-
-def _section_len_vec(c2, slack, cap):
-    hi = c2 + slack
-    upper = np.minimum(cap, np.sqrt(np.maximum(hi, 0.0)))
+    intervals, symmetric in y7), elementwise.  Where c2 + slack <= 0 or
+    cap <= 0 the upper end is at most 0 and the length is 0."""
+    upper = np.minimum(cap, np.sqrt(np.maximum(c2 + slack, 0.0)))
     lower = np.sqrt(np.maximum(c2 - slack, 0.0))
-    out = 2.0 * np.maximum(0.0, upper - lower)
-    return np.where((hi > 0) & (cap > 0), out, 0.0)
+    return 2.0 * np.maximum(0.0, upper - lower)
 
 
 def _toward(f, lo: float, hi: float, at_hi: bool):
@@ -415,7 +404,7 @@ def vol_SF(
     w, r = w[good], r[good]
     x5 = w * w
     x6 = r * r / w
-    lens = _section_len_vec(cc * x6 * x6, S1 / x6, S2 / (x5 * x6))
+    lens = _section_len(cc * x6 * x6, S1 / x6, S2 / (x5 * x6))
     # dx5 dx6 = 2w dw * 2r/w dr; formed after the section so that its array
     # and the section's temporaries are not alive at once
     vals = 4.0 * (S5 ** (1 / 2)) * (S4 ** (1 / 4)) * r * lens

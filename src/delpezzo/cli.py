@@ -110,15 +110,18 @@ def _check_direct_range(B: int) -> None:
         raise SystemExit2(f"B = {B} exceeds the direct counter's limit {DIRECT_B_MAX}")
 
 
-def cmd_count(args) -> int:
-    params = {
-        "a": args.a,
-        "B": str(args.B),
-        "method": args.method,
-    }
+def _cached(args, command: str, params: dict, compute):
+    """The result of (command, params): the cached record's, or else
+    compute()'s, stored before it is returned."""
     cache = Cache(args.cache_dir)
-    rec = cache.get("count", params)
+    rec = cache.get(command, params)
     if rec is None:
+        rec = cache.put(command, params, compute())
+    return rec["result"]
+
+
+def cmd_count(args) -> int:
+    def compute():
         from .counting import direct_count, torsor_count
 
         results = {}
@@ -129,8 +132,9 @@ def cmd_count(args) -> int:
         if args.method in ("torsor", "both"):
             r = torsor_count(args.a, args.B, jobs=args.jobs)
             results["torsor"] = {"count": r.count, "elapsed": r.elapsed, "method": r.method}
-        rec = cache.put("count", params, results)
-    results = rec["result"]
+        return results
+
+    results = _cached(args, "count", {"a": args.a, "B": str(args.B), "method": args.method}, compute)
     counts = {k: v["count"] for k, v in results.items()}
     if args.format == "json":
         print(json.dumps({"a": args.a, "B": str(args.B), **counts}, sort_keys=True))
@@ -152,9 +156,8 @@ def cmd_predict(args) -> int:
         "seed": args.seed,
         "tolerance": args.tolerance,
     }
-    cache = Cache(args.cache_dir)
-    rec = cache.get("predict", params)
-    if rec is None:
+
+    def compute():
         from .constant import predict_constant
 
         bd = predict_constant(args.a, prime_cut=args.prime_cut, tolerance=args.tolerance)
@@ -165,8 +168,9 @@ def cmd_predict(args) -> int:
             mc = omega_inf_montecarlo(args.a, args.mc_samples, args.seed)
             factors["omega_inf_mc"] = mc.value
             factors["omega_inf_mc_stderr"] = mc.error_estimate
-        rec = cache.put("predict", params, factors)
-    factors = rec["result"]
+        return factors
+
+    factors = _cached(args, "predict", params, compute)
     if args.format == "json":
         print(json.dumps({"a": args.a, **factors}, sort_keys=True))
     else:
@@ -177,32 +181,20 @@ def cmd_predict(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    params = {
-        "a": args.a,
-        "B_list": args.B_list,
-        "prime_cut": args.prime_cut,
-    }
-    cache = Cache(args.cache_dir)
-    rec = cache.get("compare", params)
-    if rec is None:
+    def compute():
         _check_direct_range(max(args.B_list))
         from .constant import compare, predict_constant
 
         bd = predict_constant(args.a, prime_cut=args.prime_cut)
-        try:
-            rows = compare(args.a, args.B_list, breakdown=bd)
-        except AssertionError as exc:
-            print(str(exc), file=sys.stderr)
-            return 3
-        rec = cache.put(
-            "compare",
-            params,
-            [
-                {"B": r.B, "count": r.count, "prediction": r.prediction, "ratio": r.ratio}
-                for r in rows
-            ],
-        )
-    rows = rec["result"]
+        rows = compare(args.a, args.B_list, breakdown=bd)
+        return [{"B": r.B, "count": r.count, "prediction": r.prediction, "ratio": r.ratio} for r in rows]
+
+    params = {"a": args.a, "B_list": args.B_list, "prime_cut": args.prime_cut}
+    try:
+        rows = _cached(args, "compare", params, compute)
+    except AssertionError as exc:  # the counters disagree: nothing is stored
+        print(str(exc), file=sys.stderr)
+        return 3
     if args.format == "json":
         print(json.dumps({"a": args.a, "rows": rows}, sort_keys=True))
     else:
@@ -235,22 +227,34 @@ def _suite_eta(quick: bool):
             yield {"case": f"eta multiplicativity q1={q1} q2={q2} a={a}", "got": lhs, "want": rhs}
 
 
-def _suite_densities(quick: bool):
-    from .arith import TESTBED, factorize, valuation
-    from .local_densities import omega_p, omega_p_bruteforce, remark_omega
-    from .arith import primes_upto
+def _suite_density_table(quick: bool):
+    """omega_p against the squarefree table (criterion 02)."""
+    from .arith import TESTBED, factorize, primes_upto
+    from .local_densities import omega_p, remark_omega
 
     squarefree = [a for a in TESTBED if all(e == 1 for _, e in factorize(a))]
     for a in squarefree:
         for p in primes_upto(47 if quick else 100):
             if omega_p(p, a) != remark_omega(p, a):
                 yield {"case": f"omega_p table p={p} a={a}"}
+
+
+def _suite_density_oracle(quick: bool):
+    """omega_p against the p-adic integral oracle (criterion 03)."""
+    from .arith import valuation
+    from .local_densities import omega_p, omega_p_bruteforce
+
     grid = [(2, 3), (3, 12)] if quick else [(p, a) for p in (2, 3, 5) for a in (-4, 3, 8, 12, 18)]
     for p, a in grid:
         V = valuation(p, 4 * a) + (6 if quick else 8)
         bf = omega_p_bruteforce(p, a, V)
         if abs(omega_p(p, a) - bf.value) > bf.tail_bound:
             yield {"case": f"omega_p oracle p={p} a={a}", "diff": float(abs(omega_p(p, a) - bf.value))}
+
+
+def _suite_densities(quick: bool):
+    yield from _suite_density_table(quick)
+    yield from _suite_density_oracle(quick)
 
 
 def _suite_theta(quick: bool):
@@ -274,6 +278,7 @@ def _suite_theta(quick: bool):
 def _suite_moebius(quick: bool):
     import random
 
+    from .arith import TESTBED
     from .counting import moebius_slice_check
     from .theta import theta0
 
@@ -284,7 +289,7 @@ def _suite_moebius(quick: bool):
     want = 20 if quick else 100
     done = 0
     while done < want:
-        a = rng.choice([-5, -4, -2, -1, 2, 3, 5, 6, 8, 12, 17, 18, 45])
+        a = rng.choice(TESTBED)
         a1, a2, a3, a4 = (rng.randint(1, 6) for _ in range(4))
         if theta0(a1, a2, a3, a4) != 1:
             continue
@@ -370,66 +375,20 @@ def _run_suites(args) -> int:
     return 0
 
 
-def _surface_a(text: str) -> int:
-    """argparse type of --a: a nonzero nonsquare integer."""
-    try:
-        return check_nonsquare(int(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _arg(parse, ok, want: str):
+    """An argparse type: parse(text) if that succeeds and ok holds of the
+    value, else a usage error saying the value must be `want`."""
 
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {want}")
 
-def _B_list(text: str) -> list[int]:
-    """argparse type of --B-list: comma-separated integers >= 2 (the ratio
-    divides by B log^4 B, which is 0 at B = 1)."""
-    try:
-        Bs = [int(x) for x in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers") from None
-    if min(Bs) < 2:
-        raise argparse.ArgumentTypeError(f"B = {min(Bs)} is below 2")
-    return Bs
-
-
-def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-
-
-def _prime_cut(text: str) -> int:
-    """argparse type of --prime-cut: an integer >= 100."""
-    cut = _int(text)
-    if cut < 100:
-        raise argparse.ArgumentTypeError(f"prime cut {cut} is below 100")
-    return cut
-
-
-def _jobs(text: str) -> int:
-    """argparse type of --jobs: an integer >= 1."""
-    n = _int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"{n} jobs: use at least 1")
-    return n
-
-
-def _tolerance(text: str) -> float:
-    """argparse type of --tolerance: a positive finite float."""
-    try:
-        tol = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not (0 < tol < math.inf):
-        raise argparse.ArgumentTypeError(f"tolerance {text} is not a positive finite number")
-    return tol
-
-
-def _mc_samples(text: str) -> int:
-    """argparse type of --mc-samples: 0 (no Monte Carlo estimate) or >= 2."""
-    n = _int(text)
-    if n < 0 or n == 1:
-        raise argparse.ArgumentTypeError(f"{n} samples: use 0 or at least 2")
-    return n
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -440,39 +399,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
     c = sub.add_parser("count", help="count points of height <= B")
-    c.add_argument("--a", type=_surface_a, required=True)
+    p = sub.add_parser("predict", help="predicted leading constant, factored")
+    v = sub.add_parser("verify", help="run identity suites")
+    m = sub.add_parser("compare", help="count vs prediction table")
+    surfaces = ((c, cmd_count, "json"), (p, cmd_predict, "json"), (m, cmd_compare, "csv"))
+    for sp, func, _ in surfaces:
+        # check_nonsquare returns a, which is nonzero, or raises ValueError
+        sp.add_argument("--a", type=_arg(int, check_nonsquare, "a nonzero nonsquare integer"), required=True)
+        sp.set_defaults(func=func)
+    prime_cut = _arg(int, lambda n: n >= 100, "an integer >= 100")
+
     c.add_argument("--B", type=int, required=True)
     c.add_argument("--method", choices=("direct", "torsor", "both"), default="both")
-    c.add_argument("--jobs", type=_jobs, default=1)
-    c.add_argument("--format", choices=("json", "csv"), default="json")
-    c.add_argument("--cache-dir", type=Path, default=default_cache_dir())
-    c.set_defaults(func=cmd_count)
+    c.add_argument("--jobs", type=_arg(int, lambda n: n >= 1, "an integer >= 1"), default=1)
 
-    p = sub.add_parser("predict", help="predicted leading constant, factored")
-    p.add_argument("--a", type=_surface_a, required=True)
-    p.add_argument("--prime-cut", type=_prime_cut, default=20000)
-    p.add_argument("--mc-samples", type=_mc_samples, default=10**6)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--tolerance", type=_tolerance, default=1e-6)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--cache-dir", type=Path, default=default_cache_dir())
-    p.set_defaults(func=cmd_predict)
+    p.add_argument("--prime-cut", type=prime_cut, default=20000)
+    mc_samples = _arg(int, lambda n: n == 0 or n >= 2, "0 or an integer >= 2")  # 0: no Monte Carlo estimate
+    p.add_argument("--mc-samples", type=mc_samples, default=10**6)
+    p.add_argument("--seed", type=_arg(int, lambda n: n >= 0, "an integer >= 0"), default=1)
+    p.add_argument(
+        "--tolerance", type=_arg(float, lambda x: 0 < x < math.inf, "a positive finite number"), default=1e-6
+    )
 
-    v = sub.add_parser("verify", help="run identity suites")
     v.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     v.add_argument("--quick", action="store_true")
     v.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     v.set_defaults(func=cmd_verify)
 
-    m = sub.add_parser("compare", help="count vs prediction table")
-    m.add_argument("--a", type=_surface_a, required=True)
-    m.add_argument("--B-list", type=_B_list, required=True)
-    m.add_argument("--prime-cut", type=_prime_cut, default=20000)
-    m.add_argument("--format", choices=("json", "csv"), default="csv")
-    m.add_argument("--cache-dir", type=Path, default=default_cache_dir())
-    m.set_defaults(func=cmd_compare)
+    # B >= 2: the ratio divides by B log^4 B, which is 0 at B = 1
+    B_list = _arg(lambda text: [int(x) for x in text.split(",")], lambda Bs: min(Bs) >= 2,
+                  "a comma-separated list of integers >= 2")
+    m.add_argument("--B-list", type=B_list, required=True)
+    m.add_argument("--prime-cut", type=prime_cut, default=20000)
+
+    for sp, _, fmt in surfaces:
+        sp.add_argument("--format", choices=("json", "csv"), default=fmt)
+        sp.add_argument("--cache-dir", type=Path, default=default_cache_dir())
     return ap
 
 

@@ -31,6 +31,7 @@ With jobs > 1 both counters split their outer loop over worker processes
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -52,9 +53,11 @@ class CountResult:
 
 
 def _fan_out(worker, args: tuple, items, jobs: int) -> list:
-    """[worker(*args, part)] for the parts items[w::jobs], w < jobs, each part
-    in its own worker process when jobs > 1."""
-    if jobs == 1:
+    """[worker(*args, part)] for the parts items[w::n], w < n, each part in
+    its own worker process when n > 1; n = jobs, but no more than there are
+    items or cores (the pool starts all its workers at once)."""
+    jobs = min(jobs, len(items), os.cpu_count() or 1)
+    if jobs <= 1:
         return [worker(*args, items)]
     from concurrent.futures import ProcessPoolExecutor
 

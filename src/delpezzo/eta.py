@@ -97,6 +97,7 @@ def rho_classes(q: int, a: int) -> tuple[list[int], int, int]:
     return roots[np.gcd(roots, modulus) == gp].tolist(), modulus, gp
 
 
+@lru_cache(maxsize=None)
 def eta_closed(p: int, k: int, a: int) -> int:
     """eta(p^k; a) by the multiplicative case table.
 
@@ -107,15 +108,8 @@ def eta_closed(p: int, k: int, a: int) -> int:
                                  for k - v = 1, 2, >= 3
     """
     check_nonsquare(a)
-    return _eta_closed_any(p, k, a)
-
-
-@lru_cache(maxsize=None)
-def _eta_closed_any(p: int, k: int, a: int) -> int:
     if k < 1:
         raise ValueError("k must be >= 1")
-    if a == 0:
-        raise ValueError("a must be nonzero")
     v = valuation(p, a)
     if k <= v:
         return 1

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import check_nonsquare, factorize, kronecker, valuation
-from .eta import _eta_closed_any, eta_closed, root_tower
+from .eta import eta_closed, root_tower
 
 
 def r_a(p: int, a: int) -> Fraction:
@@ -99,44 +99,10 @@ def sum_kpk(q, n: int) -> Fraction:
     return (1 - 1 / q) ** -2 * (Fraction(n + 1) / q ** (n + 1) - Fraction(n) / q ** (n + 2))
 
 
-class MeasureMismatchError(AssertionError):
-    """Residue-count measure disagrees with the eta closed form (test hook)."""
-
-
-def measure_squares(p: int, a: int, beta: int, k: int) -> Fraction:
-    """Haar measure of {x1 : v_p(a*x3^2 - x1^2) >= v_p(a*x3^2) + k} for
-    v_p(x3) = beta, even v_p(a).
-
-    Evaluates the measure by direct residue enumeration and asserts it equals
-    eta(p^(v+k); a) / p^(v/2 + beta + k) before returning the closed form.
-    """
-    v = valuation(p, a)
-    if v % 2 == 1:
-        raise ValueError("measure_squares requires even v_p(a)")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    gp = v // 2
-    mod_z = p ** (gp + k)
-    mod_t = p ** (v + k)
-    count = sum(1 for z in range(mod_z) if (a - z * z) % mod_t == 0)
-    denom = p ** (beta + gp + k) if beta + gp + k >= 0 else Fraction(1, p ** -(beta + gp + k))
-    enumerated = count / Fraction(denom)
-    closed = (_eta_closed_any(p, v + k, a) if v + k >= 1 else 1) / Fraction(denom)
-    if enumerated != closed:
-        raise MeasureMismatchError(
-            f"measure mismatch p={p} a={a} beta={beta} k={k}: "
-            f"{enumerated} (residues) vs {closed} (closed form)"
-        )
-    return closed
-
-
 @dataclass
 class LocalDensity:
-    p: int
     value: Fraction
-    provenance: str
-    Vmax: int | None = None
-    tail_bound: Fraction | None = None
+    tail_bound: Fraction
 
 
 def _pf(p: int, e: int) -> Fraction:
@@ -214,13 +180,7 @@ def omega_p_bruteforce(p: int, a: int, Vmax: int) -> LocalDensity:
             total += one_minus * _pf(p, -alpha - kappa0) * inner
 
     tail = _tail_bound(p, gamma, V, B2, A1, A2)
-    return LocalDensity(
-        p=p,
-        value=one_minus**5 * total,
-        provenance="bruteforce",
-        Vmax=Vmax,
-        tail_bound=one_minus**5 * tail,
-    )
+    return LocalDensity(one_minus**5 * total, one_minus**5 * tail)
 
 
 def _tail_bound(p: int, gamma: int, V: int, B2: int, A1: int, A2: int) -> Fraction:

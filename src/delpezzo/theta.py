@@ -17,6 +17,7 @@ That finite sum must equal the table value.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -146,32 +147,22 @@ def theta1_factor_identity(p: int, a: int, v: tuple[int, int, int, int]):
     )
     table = theta1_local(p, a, v) if t0_ok else Fraction(0)
 
-    total = Fraction(0)
+    def free(cond) -> tuple[int, ...]:
+        return (0, 1) if cond else (0,)
+
+    total = 0  # the sum times p^6: every D is at most 6
     if t0_ok:
-        for e56 in (0, 1):
-            if e56 and (v1 or v2 or v3 or v4):
-                continue
-            for e58 in (0, 1):
-                if e58 and (v2 or v3 or v4):
-                    continue
-                if n % 2 == 1 and e58 + v1 > n:
-                    continue
-                vg = min(e58 + v1, n)
-                rho_count = eta_bruteforce(p ** (e58 + v1), a) if e58 + v1 else 1
-                for e5 in (0, 1):
-                    if e5 and v2 + v4 == 0:
-                        continue
-                    for e6 in (0, 1):
-                        if e6 and v1 + v2 + v3 == 0:
-                            continue
-                        for e7 in (0, 1):
-                            if e7 and v2 + v3 + v4 == 0:
-                                continue
-                            sign = (-1) ** (e56 + e58 + e5 + e6 + e7)
-                            D = e5 + e6 + e7 + e56 + e58 + max(e56, e58) - vg // 2
-                            total += Fraction(sign * rho_count, p**D) if D >= 0 else Fraction(
-                                sign * rho_count * p**-D
-                            )
+        rho = {
+            e58: eta_bruteforce(p ** (e58 + v1), a) if e58 + v1 else 1
+            for e58 in free(not (v2 or v3 or v4))
+            if n % 2 == 0 or e58 + v1 <= n
+        }
+        for e56, e58, e5, e6, e7 in itertools.product(
+            free(not any(v)), rho, free(v2 + v4), free(v1 + v2 + v3), free(v2 + v3 + v4)
+        ):
+            D = e5 + e6 + e7 + e56 + e58 + max(e56, e58) - min(e58 + v1, n) // 2
+            total += (-1) ** (e56 + e58 + e5 + e6 + e7) * rho[e58] * p ** (6 - D)
+    total = Fraction(total, p**6)
     return table, total, table == total
 
 

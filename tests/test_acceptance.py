@@ -1,5 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
+Criteria 01-03, 05 and 06 run the full-mode `verify` suites of the CLI
+(delpezzo.cli.SUITES), which hold each criterion's grid, so that the check
+is written once and the benchmark's `verify` runs are the criteria.
+
 Criterion 7 note: the exact volume of the height polytope is 1/576 = 3*alpha
 (established by exact triangulation, independent exact integration, and MC);
 see the decisions ledger for the reconciliation of the two constant
@@ -7,16 +11,14 @@ conventions.  The criterion is enforced in the form that is consistent with
 alpha = 1/1728 and with the criterion's own Monte Carlo clause.
 """
 
-import itertools
 import math
-import random
 import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
-from delpezzo.arith import TESTBED, factorize, primes_upto, valuation
+from delpezzo.arith import TESTBED
+from delpezzo.cli import SUITES, _suite_density_oracle, _suite_density_table
 
 PASSED = []
 
@@ -29,37 +31,24 @@ def report(num, desc, t0):
 
 def test_criterion_01_eta_consistency():
     t0 = time.time()
-    from delpezzo.eta import eta_bruteforce, eta_closed
-
-    for a in TESTBED:
-        for p in primes_upto(53):
-            for k in range(1, 11):
-                assert eta_closed(p, k, a) == eta_bruteforce(p**k, a), (a, p, k)
+    failures = list(SUITES["eta"](False))
+    assert not failures, failures[:5]
     assert time.time() - t0 < 60
     report(1, "eta closed form = brute force on testbed x p<=53 x k<=10", t0)
 
 
 def test_criterion_02_density_table():
     t0 = time.time()
-    from delpezzo.local_densities import omega_p, remark_omega
-
-    squarefree = [a for a in TESTBED if all(e == 1 for _, e in factorize(a))]
-    for a in squarefree:
-        for p in primes_upto(100):
-            assert omega_p(p, a) == remark_omega(p, a), (a, p)
+    failures = list(_suite_density_table(False))
+    assert not failures, failures[:5]
     assert time.time() - t0 < 10
     report(2, "omega_p = squarefree table, exact, p <= 100", t0)
 
 
 def test_criterion_03_padic_oracle():
     t0 = time.time()
-    from delpezzo.local_densities import omega_p, omega_p_bruteforce
-
-    for p in (2, 3, 5):
-        for a in (-4, 3, 8, 12, 18):
-            V = valuation(p, 4 * a) + 8
-            bf = omega_p_bruteforce(p, a, V)
-            assert abs(omega_p(p, a) - bf.value) <= bf.tail_bound, (p, a)
+    failures = list(_suite_density_oracle(False))
+    assert not failures, failures[:5]
     assert time.time() - t0 < 120
     report(3, "p-adic integral oracle within tail bound, p in {2,3,5}", t0)
 
@@ -81,35 +70,16 @@ def test_criterion_04_counting_equivalence():
 
 def test_criterion_05_moebius_identity():
     t0 = time.time()
-    from delpezzo.counting import moebius_slice_check
-    from delpezzo.theta import theta0
-
-    lhs, rhs = moebius_slice_check(-1, 1, 1, 1, 1, 100)
-    assert lhs == rhs
-    rng = random.Random(20260810)
-    done = 0
-    while done < 100:
-        a = rng.choice(TESTBED)
-        a1, a2, a3, a4 = (rng.randint(1, 6) for _ in range(4))
-        if theta0(a1, a2, a3, a4) != 1:
-            continue
-        B = rng.randint(10, 200)
-        done += 1
-        lhs, rhs = moebius_slice_check(a, a1, a2, a3, a4, B)
-        assert lhs == rhs, (a, (a1, a2, a3, a4), B, lhs, rhs)
+    failures = list(SUITES["moebius"](False))
+    assert not failures, failures[:5]
     assert time.time() - t0 < 300
     report(5, "Moebius slice identity exact on seed + 100 random slices", t0)
 
 
 def test_criterion_06_theta1_factor_identity():
     t0 = time.time()
-    from delpezzo.theta import theta1_factor_identity
-
-    for a in TESTBED:
-        for p in primes_upto(50):
-            for v in itertools.product(range(4), repeat=4):
-                table, total, ok = theta1_factor_identity(p, a, v)
-                assert ok, (a, p, v, table, total)
+    failures = list(SUITES["theta"](False))
+    assert not failures, failures[:5]
     assert time.time() - t0 < 120
     report(6, "theta1 Euler factor = local Moebius/rho sum, full grid", t0)
 

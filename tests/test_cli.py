@@ -129,6 +129,19 @@ def test_compare_json(tmp_path):
     assert set(row) == {"B", "count", "prediction", "ratio"}
 
 
+def test_compare_mismatch_exits_3_and_stores_nothing(tmp_path, monkeypatch, capsys):
+    import dataclasses
+
+    import delpezzo.counting as counting
+
+    count = counting.torsor_count
+    monkeypatch.setattr(counting, "torsor_count", lambda a, B: dataclasses.replace(count(a, B), count=-1))
+    args = ["compare", "--a", "-1", "--B-list", "50", "--prime-cut", "200", "--cache-dir", str(tmp_path)]
+    assert main(args) == 3
+    assert "mismatch" in capsys.readouterr().err
+    assert not (tmp_path / "cache.jsonl").exists()
+
+
 def test_verify_quick_all_green():
     r = run_cli(["verify", "--suite", "all", "--quick"])
     assert r.returncode == 0, r.stdout + r.stderr
@@ -245,6 +258,7 @@ def test_predict_miss_skips_scipy(tmp_path):
         ["predict", "--a", "-1", "--tolerance", "x"],
         ["count", "--a", "-1", "--B", "60", "--jobs", "0"],
         ["count", "--a", "-1", "--B", "60", "--jobs", "-2"],
+        ["predict", "--a", "-1", "--seed", "-1"],
     ],
 )
 def test_bad_predict_input_usage_error(tmp_path, capsys, args):

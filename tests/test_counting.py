@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from delpezzo import counting
 from delpezzo.counting import (
     _direct_box,
     _torsor_all_signs,
@@ -144,6 +146,23 @@ def test_jobs_partition_deterministic():
     d1 = direct_count(2, 250).count
     d2 = direct_count(2, 250, jobs=2).count
     assert t1 == t2 == d1 == d2
+
+
+def test_fan_out_starts_no_idle_workers(monkeypatch):
+    # a fake process pool: it records its size and maps on one thread
+    class OneThreadPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(1)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", OneThreadPool)
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 4)
+    # at most one worker per item and per core; one part runs in this process
+    for n_items, jobs, want in ((3, 1, []), (3, 2, [2]), (3, 64, [3]), (9, 64, [4])):
+        sizes = []
+        parts = counting._fan_out(lambda k, part: k * sum(part), (10,), list(range(1, n_items + 1)), jobs)
+        assert sum(parts) == 10 * n_items * (n_items + 1) // 2
+        assert sizes == want
 
 
 def test_moebius_seed_case():

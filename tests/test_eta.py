@@ -73,7 +73,7 @@ def test_closed_form_needs_no_scan(monkeypatch):
     def no_scan(q, a):
         raise AssertionError("eta_closed called the residue scan")
 
-    eta_module._eta_closed_any.cache_clear()
+    eta_closed.cache_clear()
     monkeypatch.setattr(eta_module, "rho_classes", no_scan)
     for (p, k, a), n in want.items():
         assert eta_closed(p, k, a) == n, (p, k, a)

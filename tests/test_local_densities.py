@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from delpezzo.arith import TESTBED, factorize, kronecker, primes_upto, valuation
 from delpezzo.local_densities import (
-    MeasureMismatchError,
     _kappa_histogram,
-    measure_squares,
     omega_p,
     omega_p_bruteforce,
     r_a,
@@ -115,8 +113,7 @@ def test_oracles_use_no_case_table(monkeypatch):
     def case_table(*args):
         raise AssertionError("an oracle called a closed form")
 
-    for module, name in ((eta_module, "eta_closed"), (eta_module, "_eta_closed_any"),
-                         (ld, "eta_closed"), (ld, "_eta_closed_any"), (ld, "omega_p"),
+    for module, name in ((eta_module, "eta_closed"), (ld, "eta_closed"), (ld, "omega_p"),
                          (ld, "r_a"), (ld, "s_a")):
         monkeypatch.setattr(module, name, case_table)
     for p, a in ((2, 17), (3, -18), (13, 13**4 * 5)):
@@ -156,16 +153,6 @@ KAPPA_GRID = [
 @pytest.mark.parametrize("p, u, n", KAPPA_GRID)
 def test_kappa_histogram_matches_residue_scan(p, u, n):
     assert _kappa_histogram(p, u, n) == literal_kappa(p, u, n)
-
-
-def test_measure_squares():
-    assert measure_squares(5, 4, 0, 1) == Fraction(2, 5)
-    assert measure_squares(2, 17, 0, 3) == Fraction(1, 2)
-    assert measure_squares(3, 18, 1, 0) == Fraction(1, 3 ** (1 + 1))
-    # k = 0 general sanity: measure p^-(beta + v/2)
-    assert measure_squares(5, 3, 2, 0) == Fraction(1, 25)
-    with pytest.raises(ValueError):
-        measure_squares(2, 8, 0, 1)  # odd valuation
 
 
 def test_sum_kpk():
