@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import check_nonsquare
+from .arith import BLOCK, check_nonsquare
 
 # QUADPACK qk21: the Kronrod nodes in [0, 1), the centre last, with their
 # weights, and the weights of the 10-point Gauss rule, whose nodes are
@@ -397,17 +397,27 @@ def vol_SF(
     if S5 <= 0 or S4 <= 0:
         raise ValueError("degenerate sampling box")
 
-    rng = np.random.default_rng(seed)
-    w = rng.random(samples) * S5 ** (1 / 2)
-    r = rng.random(samples) * S4 ** (1 / 4)
-    good = (w > 0) & (r > 0)
-    w, r = w[good], r[good]
-    x5 = w * w
-    x6 = r * r / w
-    lens = _section_len(cc * x6 * x6, S1 / x6, S2 / (x5 * x6))
-    # dx5 dx6 = 2w dw * 2r/w dr; formed after the section so that its array
-    # and the section's temporaries are not alive at once
-    vals = 4.0 * (S5 ** (1 / 2)) * (S4 ** (1 / 4)) * r * lens
+    # The stream draws all the w's, then all the r's; a second generator
+    # moved on by `samples` draws gives the r's, so both are taken a block
+    # at a time and only the values are held whole.
+    rng_w = np.random.default_rng(seed)
+    rng_r = np.random.default_rng(seed)
+    rng_r.bit_generator.advance(samples)
+    scale = 4.0 * (S5 ** (1 / 2)) * (S4 ** (1 / 4))  # dx5 dx6 = 2w dw * 2r/w dr
+    vals = np.empty(samples)
+    kept = 0
+    for start in range(0, samples, BLOCK):
+        size = min(BLOCK, samples - start)
+        w = rng_w.random(size) * S5 ** (1 / 2)
+        r = rng_r.random(size) * S4 ** (1 / 4)
+        good = (w > 0) & (r > 0)
+        w, r = w[good], r[good]
+        x5 = w * w
+        x6 = r * r / w
+        lens = _section_len(cc * x6 * x6, S1 / x6, S2 / (x5 * x6))
+        vals[kept : kept + len(r)] = scale * r * lens
+        kept += len(r)
+    vals = vals[:kept]
     est = 4.0 * float(vals.mean())  # sign symmetry in x5 and x6
     stderr = 4.0 * float(vals.std(ddof=1)) / math.sqrt(len(vals))
     return RegionIntegral(est, "montecarlo", stderr, {"samples": samples, "seed": seed, "B": B})

@@ -16,6 +16,11 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _TRIAL_LIMIT = 10**6
 
+# Elements per step of the O(samples) and O(8|a|) numpy passes of `predict`
+# (archimedean.vol_SF, characters): a float64 temporary is then 512 KiB, and
+# the passes hold whole only the arrays they return or reduce.
+BLOCK = 1 << 16
+
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test (Miller-Rabin with fixed witnesses)."""

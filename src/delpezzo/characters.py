@@ -13,7 +13,8 @@ function psi is evaluated in numpy: the recurrence psi(x) = psi(x + 1) - 1/x
 shifts each argument to x >= 10, where the asymptotic series
 psi(x) ~ log x - 1/(2x) - sum_k B_2k / (2k x^2k) is summed to k = 7.  The
 term-by-term chunked sum of the same S_N is kept as the test oracle
-(`_sum_upto`).
+(`_sum_upto`).  The table, its partial sums and S_N are built and summed
+BLOCK residues at a time, so only the int8 table is O(|a|) in memory.
 """
 
 from __future__ import annotations
@@ -22,7 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import check_nonsquare, factorize
+from .arith import BLOCK, check_nonsquare, factorize
+
+
+# The largest |a| served.  The int8 table holds 8|a| bytes and a Legendre
+# table up to |a| more, and every other array is BLOCK entries long, so at
+# 10^7 the memory stays under 90 MB, below what `predict` held for its Monte
+# Carlo before that was blocked too; `predict` takes about 15 s there
+# (2-core VM).  Beyond it `predict` and `compare` refuse a (cli, exit 2).
+A_MAX = 10**7
 
 
 @dataclass
@@ -56,49 +65,69 @@ def digamma(x) -> np.ndarray:
     return np.log(x) - 0.5 / x - series - shift
 
 
+def _legendre(p: int) -> np.ndarray:
+    """(n|p) for n = 0..p-1 as int8, p an odd prime: the squares mod p."""
+    legendre = np.full(p, -1, dtype=np.int8)
+    for start in range(0, p, BLOCK):
+        k = np.arange(start, min(start + BLOCK, p), dtype=np.int64)
+        legendre[k * k % p] = 1
+    legendre[0] = 0
+    return legendre
+
+
 def _chi_table(a: int) -> np.ndarray:
-    """chi(n) for n = 0..8|a|-1, as int8.
+    """chi(n) for n = 0..8|a|-1, as int8, built BLOCK entries at a time.
 
     For odd n > 0 coprime to a, kronecker(a, n) is the Jacobi symbol, so
     (a|n) = (sign a|n) (2|n)^v_2(a) prod_p (p|n)^v_p(a) over the odd p | a,
     with (-1|n) = -1 iff n = 3 (mod 4), (2|n) = -1 iff n = 3, 5 (mod 8) and,
     by reciprocity, (p|n) = (n mod p|p), negated iff p = n = 3 (mod 4).
-    The Legendre symbol (.|p) is a table of the squares mod p.
+    The Legendre symbol (.|p) is a table of the squares mod p; at an even
+    exponent only p | n matters.
     """
-    n = np.arange(8 * abs(a), dtype=np.int64)
-    table = (n % 2).astype(np.int8)  # gcd(n, 2) = 1
-    n3mod4 = n % 4 == 3
-    if a < 0:
-        table[n3mod4] *= -1
-    for p, e in factorize(abs(a)):
-        if p == 2:
-            if e % 2:
-                table[(n % 8 == 3) | (n % 8 == 5)] *= -1
-            continue
-        r = n % p
-        if e % 2:
-            legendre = np.full(p, -1, dtype=np.int8)
-            legendre[np.arange(p, dtype=np.int64) ** 2 % p] = 1
-            legendre[0] = 0
-            table *= legendre[r]
-            if p % 4 == 3:
-                table[n3mod4] *= -1
-        else:
-            table[r == 0] = 0
+    m = 8 * abs(a)
+    factors = [(p, e % 2, _legendre(p) if p > 2 and e % 2 else None) for p, e in factorize(abs(a))]
+    table = np.empty(m, dtype=np.int8)
+    for start in range(0, m, BLOCK):
+        n = np.arange(start, min(start + BLOCK, m), dtype=np.int64)
+        block = table[start : start + len(n)]
+        block[:] = n % 2  # gcd(n, 2) = 1
+        n3mod4 = n % 4 == 3
+        if a < 0:
+            block[n3mod4] *= -1
+        for p, odd, legendre in factors:
+            if p == 2:
+                if odd:
+                    block[(n % 8 == 3) | (n % 8 == 5)] *= -1
+            elif odd:
+                block *= legendre[n % p]
+                if p % 4 == 3:
+                    block[n3mod4] *= -1
+            else:
+                block[n % p == 0] = 0
     return table
 
 
 class CharacterChi:
-    """chi(n) = kronecker(a, n) gated by gcd(n, 2a) = 1, periodic mod 8|a|."""
+    """chi(n) = kronecker(a, n) gated by gcd(n, 2a) = 1, periodic mod 8|a|,
+    for 0 < |a| <= A_MAX."""
 
     def __init__(self, a: int):
         self.a = check_nonsquare(a)
-        self.modulus = 8 * abs(a)
+        if abs(a) > A_MAX:
+            raise ValueError(f"|a| = {abs(a)} exceeds the character table's limit {A_MAX}")
+        self.modulus = m = 8 * abs(a)
         self.table = table = _chi_table(a)  # indexed by n mod modulus
-        if int(table.sum()) != 0:
+        # max |A(x)| over a period, from a running sum carried over blocks
+        # (chi(0) = 0, so the sums over n = 0..x are the A(x))
+        total = amax = 0
+        for start in range(0, m, BLOCK):
+            run = np.cumsum(table[start : start + BLOCK], dtype=np.int64) + total
+            amax = max(amax, int(np.abs(run).max()))
+            total = int(run[-1])
+        if total != 0:
             raise AssertionError("character table does not sum to zero over a period")
-        self._running = np.cumsum(table[np.r_[1 : self.modulus, 0]])  # A(1..m)
-        self.partial_max = int(np.max(np.abs(self._running)))
+        self.partial_max = amax
 
     def chi(self, n: int) -> int:
         if n < 1:
@@ -109,8 +138,7 @@ class CharacterChi:
         """A(x) = sum_{n <= x} chi(n).  Periodic in x since period sums vanish."""
         if x <= 0:
             return 0
-        r = x % self.modulus
-        return int(self._running[r - 1]) if r else 0
+        return int(self.table[: x % self.modulus + 1].sum(dtype=np.int64))
 
     def L1(self, tolerance: float) -> EulerEstimate:
         """L(1, chi) = sum chi(n)/n with tail bound 2*max|A|/(N+1) <= tolerance.
@@ -127,10 +155,13 @@ class CharacterChi:
     def _sum_periods(self, N: int) -> float:
         """S_N = sum_{n <= N} chi(n)/n for N a multiple of the modulus, by digamma."""
         m = self.modulus
-        r = np.arange(1, m + 1)
-        chis = self.table[r % m].astype(np.float64)
-        x = r / m
-        return float(np.dot(chis, digamma(N // m + x) - digamma(x)) / m)
+        total = 0.0
+        for start in range(1, m + 1, BLOCK):
+            r = np.arange(start, min(start + BLOCK, m + 1))
+            chis = self.table[r % m].astype(np.float64)
+            x = r / m
+            total += float(np.dot(chis, digamma(N // m + x) - digamma(x)))
+        return total / m
 
     def _sum_upto(self, N: int) -> float:
         """S_N term by term in numpy chunks (test oracle of _sum_periods)."""

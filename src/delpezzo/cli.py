@@ -110,6 +110,13 @@ def _check_direct_range(B: int) -> None:
         raise SystemExit2(f"B = {B} exceeds the direct counter's limit {DIRECT_B_MAX}")
 
 
+def _check_chi_range(a: int) -> None:
+    from .characters import A_MAX
+
+    if abs(a) > A_MAX:
+        raise SystemExit2(f"|a| = {abs(a)} exceeds the character table's limit {A_MAX}")
+
+
 def _cached(args, command: str, params: dict, compute):
     """The result of (command, params): the cached record's, or else
     compute()'s, stored before it is returned."""
@@ -158,6 +165,7 @@ def cmd_predict(args) -> int:
     }
 
     def compute():
+        _check_chi_range(args.a)
         from .constant import predict_constant
 
         bd = predict_constant(args.a, prime_cut=args.prime_cut, tolerance=args.tolerance)
@@ -182,6 +190,7 @@ def cmd_predict(args) -> int:
 
 def cmd_compare(args) -> int:
     def compute():
+        _check_chi_range(args.a)
         _check_direct_range(max(args.B_list))
         from .constant import compare, predict_constant
 

@@ -34,7 +34,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -94,17 +94,19 @@ def _direct_box(a: int, B1: int) -> set[tuple[int, ...]]:
             shape = (x3.shape[0], width)
             x3sq = x3 * x3
             cols = [
-                np.broadcast_to((a * x3sq - x1 * x1) * x3, shape),
-                np.broadcast_to(x1 * x3 * x4, shape),
-                np.broadcast_to(np.int64(x4**3), shape),
-                np.broadcast_to(x3sq * x4, shape),
-                np.broadcast_to(x3 * x4 * x4, shape),
+                (a * x3sq - x1 * x1) * x3,
+                x1 * x3 * x4,
+                np.int64(x4**3),
+                x3sq * x4,
+                x3 * x4 * x4,
             ]
-            arr = np.stack([c.reshape(-1) for c in cols], axis=1)
-            arr = _normalize_rows(arr)
-            mask = np.max(np.abs(arr), axis=1) <= B1
-            if mask.any():
-                pts.update(map(tuple, arr[mask].tolist()))
+            # rows with max|X_i| <= B1 g are points, and only they are built;
+            # the (x3, x4)-only columns go first, while the arrays are small
+            g = reduce(np.gcd, cols[::-1])
+            keep = reduce(np.maximum, [np.abs(c) for c in cols[::-1]]) <= B1 * g
+            if keep.any():
+                arr = np.stack([np.broadcast_to(c, shape)[keep] for c in cols], axis=1)
+                pts.update(map(tuple, _normalize_rows(arr).tolist()))
     return pts
 
 

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from delpezzo import archimedean
@@ -15,7 +17,7 @@ from delpezzo.archimedean import (
     quad,
     vol_SF,
 )
-from delpezzo.arith import TESTBED
+from delpezzo.arith import BLOCK, TESTBED
 
 
 def test_N_inf_values():
@@ -168,3 +170,48 @@ def test_chart_and_region_agree_within_errors(a):
     for tol in (1e-4, 1e-6, 1e-9):
         c, r = omega_inf_chart(a, tol), omega_inf_region(a, tol)
         assert abs(c.value - r.value) <= c.error_estimate + r.error_estimate, (tol, c.value - r.value)
+
+
+def _vol_SF_whole(a, a1, a2, a3, a4, B, samples, seed):
+    """vol_SF's (value, error estimate) with every pass over whole arrays of
+    `samples` entries: the reference the blocked passes match bit for bit."""
+    S5 = (B / (a1 * a1 * a2 * a3 * a3)) ** (1 / 3)
+    S4 = B / (a2**3 * a3**2 * a4**4)
+    S2 = B / (a2 * a3 * a4)
+    S1 = B * a1
+    cc = a * a2**4 * a3**2 * a4**6
+    rng = np.random.default_rng(seed)
+    w = rng.random(samples) * S5 ** (1 / 2)
+    r = rng.random(samples) * S4 ** (1 / 4)
+    good = (w > 0) & (r > 0)
+    w, r = w[good], r[good]
+    x5 = w * w
+    x6 = r * r / w
+    lens = archimedean._section_len(cc * x6 * x6, S1 / x6, S2 / (x5 * x6))
+    vals = 4.0 * (S5 ** (1 / 2)) * (S4 ** (1 / 4)) * r * lens
+    return 4.0 * float(vals.mean()), 4.0 * float(vals.std(ddof=1)) / math.sqrt(len(vals))
+
+
+@pytest.mark.parametrize("samples", [1000, BLOCK, 3 * BLOCK + 123])
+def test_vol_SF_blocks_give_the_whole_array_bits(samples):
+    for args in ((-1, 1, 1, 1, 1, 1.0), (5, 2, 1, 3, 1, 1e4), (12, 3, 2, 1, 2, 777.0), (-1000003, 1, 1, 1, 1, 1.0)):
+        v = vol_SF(*args, samples=samples, seed=3)
+        assert (v.value, v.error_estimate) == _vol_SF_whole(*args, samples, 3), (args, samples)
+
+
+def test_montecarlo_memory_is_two_value_arrays_and_blocks():
+    # The values are one float64 array of `samples` entries, and std(ddof=1)
+    # forms one more (the deviations).  A block step holds at most 16 float64
+    # arrays of BLOCK entries: the two draws and their products with the box
+    # sides, w, r and the mask, x5, x6, the section's three arguments and its
+    # temporaries, and the values of the block.  Whole-array passes take
+    # about 90 MB.
+    samples = 10**6
+    omega_inf_montecarlo(-1, 2, 1)  # imports and first-call set-up outside the trace
+    tracemalloc.start()
+    try:
+        omega_inf_montecarlo(-1, samples, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * samples + 16 * 8 * BLOCK, peak

@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from delpezzo.arith import TESTBED, kronecker
-from delpezzo.characters import CharacterChi, digamma
+from delpezzo.arith import BLOCK, TESTBED, kronecker
+from delpezzo.characters import A_MAX, CharacterChi, digamma
 
 
 def test_chi_minus_one_is_mod4_character():
@@ -73,6 +74,15 @@ def test_partial_sums():
     assert c.partial_sum(c.modulus) == 0
     assert c.partial_sum(0) == 0
     assert c.partial_sum(3) == 0  # 1 + 0 - 1
+    # against one cumulative sum over the period; 10007's period 80056 spans
+    # two blocks
+    for a in (-1, 12, 10007):
+        c = CharacterChi(a)
+        sums = np.cumsum(c.table[np.r_[1 : c.modulus, 0]])  # A(1..m)
+        assert c.partial_max == int(np.max(np.abs(sums))), a
+        for x in (1, 2, 17, BLOCK - 1, BLOCK, BLOCK + 1, c.modulus - 1, c.modulus):
+            if x <= c.modulus:
+                assert c.partial_sum(x) == c.partial_sum(x + 5 * c.modulus) == sums[x - 1], (a, x)
 
 
 def test_partial_sum_bound_to_1e6():
@@ -135,3 +145,48 @@ def test_digamma_matches_scipy():
 def test_L1_closed_forms(a, exact):
     est = CharacterChi(a).L1(1e-7)
     assert abs(est.value - exact) <= est.bound, (est.value - exact, est.bound)
+
+
+def _sum_periods_whole(c: CharacterChi, N: int) -> float:
+    """S_N by the digamma formula summed as one dot product over the whole
+    period: the reference of the blocked sum.  digamma works elementwise, so
+    its terms are formed in slices to hold memory down."""
+    m = c.modulus
+    r = np.arange(1, m + 1)
+    chis = c.table[r % m].astype(np.float64)
+    terms = np.empty(m)
+    for s in range(0, m, 10**6):
+        x = r[s : s + 10**6] / m
+        terms[s : s + 10**6] = digamma(N // m + x) - digamma(x)
+    return float(np.dot(chis, terms) / m)
+
+
+@pytest.mark.parametrize("a", [-1000003, 10007])
+def test_blocked_L1_equals_whole_array_sum(a):
+    c = CharacterChi(a)
+    est = c.L1(1e-7)
+    assert abs(est.value - _sum_periods_whole(c, est.cut)) <= 1e-13
+
+
+def test_L1_memory_is_the_table_and_blocks():
+    # CharacterChi holds the int8 table, 8|a| bytes, and while it is built
+    # a Legendre table of p <= |a| bytes for the prime p = |a|.  Every other
+    # array is BLOCK entries long, and at most 16 int64/float64 ones are
+    # alive at once (the residues, chi, r/m, K + r/m and one digamma result
+    # beside the other digamma's arguments, shift, series and temporaries).
+    # Passes over the whole period take about 780 MB.
+    a = -1000003
+    CharacterChi(-3).L1(1e-7)  # imports and first-call set-up outside the trace
+    tracemalloc.start()
+    try:
+        CharacterChi(a).L1(1e-7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * abs(a) + 16 * 8 * BLOCK, peak
+
+
+def test_a_beyond_the_limit_rejected():
+    for a in (A_MAX + 1, -(A_MAX + 1), 1000000000039):
+        with pytest.raises(ValueError, match="limit"):
+            CharacterChi(a)

@@ -1,11 +1,13 @@
 import json
 import math
 import random
+import resource
 import subprocess
 import sys
 
 import pytest
 
+from delpezzo.characters import A_MAX
 from delpezzo.cli import Cache, main
 
 
@@ -174,6 +176,32 @@ def test_out_of_range_usage_error(tmp_path, capsys, args):
     assert main([*args, "--cache-dir", str(tmp_path)]) == 2
     assert "error" in capsys.readouterr().err
     assert not (tmp_path / "cache.jsonl").exists()
+
+
+def _cap_address_space():
+    # the child's own limit: 512 MiB holds the interpreter and numpy, not a
+    # character table past A_MAX (80 MB of int8 plus, before the refusal, an
+    # int64 index of 640 MB)
+    cap = 512 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.parametrize("a", [A_MAX + 1, -(A_MAX + 1), 1000000000039])
+@pytest.mark.parametrize("command", [["predict"], ["compare", "--B-list", "50"]])
+def test_a_beyond_chi_limit_refused_before_allocating(tmp_path, command, a):
+    r = run_cli([command[0], "--a", str(a), *command[1:], "--cache-dir", str(tmp_path)],
+                preexec_fn=_cap_address_space)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1, r.stderr
+    assert r.stdout == "" and not (tmp_path / "cache.jsonl").exists()
+
+
+def test_count_has_no_a_limit(tmp_path):
+    r = run_cli(["count", "--a", "1000000000039", "--B", "100", "--cache-dir", str(tmp_path)],
+                preexec_fn=_cap_address_space)
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert out["direct"] == out["torsor"] == 0
 
 
 def test_count_cache_key_ignores_jobs(tmp_path, capsys):
