@@ -129,9 +129,7 @@ def quad(f, lo: float, hi: float, limit: int, epsabs: float, epsrel: float) -> t
 @dataclass
 class RegionIntegral:
     value: float
-    method: str
     error_estimate: float
-    detail: dict
 
 
 def N_inf(a: int, y5: float, y6: float, y7: float) -> float:
@@ -230,7 +228,7 @@ def omega_inf_region(a: int, tol: float = 1e-9) -> RegionIntegral:
     vol = 16.0 * val
     omega = 1.5 * vol
     # the outer integrand is known to within inner_err over a unit interval
-    return RegionIntegral(omega, "region3d", max(24.0 * (err + inner_err), 10 * tol), {"tol": tol})
+    return RegionIntegral(omega, max(24.0 * (err + inner_err), 10 * tol))
 
 
 def _chart_section(a: float, x3: float) -> float:
@@ -357,14 +355,14 @@ def omega_inf_chart(a: int, tol: float = 1e-9) -> RegionIntegral:
         v, e = quad(near, lo, hi, limit=400, epsabs=tol, epsrel=1e-10)
         val, err = val + v, err + e
     omega = 2.0 * val  # x3 < 0 by symmetry
-    return RegionIntegral(omega, "chart2d", max(2 * err, 10 * tol), {"tol": tol})
+    return RegionIntegral(omega, max(2 * err, 10 * tol))
 
 
 def omega_inf_montecarlo(a: int, samples: int, seed: int) -> RegionIntegral:
     """Third estimate of omega_inf: (3/2) vol_SF on the slice a1..a4 = 1 at
     B = 1, where Ntilde is N_inf."""
     v = vol_SF(a, 1, 1, 1, 1, 1.0, samples, seed)
-    return RegionIntegral(1.5 * v.value, v.method, 1.5 * v.error_estimate, v.detail)
+    return RegionIntegral(1.5 * v.value, 1.5 * v.error_estimate)
 
 
 def vol_SF(
@@ -420,4 +418,4 @@ def vol_SF(
     vals = vals[:kept]
     est = 4.0 * float(vals.mean())  # sign symmetry in x5 and x6
     stderr = 4.0 * float(vals.std(ddof=1)) / math.sqrt(len(vals))
-    return RegionIntegral(est, "montecarlo", stderr, {"samples": samples, "seed": seed, "B": B})
+    return RegionIntegral(est, stderr)

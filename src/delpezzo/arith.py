@@ -10,11 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-
-# Deterministic Miller-Rabin witness set, valid for n < 3.3 * 10^24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-_TRIAL_LIMIT = 10**6
+from itertools import accumulate, chain, cycle
 
 # Elements per step of the O(samples) and O(8|a|) numpy passes of `predict`
 # (archimedean.vol_SF, characters): a float64 temporary is then 512 KiB, and
@@ -22,103 +18,33 @@ _TRIAL_LIMIT = 10**6
 BLOCK = 1 << 16
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with fixed witnesses)."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        a %= n
-        if a == 0:
-            continue
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_brent(n: int) -> int:
-    """One nontrivial factor of composite odd n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
-    seed = 1
-    while True:
-        y, c, m = seed, seed + 1, 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-        seed += 2
+class OutOfRange(ValueError):
+    """A request beyond a limit the package serves: |a| > characters.A_MAX,
+    or B > counting.DIRECT_B_MAX for the direct counter.  The CLI exits 2."""
 
 
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Exact factorization of |n| as (prime, exponent) pairs, primes
-    increasing.  Raises for n = 0."""
+    increasing, by trial division with 2, 3, 5 and then 6k +- 1 up to
+    sqrt(n): `predict` passes 2a, |a| <= characters.A_MAX, and every other
+    caller small moduli.  Raises for n = 0."""
     if n == 0:
         raise ValueError("cannot factorize 0")
     n = abs(n)
-    out: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    # trial division by 6k+-1 below the trial limit
-    d = 7
-    incr = (4, 2)  # 7, 11, 13, 17, ... alternating steps 4,2
-    i = 0
-    while d * d <= n and d < _TRIAL_LIMIT:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += incr[i]
-        i ^= 1
-    if n > 1:
+    out = []
+    for d in chain((2, 3, 5), accumulate(cycle((4, 2)), initial=7)):
         if d * d > n:
-            out[n] = out.get(n, 0) + 1
-        else:
-            # large cofactor: split recursively, certify every reported prime
-            stack = [n]
-            while stack:
-                m = stack.pop()
-                if is_prime(m):
-                    out[m] = out.get(m, 0) + 1
-                    continue
-                g = _pollard_brent(m)
-                stack.append(g)
-                stack.append(m // g)
-    return tuple(sorted(out.items()))
+            break
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
 
 
 def valuation(p: int, n: int) -> int:
@@ -143,13 +69,6 @@ def moebius(n: int) -> int:
     if any(e > 1 for _, e in f):
         return 0
     return -1 if len(f) % 2 else 1
-
-
-def omega(n: int) -> int:
-    """Number of distinct prime divisors of |n| (0 for n = +-1)."""
-    if abs(n) == 1:
-        return 0
-    return len(factorize(n))
 
 
 def squarefree_divisors(n: int) -> list[int]:

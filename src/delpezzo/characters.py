@@ -23,15 +23,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import BLOCK, check_nonsquare, factorize
+from .arith import BLOCK, OutOfRange, check_nonsquare, factorize
 
 
 # The largest |a| served.  The int8 table holds 8|a| bytes and a Legendre
 # table up to |a| more, and every other array is BLOCK entries long, so at
 # 10^7 the memory stays under 90 MB, below what `predict` held for its Monte
 # Carlo before that was blocked too; `predict` takes about 15 s there
-# (2-core VM).  Beyond it `predict` and `compare` refuse a (cli, exit 2).
+# (2-core VM).
 A_MAX = 10**7
+
+
+def check_a_limit(a: int) -> None:
+    """Raise OutOfRange if |a| > A_MAX: the character table is not built there."""
+    if abs(a) > A_MAX:
+        raise OutOfRange(f"|a| = {abs(a)} exceeds the character table's limit {A_MAX}")
 
 
 @dataclass
@@ -114,8 +120,7 @@ class CharacterChi:
 
     def __init__(self, a: int):
         self.a = check_nonsquare(a)
-        if abs(a) > A_MAX:
-            raise ValueError(f"|a| = {abs(a)} exceeds the character table's limit {A_MAX}")
+        check_a_limit(a)
         self.modulus = m = 8 * abs(a)
         self.table = table = _chi_table(a)  # indexed by n mod modulus
         # max |A(x)| over a period, from a running sum carried over blocks

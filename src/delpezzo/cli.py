@@ -19,7 +19,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
-from .arith import check_nonsquare
+from .arith import OutOfRange, check_nonsquare
 
 SCHEMA_VERSION = 1
 CACHE_ENV = "DELPEZZO_CACHE_DIR"
@@ -85,6 +85,8 @@ class Cache:
         return hit
 
     def put(self, command: str, params: dict, result: dict) -> dict:
+        """Append the record of (command, params) and return it as `get`
+        reads it back, so that a miss prints what a hit would."""
         rec = {
             "schema_version": SCHEMA_VERSION,
             "command": command,
@@ -94,32 +96,15 @@ class Cache:
             "code_version": code_version(),
         }
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        line = json.dumps(rec, sort_keys=True)
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        return rec
-
-
-class SystemExit2(Exception):
-    """Usage error (exit code 2)."""
-
-
-def _check_direct_range(B: int) -> None:
-    from .counting import DIRECT_B_MAX
-
-    if B > DIRECT_B_MAX:
-        raise SystemExit2(f"B = {B} exceeds the direct counter's limit {DIRECT_B_MAX}")
-
-
-def _check_chi_range(a: int) -> None:
-    from .characters import A_MAX
-
-    if abs(a) > A_MAX:
-        raise SystemExit2(f"|a| = {abs(a)} exceeds the character table's limit {A_MAX}")
+            fh.write(line + "\n")
+        return json.loads(line)
 
 
 def _cached(args, command: str, params: dict, compute):
     """The result of (command, params): the cached record's, or else
-    compute()'s, stored before it is returned."""
+    compute()'s, stored and returned as a hit would read it."""
     cache = Cache(args.cache_dir)
     rec = cache.get(command, params)
     if rec is None:
@@ -133,7 +118,6 @@ def cmd_count(args) -> int:
 
         results = {}
         if args.method in ("direct", "both"):
-            _check_direct_range(args.B)
             r = direct_count(args.a, args.B, jobs=args.jobs)
             results["direct"] = {"count": r.count, "elapsed": r.elapsed, "method": r.method}
         if args.method in ("torsor", "both"):
@@ -165,7 +149,6 @@ def cmd_predict(args) -> int:
     }
 
     def compute():
-        _check_chi_range(args.a)
         from .constant import predict_constant
 
         bd = predict_constant(args.a, prime_cut=args.prime_cut, tolerance=args.tolerance)
@@ -190,9 +173,12 @@ def cmd_predict(args) -> int:
 
 def cmd_compare(args) -> int:
     def compute():
-        _check_chi_range(args.a)
-        _check_direct_range(max(args.B_list))
+        from .characters import check_a_limit
         from .constant import compare, predict_constant
+        from .counting import check_direct_B
+
+        check_a_limit(args.a)  # refuse before any count or predict
+        check_direct_B(max(args.B_list))
 
         bd = predict_constant(args.a, prime_cut=args.prime_cut)
         rows = compare(args.a, args.B_list, breakdown=bd)
@@ -456,7 +442,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SystemExit2 as exc:
+    except OutOfRange as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

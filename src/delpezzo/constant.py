@@ -11,16 +11,18 @@ omega_p = (1-1/p)^5 (1 + (5+chi(p))/p + 1/p^2), so pairing with the L-factor
 removes the chi(p)/p oscillation.  Truncation error is estimated empirically
 by doubling the prime cut.
 
-The general number-field constant shape
-    c = alpha * rho_K^5 * |Delta_K|^(-1) * prod_v omega_v
-is kept visible through NumberFieldInvariants; only the Q instance is
-constructible here.
+Over a number field K the constant has the shape
+    c = alpha * rho_K^5 * |Delta_K|^(-1) * prod_v omega_v,
+with rho_K = 2^r1 (2 pi)^r2 h R / (#mu sqrt|Delta_K|) the residue of the
+Dedekind zeta function at s = 1.  This package serves K = Q only: r1 = 1,
+r2 = 0, h = R = 1, #mu = 2 and Delta = 1 give rho_Q = 1 and |Delta_Q| = 1,
+which is why the breakdown reports `rho_field` as 1.0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .alpha_polytope import ALPHA
@@ -28,29 +30,6 @@ from .archimedean import RegionIntegral, omega_inf_chart, omega_inf_region
 from .arith import factorize, primes_upto
 from .characters import CharacterChi, EulerEstimate
 from .local_densities import omega_p
-
-
-@dataclass(frozen=True)
-class NumberFieldInvariants:
-    r1: int
-    r2: int
-    h: int
-    R: float
-    mu_order: int
-    disc: int
-
-    @property
-    def rho(self) -> float:
-        return (
-            2**self.r1
-            * (2 * math.pi) ** self.r2
-            * self.R
-            * self.h
-            / (self.mu_order * math.sqrt(abs(self.disc)))
-        )
-
-
-RATIONALS = NumberFieldInvariants(r1=1, r2=0, h=1, R=1.0, mu_order=2, disc=1)
 
 
 @dataclass
@@ -61,7 +40,6 @@ class ConstantBreakdown:
     omega_inf_alt: RegionIntegral
     finite_product: EulerEstimate
     L1_chi: EulerEstimate
-    field: NumberFieldInvariants
     c: float
 
     def factors(self) -> dict:
@@ -75,7 +53,7 @@ class ConstantBreakdown:
             "finite_product_bound": self.finite_product.bound,
             "L1_chi": self.L1_chi.value,
             "L1_bound": self.L1_chi.bound,
-            "rho_field": self.field.rho,
+            "rho_field": 1.0,  # rho_Q, see the module docstring
             "c": self.c,
         }
 
@@ -154,7 +132,6 @@ def predict_constant(a: int, prime_cut: int = 20000, tolerance: float = 1e-6) ->
         omega_inf_alt=om_region,
         finite_product=fp,
         L1_chi=L1,
-        field=RATIONALS,
         c=c,
     )
 

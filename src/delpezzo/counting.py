@@ -38,7 +38,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .arith import ceil_sqrt, check_nonsquare, crt, moebius, squarefree_divisors
+from .arith import OutOfRange, ceil_sqrt, check_nonsquare, crt, moebius, squarefree_divisors
 from .eta import rho_classes
 
 
@@ -147,6 +147,12 @@ def _ceil_sqrt_arr(n: np.ndarray) -> np.ndarray:
 DIRECT_B_MAX = 100_000
 
 
+def check_direct_B(B1: int) -> None:
+    """Raise OutOfRange if the direct counter cannot take the integer height B1."""
+    if B1 > DIRECT_B_MAX:
+        raise OutOfRange(f"B = {B1} exceeds the direct counter's limit {DIRECT_B_MAX}")
+
+
 def _direct_pruned_count(a: int, B1: int, ms) -> int:
     """Count points of height <= B1 by primitive-triple enumeration, over the
     reduced heights m = x4 / gcd(x3, x4) in `ms`, a share of m <= sqrt(B1).
@@ -252,8 +258,7 @@ def direct_count(a: int, B, jobs: int = 1) -> CountResult:
     B1 = math.floor(B)
     if B1 < 1:
         return CountResult(a, B1, "direct", 0, time.time() - t0)
-    if B1 > DIRECT_B_MAX:
-        raise ValueError(f"direct enumeration overflows int64 beyond B = {DIRECT_B_MAX}")
+    check_direct_B(B1)
     ms = range(1, math.isqrt(B1) + 1)
     n = sum(_fan_out(_direct_pruned_count, (a, B1), ms, jobs))
     method = f"direct/pruned x{jobs}" if jobs > 1 else "direct/pruned"

@@ -93,9 +93,6 @@ class FiniteEulerProduct:
                 break
         return out
 
-    def is_zero(self) -> bool:
-        return any(f == 0 for f in self.exceptional.values())
-
 
 def theta1(a: int, a1: int, a2: int, a3: int, a4: int) -> FiniteEulerProduct:
     """theta1(a1..a4) as a finite-exceptional Euler product."""

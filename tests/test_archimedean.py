@@ -159,8 +159,9 @@ def test_integrals_within_error_of_scipy(monkeypatch):
         refs = {a: (omega_inf_chart(a, 1e-11).value, omega_inf_region(a, 1e-11).value) for a in TESTBED}
     for a in TESTBED:
         for tol in (1e-6, 1e-9):
-            for om, ref in zip((omega_inf_chart(a, tol), omega_inf_region(a, tol)), refs[a]):
-                assert abs(om.value - ref) <= om.error_estimate, (a, tol, om.method, om.value - ref)
+            pairs = zip(("chart", "region"), (omega_inf_chart(a, tol), omega_inf_region(a, tol)), refs[a])
+            for name, om, ref in pairs:
+                assert abs(om.value - ref) <= om.error_estimate, (a, tol, name, om.value - ref)
 
 
 @pytest.mark.parametrize("a", [-1000003, -569, 157, 236, 5215, 448115, 533172, 14372440])

@@ -16,6 +16,7 @@ from delpezzo.arith import (
     squarefree_divisors,
     valuation,
 )
+from delpezzo.characters import A_MAX
 
 
 def test_factorize_examples():
@@ -27,9 +28,19 @@ def test_factorize_examples():
         factorize(0)
 
 
+def _is_prime(p: int) -> bool:
+    return p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
 def test_factorize_reconstructs():
-    for n in list(range(1, 2000)) + [10**12 + 39, 2**31 - 1, 600851475143]:
-        assert math.prod(p**e for p, e in factorize(n)) == n
+    # up to the largest value a caller passes: 2a at |a| = A_MAX
+    for n in list(range(1, 2000)) + [10**12 + 39, 2**31 - 1, 600851475143, 2 * 9999991, 2 * A_MAX]:
+        f = factorize(n)
+        assert math.prod(p**e for p, e in f) == n
+        assert [p for p, _ in f] == sorted({p for p, _ in f})
+        for p, e in f:
+            assert e >= 1 and _is_prime(p), (n, p)
+            assert (n // p**e) % p != 0, (n, p, e)
 
 
 def test_moebius_examples():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from delpezzo.arith import BLOCK, TESTBED, kronecker
+from delpezzo.arith import BLOCK, TESTBED, OutOfRange, kronecker
 from delpezzo.characters import A_MAX, CharacterChi, digamma
 
 
@@ -188,5 +188,5 @@ def test_L1_memory_is_the_table_and_blocks():
 
 def test_a_beyond_the_limit_rejected():
     for a in (A_MAX + 1, -(A_MAX + 1), 1000000000039):
-        with pytest.raises(ValueError, match="limit"):
+        with pytest.raises(OutOfRange, match="limit"):
             CharacterChi(a)

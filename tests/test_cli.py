@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from delpezzo.arith import OutOfRange
 from delpezzo.characters import A_MAX
 from delpezzo.cli import Cache, main
 
@@ -178,6 +179,33 @@ def test_out_of_range_usage_error(tmp_path, capsys, args):
     assert not (tmp_path / "cache.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "args, limit",
+    [
+        (["count", "--a", "-1", "--B", "100001", "--method", "direct"], "B"),
+        (["count", "--a", "-1", "--B", "100001", "--method", "both"], "B"),
+        (["compare", "--a", "-1", "--B-list", "100,100001"], "B"),
+        (["predict", "--a", str(A_MAX + 1)], "a"),
+        (["compare", "--a", str(A_MAX + 1), "--B-list", "100"], "a"),
+    ],
+)
+def test_limit_refusal_is_the_library_message(tmp_path, capsys, monkeypatch, args, limit):
+    import delpezzo.constant as constant
+    import delpezzo.counting as counting
+    from delpezzo.characters import CharacterChi
+
+    with pytest.raises(OutOfRange) as refusal:
+        counting.direct_count(-1, 100001) if limit == "B" else CharacterChi(A_MAX + 1)
+    if args[0] == "compare":  # refused before any count or prediction
+        for module, name in ((constant, "predict_constant"), (counting, "direct_count"),
+                             (counting, "torsor_count")):
+            monkeypatch.setattr(module, name, lambda *a, name=name, **k: pytest.fail(f"{name} called"))
+    assert main([*args, "--cache-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {refusal.value}\n" and captured.out == ""
+    assert not (tmp_path / "cache.jsonl").exists()
+
+
 def _cap_address_space():
     # the child's own limit: 512 MiB holds the interpreter and numpy, not a
     # character table past A_MAX (80 MB of int8 plus, before the refusal, an
@@ -212,6 +240,24 @@ def test_count_cache_key_ignores_jobs(tmp_path, capsys):
     assert main([*args, "--jobs", "2"]) == 0
     assert capsys.readouterr().out == first
     assert (tmp_path / "cache.jsonl").read_text() == records
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["count", "--a", "-1", "--B", "40"],
+        ["predict", "--a", "-4", "--prime-cut", "300", "--mc-samples", "0"],
+        ["compare", "--a", "-1", "--B-list", "50,100", "--prime-cut", "200"],
+    ],
+)
+def test_cache_hit_prints_what_the_miss_printed(tmp_path, capsys, args, fmt):
+    argv = [*args, "--format", fmt, "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    miss = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == miss
+    assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 1  # it was a hit
 
 
 def test_cache_misses_other_code_version(tmp_path):

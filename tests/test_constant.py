@@ -7,7 +7,6 @@ import pytest
 from delpezzo.arith import primes_upto
 from delpezzo.characters import CharacterChi
 from delpezzo.constant import (
-    RATIONALS,
     _prime_table,
     compare,
     finite_product,
@@ -41,12 +40,6 @@ def naive_product_smoothed(a: int, cut: int) -> float:
     ps, curve = naive_product_curve(a, cut)
     window = max(1000, len(ps) // 10)
     return float(np.mean(curve[-window:]))
-
-
-def test_field_invariants_rationals():
-    assert (RATIONALS.r1, RATIONALS.r2, RATIONALS.h) == (1, 0, 1)
-    assert RATIONALS.mu_order == 2 and RATIONALS.disc == 1
-    assert abs(RATIONALS.rho - 1.0) < 1e-15
 
 
 def test_alpha_exact_in_breakdown():

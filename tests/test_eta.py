@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from delpezzo.arith import TESTBED, omega, primes_upto
+from delpezzo.arith import TESTBED, factorize, primes_upto
 from delpezzo.eta import _gprime, eta, eta_bruteforce, eta_closed, rho_classes, root_tower
 
 
@@ -49,7 +49,7 @@ def test_eta_multiplicative_examples():
     assert eta(24, 17) == 0  # the 3-adic factor vanishes for 17 = 2 mod 3
     assert eta(24, 17) == eta(8, 17) * eta(3, 17)
     # squarefree coprime q with a a QR at every factor: 2^(number of primes)
-    assert eta(35, 11) == 2 ** omega(35)  # 11 is a QR mod 5 and mod 7
+    assert eta(35, 11) == 2 ** len(factorize(35))  # 11 is a QR mod 5 and mod 7
 
 
 def test_squarefree_2adic_table():
@@ -112,7 +112,7 @@ def test_global_bound():
     # eta(q; a) <= 8 * 2^omega(q)
     for a in TESTBED:
         for q in range(1, 400):
-            assert eta(q, a) <= 8 * 2 ** omega(q), (q, a)
+            assert eta(q, a) <= 8 * 2 ** len(factorize(q)), (q, a)
 
 
 def test_summation_trend():

@@ -53,7 +53,7 @@ def test_theta2_local_table():
 
 def test_theta2_vanishes_on_common_factor():
     t = theta2(-1, 1, 2, 2)  # gcd(a3, a4) = 2
-    assert t.is_zero()
+    assert 0 in t.exceptional.values()
     assert t.value_over_cut(50) == 0
 
 
