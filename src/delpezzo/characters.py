@@ -61,7 +61,9 @@ def digamma(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     n = np.maximum(np.ceil(10 - x), 0)
     shift = np.zeros_like(x)
-    for k in range(9, -1, -1):  # sum_{k < n} 1/(x + k), smallest terms first
+    # sum_{k < n} 1/(x + k), smallest terms first; no pass for k >= max n,
+    # whose terms are all exact zeros
+    for k in range(int(n.max(initial=0)) - 1, -1, -1):
         shift += np.where(k < n, 1 / (x + k), 0.0)
     x = x + n
     inv2 = 1 / (x * x)

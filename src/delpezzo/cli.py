@@ -298,36 +298,24 @@ def _suite_moebius(quick: bool):
 def _suite_torsor(quick: bool):
     import random
 
-    from .torsor import TorsorTuple, height_tilde, orbit, psi, validate, weight_rank_mod2
-    from fractions import Fraction as Fr
+    from .torsor import TorsorTuple, height_tilde, orbit, psi, random_valid, weight_rank_mod2
 
     if weight_rank_mod2() != 5:
         yield {"case": "weight rank mod 2"}
     rng = random.Random(99)
-    trials = 100 if quick else 1000
-    found = 0
-    attempts = 0
-    while found < trials and attempts < 100000:
-        attempts += 1
-        a = rng.choice([-1, 2, 5, 12, -2])
-        coords = [rng.choice([-1, 1]) * rng.randint(1, 4) for _ in range(6)]
-        a7 = rng.randint(-9, 9)
-        num = a * coords[1] ** 4 * coords[2] ** 2 * coords[3] ** 6 * coords[5] ** 2 - a7 * a7
-        if num % coords[0]:
-            continue
-        t = TorsorTuple(*coords, a7, num // coords[0])
-        ok, _ = validate(t, a)
-        if not ok:
-            continue
-        found += 1
+    for _ in range(100 if quick else 1000):
+        try:
+            a, t = random_valid(rng, (-1, 2, 5, 12, -2))
+        except RuntimeError as e:
+            yield {"case": str(e)}
+            return
         orb = orbit(t)
         if len(orb) != 32:
             yield {"case": f"orbit size {t}", "size": len(orb)}
         imgs = {psi(TorsorTuple(*c), a).x for c in orb}
         if len(imgs) != 1:
             yield {"case": f"orbit image {t}"}
-        pt = psi(t, a)
-        if Fr(pt.height) != height_tilde(a, *t.coords()[:7]):
+        if psi(t, a).height != height_tilde(a, *t[:7]):
             yield {"case": f"height match {t}"}
 
 

@@ -15,9 +15,11 @@ mapping to a single rational point.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from typing import NamedTuple
 
 # weight vectors m^(1)..m^(8) of the {+-1}^5 action on (a1, ..., a8)
 ACTION_WEIGHTS = (
@@ -45,8 +47,7 @@ def weight_rank_mod2() -> int:
     return len(basis)
 
 
-@dataclass(frozen=True)
-class TorsorTuple:
+class TorsorTuple(NamedTuple):
     a1: int
     a2: int
     a3: int
@@ -57,18 +58,17 @@ class TorsorTuple:
     a8: int
 
     def coords(self) -> tuple[int, ...]:
-        return (self.a1, self.a2, self.a3, self.a4, self.a5, self.a6, self.a7, self.a8)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
+class ProjectivePoint(NamedTuple):
     """Primitive, sign-normalized integer point on the surface with x4 != 0."""
 
     x: tuple[int, int, int, int, int]
 
     @property
     def height(self) -> int:
-        return max(abs(c) for c in self.x)
+        return max(map(abs, self.x))
 
     def on_surface(self, a: int) -> bool:
         x0, x1, x2, x3, x4 = self.x
@@ -77,38 +77,85 @@ class ProjectivePoint:
 
 def normalize_point(coords: tuple[int, ...]) -> tuple[int, ...]:
     """Divide by the gcd and make the first nonzero coordinate positive."""
-    g = 0
-    for c in coords:
-        g = math.gcd(g, c)
+    g = math.gcd(*coords)
     if g == 0:
         raise ValueError("zero vector is not projective")
-    reduced = tuple(c // g for c in coords)
-    for c in reduced:
-        if c:
-            return reduced if c > 0 else tuple(-y for y in reduced)
-    raise AssertionError("unreachable")
+    if next(c for c in coords if c) < 0:
+        g = -g
+    return tuple(c // g for c in coords)
+
+
+def _coprime_a1_a6(a1: int, a2: int, a3: int, a4: int, a5: int, a6: int) -> str:
+    """The coprimality conditions on a1..a6 alone, in validate's order: the
+    name of the first that fails, or '' if all hold."""
+    if math.gcd(a6, a1 * a2 * a3 * a5) != 1:
+        return "gcd(a6,a1*a2*a3*a5)"
+    if math.gcd(a5, a2 * a4) != 1:
+        return "gcd(a5,a2*a4)"
+    if math.gcd(a4, a1 * a3) != 1:
+        return "gcd(a4,a1*a3)"
+    if math.gcd(a3, a1) != 1:
+        return "gcd(a3,a1)"
+    if math.gcd(a2, a1) != 1:
+        return "gcd(a2,a1)"
+    return ""
 
 
 def validate(t: TorsorTuple, a: int) -> tuple[bool, str]:
     """Check nonvanishing, the torsor equation and all coprimality conditions."""
-    a1, a2, a3, a4, a5, a6, a7, a8 = t.coords()
-    if 0 in (a1, a2, a3, a4, a5, a6):
+    a1, a2, a3, a4, a5, a6, a7, a8 = t
+    if not (a1 and a2 and a3 and a4 and a5 and a6):
         return False, "a1..a6 must be nonzero"
     if a1 * a8 + a7 * a7 - a * a2**4 * a3**2 * a4**6 * a6**2 != 0:
         return False, "torsor equation fails"
-    checks = [
-        (a8, a5, "gcd(a8,a5)"),
-        (a7, a2 * a3 * a4, "gcd(a7,a2*a3*a4)"),
-        (a6, a1 * a2 * a3 * a5, "gcd(a6,a1*a2*a3*a5)"),
-        (a5, a2 * a4, "gcd(a5,a2*a4)"),
-        (a4, a1 * a3, "gcd(a4,a1*a3)"),
-        (a3, a1, "gcd(a3,a1)"),
-        (a2, a1, "gcd(a2,a1)"),
-    ]
-    for x, y, name in checks:
-        if math.gcd(x, y) != 1:
-            return False, f"{name} != 1"
+    if math.gcd(a8, a5) != 1:
+        return False, "gcd(a8,a5) != 1"
+    if math.gcd(a7, a2 * a3 * a4) != 1:
+        return False, "gcd(a7,a2*a3*a4) != 1"
+    name = _coprime_a1_a6(a1, a2, a3, a4, a5, a6)
+    if name:
+        return False, f"{name} != 1"
     return True, "ok"
+
+
+@cache
+def magnitudes() -> tuple[tuple[int, ...], ...]:
+    """|a1|..|a6| in {1..4}^6 that pass the conditions on a1..a6 alone (272 of
+    4096); built on first use, not at import."""
+    return tuple(m for m in itertools.product(range(1, 5), repeat=6) if not _coprime_a1_a6(*m))
+
+
+ATTEMPTS = 10_000
+
+
+def random_valid(rng, a_values) -> tuple[int, TorsorTuple]:
+    """A random surface parameter a and a valid torsor tuple for it.
+
+    Each attempt draws a from a_values, the magnitudes of a1..a6 from
+    magnitudes(), a sign per coordinate and a7 in -9..9; a8 is forced by the
+    torsor equation, and the attempt is rejected unless a1 divides it and
+    validate passes.  The result has the distribution of the plain sampler:
+    a uniform, each |ai| uniform in 1..4, uniform signs and a7, conditioned
+    on validity.  magnitudes() keeps those magnitude tuples that pass a subset
+    of validate's conditions, one that depends on neither a, nor the signs,
+    nor a7; drawing uniformly from it is drawing uniformly from {1..4}^6
+    conditioned on that subset, and conditioning further on validity gives
+    the same law as conditioning {1..4}^6 on validity directly.  Raises
+    RuntimeError after ATTEMPTS rejections.
+    """
+    for _ in range(ATTEMPTS):
+        a = rng.choice(a_values)
+        mags = rng.choice(magnitudes())
+        signs = rng.getrandbits(6)
+        a7 = rng.randint(-9, 9)
+        a1, a2, a3, a4, a5, a6 = (-m if signs >> i & 1 else m for i, m in enumerate(mags))
+        num = a * a2**4 * a3**2 * a4**6 * a6**2 - a7 * a7
+        if num % a1:
+            continue
+        t = TorsorTuple(a1, a2, a3, a4, a5, a6, a7, num // a1)
+        if validate(t, a)[0]:
+            return a, t
+    raise RuntimeError(f"no valid torsor tuple in {ATTEMPTS} attempts")
 
 
 def psi(t: TorsorTuple, a: int) -> ProjectivePoint:
@@ -116,7 +163,7 @@ def psi(t: TorsorTuple, a: int) -> ProjectivePoint:
     ok, reason = validate(t, a)
     if not ok:
         raise ValueError(f"invalid torsor tuple: {reason}")
-    a1, a2, a3, a4, a5, a6, a7, a8 = t.coords()
+    a1, a2, a3, a4, a5, a6, a7, a8 = t
     raw = (
         a6 * a8,
         a2 * a3 * a4 * a5 * a6 * a7,
@@ -133,17 +180,20 @@ def psi(t: TorsorTuple, a: int) -> ProjectivePoint:
 
 
 def height_tilde(a: int, a1: int, a2: int, a3: int, a4: int, a5: int, a6: int, a7: int) -> Fraction:
-    """The five-monomial height; equals the Weil height of psi on valid tuples."""
+    """The five-monomial height; equals the Weil height of psi on valid tuples.
+    The four integral monomials are compared with |a6 inner / a1| in integers,
+    so only the maximum becomes a Fraction."""
     if a1 == 0:
         raise ValueError("a1 must be nonzero")
     inner = a * a2**4 * a3**2 * a4**6 * a6**2 - a7 * a7
-    return max(
-        Fraction(abs(a6 * inner), abs(a1)),
-        Fraction(abs(a2 * a3 * a4 * a5 * a6 * a7)),
-        Fraction(abs(a1**2 * a2 * a3**2 * a5**3)),
-        Fraction(abs(a2**3 * a3**2 * a4**4 * a5 * a6**2)),
-        Fraction(abs(a1 * a2**2 * a3**2 * a4**2 * a5**2 * a6)),
+    m = max(
+        abs(a2 * a3 * a4 * a5 * a6 * a7),
+        abs(a1**2 * a2 * a3**2 * a5**3),
+        abs(a2**3 * a3**2 * a4**4 * a5 * a6**2),
+        abs(a1 * a2**2 * a3**2 * a4**2 * a5**2 * a6),
     )
+    num, den = abs(a6 * inner), abs(a1)
+    return Fraction(num, den) if num > m * den else Fraction(m)
 
 
 def act(u: tuple[int, int, int, int, int], t: TorsorTuple) -> TorsorTuple:
@@ -151,7 +201,7 @@ def act(u: tuple[int, int, int, int, int], t: TorsorTuple) -> TorsorTuple:
     if any(x not in (1, -1) for x in u):
         raise ValueError("u must be a vector of +-1")
     new = []
-    for coord, m in zip(t.coords(), ACTION_WEIGHTS):
+    for coord, m in zip(t, ACTION_WEIGHTS):
         s = 1
         for ui, mi in zip(u, m):
             if mi % 2:
@@ -169,5 +219,4 @@ _ORBIT_SIGNS = tuple(
 
 def orbit(t: TorsorTuple) -> set[tuple[int, ...]]:
     """All sign-orbit members of a tuple."""
-    coords = t.coords()
-    return {tuple(s * c for s, c in zip(signs, coords)) for signs in _ORBIT_SIGNS}
+    return {tuple(s * c for s, c in zip(signs, t)) for signs in _ORBIT_SIGNS}

@@ -76,35 +76,29 @@ def test_v0_volume_exact():
 
 
 def test_v0_volume_by_iterated_integration():
-    # independent exact route: slice off u4, then u3, with Fractions
-    # vol = (1/6) * int over D of max(0, 1 + u1 - 4u2 - 2u3)
-    # computed on a fine grid of exact rational u1, u2 strips would be slow;
-    # use the midpoint-free exact antiderivative in u3 instead
-    def inner_u3(u1: Fraction, u2: Fraction) -> Fraction:
-        # int_0^{(1-2u1-u2)/2} max(0, c0 - 2 u3) du3 with c0 = 1 + u1 - 4 u2
-        hi = (1 - 2 * u1 - u2) / 2
-        if hi <= 0:
-            return Fraction(0)
-        c0 = 1 + u1 - 4 * u2
-        if c0 <= 0:
-            return Fraction(0)
-        top = min(hi, c0 / 2)
-        return c0 * top - top * top
-
-    # integrate inner over u2 in [0, 1 - 2u1], u1 in [0, 1/2]: the integrand is
-    # piecewise quadratic in u2, so Simpson on each linearity cell is exact;
-    # use exact Gauss-Legendre-free approach: piecewise boundaries in u2 occur
-    # where hi = c0/2 or c0 = 0, i.e. u2 = (1+u1)/4 and u2 = u1 + ... ; sample
-    # densely with Richardson instead (tolerance check, not exact):
-    total = 0.0
+    # independent route: vol = (1/6) * int over u1, u2 of the exact u3
+    # antiderivative of max(0, c0 - 2 u3) on [0, hi], with c0 = 1 + u1 - 4 u2
+    # and hi = (1 - 2 u1 - u2)/2, the outer integral on the n x n midpoint grid
+    # u1 = (2i+1)/(4n), u2 = (1 - 2 u1)(2j+1)/(2n).  Both are multiples of
+    # 1/D, D = 4n^2, so each term is an integer over one common denominator:
+    # with U1 = D u1, U2 = D u2, H = 2D hi and C = D c0, the inner integral is
+    # c0 top - top^2 = (2 C T - T^2) / (4 D^2) for T = min(H, C) = 2D top,
+    # and the weight 1 - 2 u1 is W / (2n)
     n = 400
+    D = 4 * n * n
+    total = 0
     for i in range(n):
-        u1 = Fraction(2 * i + 1, 4 * n)  # midpoints of [0, 1/2]
+        U1, W = (2 * i + 1) * n, 2 * n - 2 * i - 1
+        inner = 0
         for j in range(n):
-            u2 = (1 - 2 * u1) * Fraction(2 * j + 1, 2 * n)
-            total += float(inner_u3(u1, u2) * (1 - 2 * u1))
-    total *= 0.5 / n / n / 6
-    assert abs(total - 1 / 576) < 1e-5
+            U2 = W * (2 * j + 1)
+            T = min(D - 2 * U1 - U2, D + U1 - 4 * U2)
+            if T > 0:
+                inner += 2 * (D + U1 - 4 * U2) * T - T * T
+        total += W * inner
+    # sum of terms / (4 D^2 * 2n), times the cell area (1/2)(1/n^2) and 1/6
+    volume = Fraction(total, 4 * D * D * 2 * n) * Fraction(1, 2 * n * n * 6)
+    assert abs(float(volume) - 1 / 576) < 1e-5
 
 
 def test_anchor_order_independence():

@@ -132,6 +132,31 @@ def test_digamma_matches_scipy():
     assert np.abs(got - want)[near_zero].max() <= 2e-15
 
 
+def test_digamma_bits_equal_ten_shift_passes():
+    from delpezzo.characters import _PSI_SERIES
+
+    def ten_passes(x):  # digamma with the shift loop always run k = 9..0
+        n = np.maximum(np.ceil(10 - x), 0)
+        shift = np.zeros_like(x)
+        for k in range(9, -1, -1):
+            shift += np.where(k < n, 1 / (x + k), 0.0)
+        x = x + n
+        inv2 = 1 / (x * x)
+        series = np.zeros_like(x)
+        for coeff in reversed(_PSI_SERIES):
+            series = (series + coeff) * inv2
+        return np.log(x) - 0.5 / x - series - shift
+
+    rng = np.random.default_rng(4)
+    for x in (
+        1 - rng.random(100_000),  # (0, 1]
+        np.array([1e-300, 0.5, 1.0]),
+        np.geomspace(10, 1e7, 100_001),
+        10 + rng.random(1000),
+    ):
+        assert np.array_equal(digamma(x), ten_passes(x))
+
+
 @pytest.mark.parametrize(
     "a, exact",
     [

@@ -156,6 +156,15 @@ def test_verify_fault_injection():
     assert "eta_closed(p=2,k=3,a=17)" in r.stdout
 
 
+def test_verify_torsor_fails_when_the_sampler_runs_out(monkeypatch, capsys):
+    import delpezzo.torsor as torsor
+
+    monkeypatch.setattr(torsor, "ATTEMPTS", 1)  # most draws now give up
+    assert main(["verify", "--suite", "torsor"]) == 1
+    out = capsys.readouterr().out
+    assert "suite torsor: FAIL" in out and "no valid torsor tuple in 1 attempts" in out
+
+
 def test_main_in_process(tmp_path):
     assert main(["count", "--a", "-1", "--B", "30", "--method", "torsor",
                  "--cache-dir", str(tmp_path)]) == 0

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,25 +13,55 @@ from delpezzo.torsor import (
     TorsorTuple,
     act,
     height_tilde,
+    magnitudes,
     normalize_point,
     orbit,
     psi,
+    random_valid,
     validate,
     weight_rank_mod2,
 )
 
 
-def rand_valid(rng, a, tries=20000):
-    for _ in range(tries):
-        c = [rng.choice([-1, 1]) * rng.randint(1, 4) for _ in range(6)]
-        a7 = rng.randint(-9, 9)
-        num = a * c[1] ** 4 * c[2] ** 2 * c[3] ** 6 * c[5] ** 2 - a7 * a7
-        if num % c[0]:
-            continue
-        t = TorsorTuple(*c, a7, num // c[0])
-        if validate(t, a)[0]:
-            return t
-    raise RuntimeError("no valid tuple found")
+def literal_checks(a1, a2, a3, a4, a5, a6, a7, a8):
+    """The coprimality conditions as (x, y, name), in the order validate reports them."""
+    return [
+        (a8, a5, "gcd(a8,a5)"),
+        (a7, a2 * a3 * a4, "gcd(a7,a2*a3*a4)"),
+        (a6, a1 * a2 * a3 * a5, "gcd(a6,a1*a2*a3*a5)"),
+        (a5, a2 * a4, "gcd(a5,a2*a4)"),
+        (a4, a1 * a3, "gcd(a4,a1*a3)"),
+        (a3, a1, "gcd(a3,a1)"),
+        (a2, a1, "gcd(a2,a1)"),
+    ]
+
+
+def literal_validate(t, a):
+    """validate as first written: the nonvanishing and torsor-equation checks,
+    then a list of gcd conditions (test oracle)."""
+    a1, a2, a3, a4, a5, a6, a7, a8 = t
+    if 0 in (a1, a2, a3, a4, a5, a6):
+        return False, "a1..a6 must be nonzero"
+    if a1 * a8 + a7 * a7 - a * a2**4 * a3**2 * a4**6 * a6**2 != 0:
+        return False, "torsor equation fails"
+    for x, y, name in literal_checks(*t):
+        if math.gcd(x, y) != 1:
+            return False, f"{name} != 1"
+    return True, "ok"
+
+
+def literal_height_tilde(a, a1, a2, a3, a4, a5, a6, a7):
+    """The five-monomial height as the max of five Fractions (test oracle)."""
+    if a1 == 0:
+        raise ValueError("a1 must be nonzero")
+    inner = a * a2**4 * a3**2 * a4**6 * a6**2 - a7 * a7
+    return max(
+        Fraction(abs(a6 * inner), abs(a1)),
+        Fraction(abs(a2 * a3 * a4 * a5 * a6 * a7)),
+        Fraction(abs(a1**2 * a2 * a3**2 * a5**3)),
+        Fraction(abs(a2**3 * a3**2 * a4**4 * a5 * a6**2)),
+        Fraction(abs(a1 * a2**2 * a3**2 * a4**2 * a5**2 * a6)),
+    )
 
 
 def test_weights_span():
@@ -77,7 +109,7 @@ def test_height_examples():
 
 def test_action_involution_and_identity():
     rng = random.Random(3)
-    t = rand_valid(rng, -1)
+    _, t = random_valid(rng, (-1,))
     assert act((1, 1, 1, 1, 1), t) == t
     u = (-1, 1, -1, 1, -1)
     assert act(u, act(u, t)) == t
@@ -87,7 +119,7 @@ def test_orbits_and_height_descent():
     rng = random.Random(11)
     for a in (-1, 2, 5, 12):
         for _ in range(60):
-            t = rand_valid(rng, a)
+            _, t = random_valid(rng, (a,))
             orb = orbit(t)
             assert len(orb) == 32
             # all orbit members valid and mapping to the same point
@@ -122,3 +154,59 @@ def test_orbit_equals_action_of_every_sign_vector(coords):
         u = tuple(1 if mask >> i & 1 == 0 else -1 for i in range(5))
         want.add(act(u, t).coords())
     assert orbit(t) == want
+
+
+small = st.integers(-6, 6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=st.integers(-20, 20), c=st.lists(small, min_size=7, max_size=7), a8=small, on=st.booleans())
+def test_validate_and_height_equal_literal_oracles(a, c, a8, on):
+    a1, a2, a3, a4, a5, a6, a7 = c
+    num = a * a2**4 * a3**2 * a4**6 * a6**2 - a7 * a7
+    if on and a1 and num % a1 == 0:
+        a8 = num // a1  # on the torsor equation
+    t = TorsorTuple(*c, a8)
+    assert validate(t, a) == literal_validate(t, a)
+    if a1:
+        h = height_tilde(a, *c)
+        assert type(h) is Fraction and h == literal_height_tilde(a, *c)
+
+
+def test_magnitudes_are_the_literal_a1_a6_conditions():
+    # the conditions that name neither a7 nor a8, with a7, a8 set aside
+    def a1_a6_ok(m):
+        checks = literal_checks(*m, None, None)
+        return all(math.gcd(x, y) == 1 for x, y, name in checks if "a7" not in name and "a8" not in name)
+
+    want = tuple(m for m in itertools.product(range(1, 5), repeat=6) if a1_a6_ok(m))
+    assert magnitudes() == want and len(want) == 272
+
+
+def test_random_valid_draws_valid_tuples():
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(300):
+        a, t = random_valid(rng, (-1, 2, 5, 12, -2))
+        assert literal_validate(t, a) == (True, "ok")
+        assert all(1 <= abs(c) <= 4 for c in t[:6]) and -9 <= t[6] <= 9
+        seen.add(a)
+    assert seen == {-1, 2, 5, 12, -2}
+
+
+def test_validate_reports_the_literal_first_failure_on_a_grid():
+    # on the torsor equation with every |ai| <= 4; gcd(a3,a1) and gcd(a2,a1)
+    # never fail first there: a prime dividing a1 and a2 (or a3) divides a7
+    reasons = set()
+    for a in (-1, 2):
+        for c in itertools.product(range(1, 5), repeat=6):
+            a1, a2, a3, a4, a5, a6 = c
+            for a7 in range(4):
+                num = a * a2**4 * a3**2 * a4**6 * a6**2 - a7 * a7
+                if num % a1 == 0:
+                    t = TorsorTuple(*c, a7, num // a1)
+                    got = validate(t, a)
+                    assert got == literal_validate(t, a)
+                    reasons.add(got[1])
+    first = ("gcd(a8,a5)", "gcd(a7,a2*a3*a4)", "gcd(a6,a1*a2*a3*a5)", "gcd(a5,a2*a4)", "gcd(a4,a1*a3)")
+    assert reasons == {"ok"} | {f"{name} != 1" for name in first}
