@@ -44,7 +44,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import BLOCK, check_nonsquare
+from .arith import BLOCK, OutOfRange, check_nonsquare
+
+# The largest Monte Carlo sample count served (vol_SF holds 8 bytes a sample)
+MC_SAMPLES_MAX = 10**7  # criterion 08 draws this many
+
+
+def check_mc_samples(samples: int) -> None:
+    """Raise OutOfRange unless 2 <= samples <= MC_SAMPLES_MAX."""
+    if not 2 <= samples <= MC_SAMPLES_MAX:
+        raise OutOfRange(f"mc_samples = {samples} is not in 2..{MC_SAMPLES_MAX}")
+
 
 # QUADPACK qk21: the Kronrod nodes in [0, 1), the centre last, with their
 # weights, and the weights of the 10-point Gauss rule, whose nodes are
@@ -375,7 +385,8 @@ def vol_SF(
     samples: int = 10**6,
     seed: int = 1,
 ) -> RegionIntegral:
-    """MC volume of {(x5, x6, x7): Ntilde(a; a1..a4; x5, x6, x7) <= B}.
+    """MC volume of {(x5, x6, x7): Ntilde(a; a1..a4; x5, x6, x7) <= B}, for
+    a slice's magnitudes a1..a4 >= 1.
 
     The x7-section is exact; (x5, x6) are sampled through x5 = s w^2,
     x6 = t r^2/|w| * k6 on the bounded box fixed by the monomial constraints
@@ -385,15 +396,12 @@ def vol_SF(
     """
     if B <= 0:
         raise ValueError("B must be positive")
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
+    check_mc_samples(samples)
     S5 = (B / (a1 * a1 * a2 * a3 * a3)) ** (1 / 3)
     S4 = B / (a2**3 * a3**2 * a4**4)
     S2 = B / (a2 * a3 * a4)
     S1 = B * a1
     cc = a * a2**4 * a3**2 * a4**6
-    if S5 <= 0 or S4 <= 0:
-        raise ValueError("degenerate sampling box")
 
     # The stream draws all the w's, then all the r's; a second generator
     # moved on by `samples` draws gives the r's, so both are taken a block

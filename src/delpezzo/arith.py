@@ -19,8 +19,12 @@ BLOCK = 1 << 16
 
 
 class OutOfRange(ValueError):
-    """A request beyond a limit the package serves: |a| > characters.A_MAX,
-    or B > counting.DIRECT_B_MAX for the direct counter.  The CLI exits 2."""
+    """A request beyond a limit the package serves, raised by that limit's one
+    check (the `check_*` function beside it).  The CLI exits 2."""
+
+
+class CounterMismatch(AssertionError):
+    """The direct and the torsor count differ (constant.compare): exit 3."""
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
-from .arith import OutOfRange, check_nonsquare
+from .arith import CounterMismatch, OutOfRange, check_nonsquare
 
 SCHEMA_VERSION = 1
 CACHE_ENV = "DELPEZZO_CACHE_DIR"
@@ -50,37 +50,25 @@ class Cache:
     def __init__(self, directory: Path):
         self.path = Path(directory) / "cache.jsonl"
 
-    def _key(self, command: str, params: dict, version: str) -> str:
-        return json.dumps(
-            {"command": command, "parameters": params, "code_version": version},
-            sort_keys=True,
-        )
-
     def get(self, command: str, params: dict):
         """The last record of (command, params) at this code version, or None.
 
-        Records are written with sorted keys, so only lines holding the
-        request's serialized parameters are parsed."""
+        `put` writes sorted keys, so only the lines that start with the key's
+        `{"code_version": ..., "command": ..., "parameters": ..., ` are parsed."""
         if not self.path.exists():
             return None
-        key = self._key(command, params, code_version())
-        fragment = '"parameters": ' + json.dumps(params, sort_keys=True)
+        key = {"code_version": code_version(), "command": command, "parameters": params}
+        prefix = json.dumps(key, sort_keys=True)[:-1] + ", "
         hit = None
         with open(self.path, "r", encoding="utf-8") as fh:
             for line in fh:
-                if fragment not in line:
+                if not line.startswith(prefix):
                     continue
                 try:
                     rec = json.loads(line)
                 except json.JSONDecodeError:
                     continue
-                if (
-                    rec.get("schema_version") == SCHEMA_VERSION
-                    and self._key(
-                        rec.get("command", ""), rec.get("parameters", {}), rec.get("code_version")
-                    )
-                    == key
-                ):
+                if rec.get("schema_version") == SCHEMA_VERSION:
                     hit = rec
         return hit
 
@@ -116,13 +104,11 @@ def cmd_count(args) -> int:
     def compute():
         from .counting import direct_count, torsor_count
 
+        counters = {"direct": direct_count, "torsor": torsor_count}
         results = {}
-        if args.method in ("direct", "both"):
-            r = direct_count(args.a, args.B, jobs=args.jobs)
-            results["direct"] = {"count": r.count, "elapsed": r.elapsed, "method": r.method}
-        if args.method in ("torsor", "both"):
-            r = torsor_count(args.a, args.B, jobs=args.jobs)
-            results["torsor"] = {"count": r.count, "elapsed": r.elapsed, "method": r.method}
+        for name in counters if args.method == "both" else (args.method,):
+            r = counters[name](args.a, args.B, jobs=args.jobs)
+            results[name] = {"count": r.count, "elapsed": r.elapsed, "method": r.method}
         return results
 
     results = _cached(args, "count", {"a": args.a, "B": str(args.B), "method": args.method}, compute)
@@ -149,13 +135,15 @@ def cmd_predict(args) -> int:
     }
 
     def compute():
-        from .constant import predict_constant
+        from .archimedean import check_mc_samples, omega_inf_montecarlo
+        from .constant import check_prime_cut, predict_constant
 
+        check_prime_cut(args.prime_cut)  # refuse before chi is built
+        if args.mc_samples:  # 0: no Monte Carlo estimate
+            check_mc_samples(args.mc_samples)
         bd = predict_constant(args.a, prime_cut=args.prime_cut, tolerance=args.tolerance)
         factors = bd.factors()
-        if args.mc_samples > 0:
-            from .archimedean import omega_inf_montecarlo
-
+        if args.mc_samples:
             mc = omega_inf_montecarlo(args.a, args.mc_samples, args.seed)
             factors["omega_inf_mc"] = mc.value
             factors["omega_inf_mc_stderr"] = mc.error_estimate
@@ -174,20 +162,18 @@ def cmd_predict(args) -> int:
 def cmd_compare(args) -> int:
     def compute():
         from .characters import check_a_limit
-        from .constant import compare, predict_constant
-        from .counting import check_direct_B
+        from .constant import check_compare_B, check_prime_cut, compare, predict_constant
 
         check_a_limit(args.a)  # refuse before any count or predict
-        check_direct_B(max(args.B_list))
-
+        check_compare_B(args.B_list)
+        check_prime_cut(args.prime_cut)
         bd = predict_constant(args.a, prime_cut=args.prime_cut)
-        rows = compare(args.a, args.B_list, breakdown=bd)
-        return [{"B": r.B, "count": r.count, "prediction": r.prediction, "ratio": r.ratio} for r in rows]
+        return [vars(row) for row in compare(args.a, args.B_list, breakdown=bd)]
 
     params = {"a": args.a, "B_list": args.B_list, "prime_cut": args.prime_cut}
     try:
         rows = _cached(args, "compare", params, compute)
-    except AssertionError as exc:  # the counters disagree: nothing is stored
+    except CounterMismatch as exc:  # nothing is stored
         print(str(exc), file=sys.stderr)
         return 3
     if args.format == "json":
@@ -358,7 +344,7 @@ def _run_suites(args) -> int:
     return 0
 
 
-def _arg(parse, ok, want: str):
+def _arg(parse, want: str, ok=lambda value: True):
     """An argparse type: parse(text) if that succeeds and ok holds of the
     value, else a usage error saying the value must be `want`."""
 
@@ -389,20 +375,18 @@ def build_parser() -> argparse.ArgumentParser:
     surfaces = ((c, cmd_count, "json"), (p, cmd_predict, "json"), (m, cmd_compare, "csv"))
     for sp, func, _ in surfaces:
         # check_nonsquare returns a, which is nonzero, or raises ValueError
-        sp.add_argument("--a", type=_arg(int, check_nonsquare, "a nonzero nonsquare integer"), required=True)
+        sp.add_argument("--a", type=_arg(int, "a nonzero nonsquare integer", check_nonsquare), required=True)
         sp.set_defaults(func=func)
-    prime_cut = _arg(int, lambda n: n >= 100, "an integer >= 100")
 
     c.add_argument("--B", type=int, required=True)
     c.add_argument("--method", choices=("direct", "torsor", "both"), default="both")
-    c.add_argument("--jobs", type=_arg(int, lambda n: n >= 1, "an integer >= 1"), default=1)
+    c.add_argument("--jobs", type=_arg(int, "an integer >= 1", lambda n: n >= 1), default=1)
 
-    p.add_argument("--prime-cut", type=prime_cut, default=20000)
-    mc_samples = _arg(int, lambda n: n == 0 or n >= 2, "0 or an integer >= 2")  # 0: no Monte Carlo estimate
-    p.add_argument("--mc-samples", type=mc_samples, default=10**6)
-    p.add_argument("--seed", type=_arg(int, lambda n: n >= 0, "an integer >= 0"), default=1)
+    p.add_argument("--prime-cut", type=int, default=20000)
+    p.add_argument("--mc-samples", type=int, default=10**6)
+    p.add_argument("--seed", type=_arg(int, "an integer >= 0", lambda n: n >= 0), default=1)
     p.add_argument(
-        "--tolerance", type=_arg(float, lambda x: 0 < x < math.inf, "a positive finite number"), default=1e-6
+        "--tolerance", type=_arg(float, "a positive finite number", lambda x: 0 < x < math.inf), default=1e-6
     )
 
     v.add_argument("--suite", choices=(*SUITES, "all"), default="all")
@@ -410,11 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     v.set_defaults(func=cmd_verify)
 
-    # B >= 2: the ratio divides by B log^4 B, which is 0 at B = 1
-    B_list = _arg(lambda text: [int(x) for x in text.split(",")], lambda Bs: min(Bs) >= 2,
-                  "a comma-separated list of integers >= 2")
+    B_list = _arg(lambda text: [int(x) for x in text.split(",")], "a comma-separated list of integers")
     m.add_argument("--B-list", type=B_list, required=True)
-    m.add_argument("--prime-cut", type=prime_cut, default=20000)
+    m.add_argument("--prime-cut", type=int, default=20000)
 
     for sp, _, fmt in surfaces:
         sp.add_argument("--format", choices=("json", "csv"), default=fmt)

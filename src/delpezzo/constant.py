@@ -27,14 +27,13 @@ from fractions import Fraction
 
 from .alpha_polytope import ALPHA
 from .archimedean import RegionIntegral, omega_inf_chart, omega_inf_region
-from .arith import factorize, primes_upto
+from .arith import CounterMismatch, OutOfRange, factorize, primes_upto
 from .characters import CharacterChi, EulerEstimate
 from .local_densities import omega_p
 
 
 @dataclass
 class ConstantBreakdown:
-    a: int
     alpha: Fraction
     omega_inf: RegionIntegral
     omega_inf_alt: RegionIntegral
@@ -59,6 +58,16 @@ class ConstantBreakdown:
 
 
 L1_TOLERANCE = 1e-7
+
+# The largest prime cut served: the Euler product holds the primes up to
+# 2 prime_cut as Python ints and float64 arrays, about 200 MB at 10^7.
+PRIME_CUT_MAX = 10**7
+
+
+def check_prime_cut(prime_cut: int) -> None:
+    """Raise OutOfRange unless 100 <= prime_cut <= PRIME_CUT_MAX."""
+    if not 100 <= prime_cut <= PRIME_CUT_MAX:
+        raise OutOfRange(f"prime_cut = {prime_cut} is not in 100..{PRIME_CUT_MAX}")
 
 
 def omega_good(p, chi):
@@ -93,11 +102,10 @@ def finite_product(
 
     L1 is the estimate of L(1, chi) to use; by default it is summed to
     L1_TOLERANCE.  chi is the character of a, built here if not given (its
-    table costs O(|a|) kronecker symbols, so callers that hold one pass it)."""
+    table is O(|a|) numpy passes, so callers that hold one pass it)."""
     import numpy as np
 
-    if prime_cut < 100:
-        raise ValueError("prime_cut must be at least 100")
+    check_prime_cut(prime_cut)
     if chi is None:
         chi = CharacterChi(a)
     if L1 is None:
@@ -126,7 +134,6 @@ def predict_constant(a: int, prime_cut: int = 20000, tolerance: float = 1e-6) ->
     om_region = omega_inf_region(a, tolerance)
     c = float(ALPHA) * om_chart.value * fp.value  # rho_Q = 1, |disc| = 1
     return ConstantBreakdown(
-        a=a,
         alpha=ALPHA,
         omega_inf=om_chart,
         omega_inf_alt=om_region,
@@ -144,18 +151,28 @@ class CompareRow:
     ratio: float
 
 
+def check_compare_B(B_list) -> None:
+    """Raise OutOfRange unless each B is at least 2 and the direct counter takes it."""
+    from .counting import check_direct_B
+
+    for B in B_list:
+        if B < 2:
+            raise OutOfRange(f"B = {B} is below 2, where the prediction c B log^4 B is 0")
+        check_direct_B(math.floor(B))
+
+
 def compare(a: int, B_list, breakdown: ConstantBreakdown):
     """Rows (B, N(B), c B (log B)^4, ratio) with N(B) cross-checked between
-    the direct and the torsor counter (raises on mismatch)."""
+    the direct and the torsor counter (raises CounterMismatch on a mismatch)."""
     from .counting import direct_count, torsor_count
 
+    check_compare_B(B_list)
     rows = []
     for B in B_list:
         counts = {"direct": direct_count(a, B).count, "torsor": torsor_count(a, B).count}
         n = counts["direct"]
         if counts["torsor"] != n:
-            raise AssertionError(f"counter mismatch at B={B}: {counts}")
-        pred = breakdown.c * B * math.log(B) ** 4 if B > 1 else 0.0
-        ratio = n / pred if pred > 0 else math.inf
-        rows.append(CompareRow(B=float(B), count=n, prediction=pred, ratio=ratio))
+            raise CounterMismatch(f"counter mismatch at B={B}: {counts}")
+        pred = breakdown.c * B * math.log(B) ** 4
+        rows.append(CompareRow(B=float(B), count=n, prediction=pred, ratio=n / pred))
     return rows

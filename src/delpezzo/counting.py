@@ -511,12 +511,9 @@ def _slice_rhs(a: int, a1: int, a2: int, a3: int, a4: int, B1: int) -> int:
                         mu = mu56856 * moebius(d7)
                         b7 = d7 * mod_rho
                         for rho in rhos:
-                            sol = crt([(0, gp * d7), (rho * rr % mod_rho, mod_rho)])
-                            if sol is None:
-                                raise AssertionError("gamma7 CRT must be compatible")
-                            gamma7, mod7 = sol
-                            if mod7 != b7:
-                                raise AssertionError("gamma7 modulus mismatch")
+                            # gp | rho and gcd(d7, d58 a1) = 1 (theta0), so the
+                            # congruences are compatible and the modulus is b7
+                            gamma7, _ = crt([(0, gp * d7), (rho * rr % mod_rho, mod_rho)])
                             total += mu * _lattice_count(s, b5, b6, b7, gamma7)
     return total
 

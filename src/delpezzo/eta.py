@@ -60,15 +60,13 @@ def root_tower(p: int, k: int, a: int) -> list[list[int]]:
 def rho_classes(q: int, a: int) -> tuple[list[int], int, int]:
     """(the classes rho that eta(q; a) counts, their modulus q*g'/g, g').
 
-    No nonsquare gate: the definition does not need it.  A prime power
-    q = p^k takes the roots of rho^2 = a (mod p^k) from root_tower; a
-    composite q is a numpy scan of every residue class mod q*g'/g, which
-    must stay below 10**6 entries.
+    For a != 0 (both callers pass a nonsquare a); the definition needs no
+    nonsquare gate.  A prime power q = p^k takes the roots of rho^2 = a
+    (mod p^k) from root_tower; a composite q is a numpy scan of every residue
+    class mod q*g'/g, which must stay below 10**6 entries.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    if a == 0:
-        raise ValueError("a must be nonzero")
     g = math.gcd(q, abs(a))
     gp = _gprime(g)
     modulus = q // g * gp
@@ -79,9 +77,7 @@ def rho_classes(q: int, a: int) -> tuple[list[int], int, int]:
         # classes mod `modulus` with the gcd-normalization; each such class
         # holds exactly p^k/modulus roots mod p^k (well-definedness of the
         # congruence on the coarser classes is forced by the normalization)
-        good = [s for s in root_tower(p, k, a)[k] if math.gcd(s, modulus) == gp]
-        classes = sorted({s % modulus for s in good})
-        assert len(good) == len(classes) * (q // modulus)
+        classes = sorted({s % modulus for s in root_tower(p, k, a)[k] if math.gcd(s, modulus) == gp})
         return classes, modulus, gp
 
     if modulus > 10**6:

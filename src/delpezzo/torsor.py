@@ -86,23 +86,21 @@ def normalize_point(coords: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _coprime_a1_a6(a1: int, a2: int, a3: int, a4: int, a5: int, a6: int) -> str:
-    """The coprimality conditions on a1..a6 alone, in validate's order: the
-    name of the first that fails, or '' if all hold."""
+    """The coprimality conditions on a1..a6 alone that validate checks, in
+    its order: the name of the first that fails, or '' if all hold."""
     if math.gcd(a6, a1 * a2 * a3 * a5) != 1:
         return "gcd(a6,a1*a2*a3*a5)"
     if math.gcd(a5, a2 * a4) != 1:
         return "gcd(a5,a2*a4)"
     if math.gcd(a4, a1 * a3) != 1:
         return "gcd(a4,a1*a3)"
-    if math.gcd(a3, a1) != 1:
-        return "gcd(a3,a1)"
-    if math.gcd(a2, a1) != 1:
-        return "gcd(a2,a1)"
     return ""
 
 
 def validate(t: TorsorTuple, a: int) -> tuple[bool, str]:
-    """Check nonvanishing, the torsor equation and all coprimality conditions."""
+    """Check nonvanishing, the torsor equation and the coprimality conditions
+    but gcd(a3,a1) and gcd(a2,a1): a prime dividing a1 and a2 or a3 divides
+    a7 by the equation, so gcd(a7,a2*a3*a4) fails first."""
     a1, a2, a3, a4, a5, a6, a7, a8 = t
     if not (a1 and a2 and a3 and a4 and a5 and a6):
         return False, "a1..a6 must be nonzero"
@@ -120,9 +118,10 @@ def validate(t: TorsorTuple, a: int) -> tuple[bool, str]:
 
 @cache
 def magnitudes() -> tuple[tuple[int, ...], ...]:
-    """|a1|..|a6| in {1..4}^6 that pass the conditions on a1..a6 alone (272 of
-    4096); built on first use, not at import."""
-    return tuple(m for m in itertools.product(range(1, 5), repeat=6) if not _coprime_a1_a6(*m))
+    """|a1|..|a6| in {1..4}^6 that pass the conditions on a1..a6 alone, the
+    implied gcd(a1,a2*a3) = 1 included (272 of 4096); built on first use."""
+    return tuple(m for m in itertools.product(range(1, 5), repeat=6)
+                 if not _coprime_a1_a6(*m) and math.gcd(m[0], m[1] * m[2]) == 1)
 
 
 ATTEMPTS = 10_000
@@ -136,10 +135,10 @@ def random_valid(rng, a_values) -> tuple[int, TorsorTuple]:
     torsor equation, and the attempt is rejected unless a1 divides it and
     validate passes.  The result has the distribution of the plain sampler:
     a uniform, each |ai| uniform in 1..4, uniform signs and a7, conditioned
-    on validity.  magnitudes() keeps those magnitude tuples that pass a subset
-    of validate's conditions, one that depends on neither a, nor the signs,
-    nor a7; drawing uniformly from it is drawing uniformly from {1..4}^6
-    conditioned on that subset, and conditioning further on validity gives
+    on validity.  magnitudes() keeps those magnitude tuples that pass
+    conditions every valid tuple meets, ones that depend on neither a, nor
+    the signs, nor a7; drawing uniformly from it is drawing uniformly from
+    {1..4}^6 conditioned on them, and conditioning further on validity gives
     the same law as conditioning {1..4}^6 on validity directly.  Raises
     RuntimeError after ATTEMPTS rejections.
     """
@@ -174,8 +173,6 @@ def psi(t: TorsorTuple, a: int) -> ProjectivePoint:
     pt = ProjectivePoint(normalize_point(raw))
     if not pt.on_surface(a):
         raise AssertionError("psi image left the surface")
-    if pt.x[4] == 0:
-        raise AssertionError("psi image has x4 = 0")
     return pt
 
 
@@ -198,8 +195,6 @@ def height_tilde(a: int, a1: int, a2: int, a3: int, a4: int, a5: int, a6: int, a
 
 def act(u: tuple[int, int, int, int, int], t: TorsorTuple) -> TorsorTuple:
     """Apply a sign vector u in {+-1}^5 through the action weights."""
-    if any(x not in (1, -1) for x in u):
-        raise ValueError("u must be a vector of +-1")
     new = []
     for coord, m in zip(t, ACTION_WEIGHTS):
         s = 1

@@ -7,9 +7,11 @@ import sys
 
 import pytest
 
+from delpezzo.archimedean import MC_SAMPLES_MAX
 from delpezzo.arith import OutOfRange
 from delpezzo.characters import A_MAX
 from delpezzo.cli import Cache, main
+from delpezzo.constant import PRIME_CUT_MAX
 
 
 def run_cli(args, **kw):
@@ -145,6 +147,19 @@ def test_compare_mismatch_exits_3_and_stores_nothing(tmp_path, monkeypatch, caps
     assert not (tmp_path / "cache.jsonl").exists()
 
 
+def test_internal_assertion_is_not_a_mismatch(tmp_path, monkeypatch):
+    import delpezzo.constant as constant
+
+    def broken(*args, **kwargs):
+        raise AssertionError("character table does not sum to zero over a period")
+
+    monkeypatch.setattr(constant, "predict_constant", broken)
+    args = ["compare", "--a", "-1", "--B-list", "50", "--prime-cut", "200", "--cache-dir", str(tmp_path)]
+    with pytest.raises(AssertionError, match="character table"):  # not exit 3
+        main(args)
+    assert not (tmp_path / "cache.jsonl").exists()
+
+
 def test_verify_quick_all_green():
     r = run_cli(["verify", "--suite", "all", "--quick"])
     assert r.returncode == 0, r.stdout + r.stderr
@@ -196,16 +211,34 @@ def test_out_of_range_usage_error(tmp_path, capsys, args):
         (["compare", "--a", "-1", "--B-list", "100,100001"], "B"),
         (["predict", "--a", str(A_MAX + 1)], "a"),
         (["compare", "--a", str(A_MAX + 1), "--B-list", "100"], "a"),
+        (["compare", "--a", "-1", "--B-list", "1"], "B_min"),
+        (["predict", "--a", "-1", "--prime-cut", "99"], "prime_cut"),
+        (["compare", "--a", "-1", "--B-list", "100", "--prime-cut", "99"], "prime_cut"),
+        (["predict", "--a", "-1", "--prime-cut", str(PRIME_CUT_MAX + 1)], "prime_cut_max"),
+        (["predict", "--a", "-1", "--mc-samples", "1"], "mc_samples"),
+        (["predict", "--a", "-1", "--mc-samples", str(MC_SAMPLES_MAX + 1)], "mc_samples_max"),
     ],
 )
 def test_limit_refusal_is_the_library_message(tmp_path, capsys, monkeypatch, args, limit):
     import delpezzo.constant as constant
     import delpezzo.counting as counting
+    from delpezzo.archimedean import vol_SF
     from delpezzo.characters import CharacterChi
 
+    refuse = {
+        "B": lambda: counting.direct_count(-1, 100001),
+        "a": lambda: CharacterChi(A_MAX + 1),
+        "B_min": lambda: constant.compare(-1, [1], breakdown=None),
+        "prime_cut": lambda: constant.finite_product(-1, 99),
+        "prime_cut_max": lambda: constant.finite_product(-1, PRIME_CUT_MAX + 1),
+        "mc_samples": lambda: vol_SF(-1, 1, 1, 1, 1, 1.0, samples=1),
+        "mc_samples_max": lambda: vol_SF(-1, 1, 1, 1, 1, 1.0, samples=MC_SAMPLES_MAX + 1),
+    }[limit]
     with pytest.raises(OutOfRange) as refusal:
-        counting.direct_count(-1, 100001) if limit == "B" else CharacterChi(A_MAX + 1)
-    if args[0] == "compare":  # refused before any count or prediction
+        refuse()
+    # refused before any count or prediction, except count's B and predict's
+    # |a|, which the counter and the character refuse themselves
+    if args[0] == "compare" or limit not in ("B", "a"):
         for module, name in ((constant, "predict_constant"), (counting, "direct_count"),
                              (counting, "torsor_count")):
             monkeypatch.setattr(module, name, lambda *a, name=name, **k: pytest.fail(f"{name} called"))
@@ -216,21 +249,44 @@ def test_limit_refusal_is_the_library_message(tmp_path, capsys, monkeypatch, arg
 
 
 def _cap_address_space():
-    # the child's own limit: 512 MiB holds the interpreter and numpy, not a
-    # character table past A_MAX (80 MB of int8 plus, before the refusal, an
-    # int64 index of 640 MB)
+    # the child's own limit: 512 MiB holds the interpreter, numpy and a
+    # predict at the prime-cut and sample limits, not a character table past
+    # A_MAX (80 MB of int8 plus, before the refusal, an int64 index of 640 MB)
     cap = 512 * 2**20
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+def _refused_in_capped_child(tmp_path, args):
+    r = run_cli([*args, "--cache-dir", str(tmp_path)], preexec_fn=_cap_address_space)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1, r.stderr
+    assert r.stdout == "" and not (tmp_path / "cache.jsonl").exists()
 
 
 @pytest.mark.parametrize("a", [A_MAX + 1, -(A_MAX + 1), 1000000000039])
 @pytest.mark.parametrize("command", [["predict"], ["compare", "--B-list", "50"]])
 def test_a_beyond_chi_limit_refused_before_allocating(tmp_path, command, a):
-    r = run_cli([command[0], "--a", str(a), *command[1:], "--cache-dir", str(tmp_path)],
-                preexec_fn=_cap_address_space)
-    assert r.returncode == 2, r.stderr
-    assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1, r.stderr
-    assert r.stdout == "" and not (tmp_path / "cache.jsonl").exists()
+    _refused_in_capped_child(tmp_path, [command[0], "--a", str(a), *command[1:]])
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # unrefused, a sieve to 2 prime_cut or 8 bytes a sample: MemoryError
+        ["predict", "--a", "-1", "--prime-cut", "1000000000", "--mc-samples", "0"],
+        ["predict", "--a", "-1", "--mc-samples", "100000000000"],
+        ["compare", "--a", "-1", "--B-list", "50", "--prime-cut", "400000000"],
+    ],
+)
+def test_prime_cut_and_samples_beyond_limit_refused_before_allocating(tmp_path, args):
+    _refused_in_capped_child(tmp_path, args)
+
+
+def test_prime_cut_and_samples_at_limit_served_under_the_cap(tmp_path):
+    args = ["predict", "--a", "-1", "--prime-cut", str(PRIME_CUT_MAX), "--mc-samples", str(MC_SAMPLES_MAX)]
+    r = run_cli([*args, "--cache-dir", str(tmp_path)], preexec_fn=_cap_address_space)
+    assert r.returncode == 0, r.stderr
+    assert math.isfinite(json.loads(r.stdout)["omega_inf_mc"])
 
 
 def test_count_has_no_a_limit(tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from delpezzo.arith import primes_upto
+from delpezzo.arith import CounterMismatch, primes_upto
 from delpezzo.characters import CharacterChi
 from delpezzo.constant import (
     _prime_table,
@@ -129,7 +129,7 @@ def test_compare_detects_mismatch(monkeypatch):
 
     monkeypatch.setattr(constant, "torsor_count", None, raising=False)
     monkeypatch.setattr(counting, "torsor_count", broken)
-    with pytest.raises(AssertionError):
+    with pytest.raises(CounterMismatch):
         compare(-1, [20], breakdown=bd)
 
 

@@ -79,13 +79,6 @@ def test_closed_form_needs_no_scan(monkeypatch):
         assert eta_closed(p, k, a) == n, (p, k, a)
 
 
-def test_closed_vs_bruteforce_small_grid():
-    for a in TESTBED:
-        for p in primes_upto(13):
-            for k in range(1, 7):
-                assert eta_closed(p, k, a) == eta_bruteforce(p**k, a), (p, k, a)
-
-
 def test_multiplicativity_vs_bruteforce():
     pairs = [(q1, q2) for q1 in range(2, 61) for q2 in range(2, 61) if math.gcd(q1, q2) == 1]
     for a in (-1, 12, 17):

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from delpezzo.arith import TESTBED, factorize, kronecker, primes_upto, valuation
+from delpezzo.arith import TESTBED, kronecker, primes_upto, valuation
 from delpezzo.local_densities import (
     _kappa_histogram,
     omega_p,
     omega_p_bruteforce,
     r_a,
-    remark_omega,
     s_a,
     sum_kpk,
 )
@@ -42,14 +41,6 @@ def test_omega_p_examples():
     assert omega_p(7, 3) == (1 - Fraction(1, 7)) ** 5 * (
         1 + Fraction(4, 7) + Fraction(1, 49)
     )
-
-
-def test_remark_table_full_grid():
-    squarefree = [a for a in TESTBED if all(e == 1 for _, e in factorize(a))]
-    assert squarefree  # sanity: the testbed does contain squarefree entries
-    for a in squarefree:
-        for p in primes_upto(100):
-            assert omega_p(p, a) == remark_omega(p, a), (p, a)
 
 
 def test_r_a_lower_bound_and_omega_positivity():
