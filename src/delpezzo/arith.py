@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate, chain, cycle
+from itertools import accumulate, chain, compress, cycle
 
 # Elements per step of the O(samples) and O(8|a|) numpy passes of `predict`
 # (archimedean.vol_SF, characters): a float64 temporary is then 512 KiB, and
@@ -24,7 +24,8 @@ class OutOfRange(ValueError):
 
 
 class CounterMismatch(AssertionError):
-    """The direct and the torsor count differ (constant.compare): exit 3."""
+    """The direct and the torsor count differ (`compare`, `count --method both`):
+    the CLI exits 3 and stores nothing."""
 
 
 @lru_cache(maxsize=None)
@@ -150,7 +151,7 @@ def primes_upto(n: int) -> tuple[int, ...]:
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return tuple(i for i in range(2, n + 1) if sieve[i])
+    return tuple(compress(range(n + 1), sieve))
 
 
 def ceil_sqrt(n: int) -> int:

@@ -109,6 +109,9 @@ def cmd_count(args) -> int:
         for name in counters if args.method == "both" else (args.method,):
             r = counters[name](args.a, args.B, jobs=args.jobs)
             results[name] = {"count": r.count, "elapsed": r.elapsed, "method": r.method}
+        counts = {k: v["count"] for k, v in results.items()}
+        if len(set(counts.values())) > 1:
+            raise CounterMismatch(f"counter mismatch at B={args.B}: {counts}")
         return results
 
     results = _cached(args, "count", {"a": args.a, "B": str(args.B), "method": args.method}, compute)
@@ -119,9 +122,6 @@ def cmd_count(args) -> int:
         print("method,count")
         for k, v in counts.items():
             print(f"{k},{v}")
-    if len(set(counts.values())) > 1:
-        print(f"MISMATCH: {counts}", file=sys.stderr)
-        return 3
     return 0
 
 
@@ -171,11 +171,7 @@ def cmd_compare(args) -> int:
         return [vars(row) for row in compare(args.a, args.B_list, breakdown=bd)]
 
     params = {"a": args.a, "B_list": args.B_list, "prime_cut": args.prime_cut}
-    try:
-        rows = _cached(args, "compare", params, compute)
-    except CounterMismatch as exc:  # nothing is stored
-        print(str(exc), file=sys.stderr)
-        return 3
+    rows = _cached(args, "compare", params, compute)
     if args.format == "json":
         print(json.dumps({"a": args.a, "rows": rows}, sort_keys=True))
     else:
@@ -415,6 +411,9 @@ def main(argv=None) -> int:
     except OutOfRange as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CounterMismatch as exc:  # raised inside compute(): nothing is stored
+        print(str(exc), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .alpha_polytope import ALPHA
 from .archimedean import RegionIntegral, omega_inf_chart, omega_inf_region
 from .arith import CounterMismatch, OutOfRange, factorize, primes_upto
@@ -85,8 +87,6 @@ def omega_good(p, chi):
 
 def _prime_table(chi: CharacterChi, cut: int):
     """(primes p <= cut, chi(p) as float64, the primes dividing 2a)."""
-    import numpy as np
-
     bad = [p for p, _ in factorize(2 * chi.a)]
     ps = np.array(primes_upto(cut), dtype=np.int64)
     return ps, chi.table[ps % chi.modulus].astype(np.float64), bad
@@ -103,8 +103,6 @@ def finite_product(
     L1 is the estimate of L(1, chi) to use; by default it is summed to
     L1_TOLERANCE.  chi is the character of a, built here if not given (its
     table is O(|a|) numpy passes, so callers that hold one pass it)."""
-    import numpy as np
-
     check_prime_cut(prime_cut)
     if chi is None:
         chi = CharacterChi(a)

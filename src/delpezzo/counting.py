@@ -207,29 +207,15 @@ def _pruned_pairs(a: int, B1: int, m: int, c: np.ndarray, x3: np.ndarray) -> int
     D = np.gcd(x3 * m, x4 * c * c)
     M234 = np.maximum(x4 * x4 * x4, x3 * x4 * np.maximum(x3, x4))
     BD = B1 * D
-    keep = M234 <= BD
-    if not keep.any():
-        return 0
-    c, x3, x4, D, M234, BD = (v[keep] for v in (c, x3, x4, D, M234, BD))
     ax3sq = a * x3 * x3
     lim0 = BD // x3  # |a x3^2 - t^2| <= B g / |x3| <= lim0
-    hi2 = ax3sq + lim0
-    keep = hi2 >= 0
-    if not keep.any():
-        return 0
-    c, x3, x4, D, M234, ax3sq, hi2, lim0, BD = (
-        v[keep] for v in (c, x3, x4, D, M234, ax3sq, hi2, lim0, BD)
-    )
-    lo2 = ax3sq - lim0
+    hi2, lo2 = ax3sq + lim0, ax3sq - lim0
     x34 = x3 * x4
-    U = np.minimum(_floor_sqrt_arr(hi2), BD // x34)
-    L = np.where(lo2 > 0, _ceil_sqrt_arr(np.maximum(lo2, 0)), 0)
-    keep = U >= L
-    if not keep.any():
-        return 0
-    c, x3, x34, D, M234, ax3sq, L, U = (
-        v[keep] for v in (c, x3, x34, D, M234, ax3sq, L, U)
-    )
+    # the t window [L, U]; no t when hi2 < 0
+    U = np.where(hi2 >= 0, np.minimum(_floor_sqrt_arr(np.maximum(hi2, 0)), BD // x34), -1)
+    L = _ceil_sqrt_arr(np.maximum(lo2, 0))
+    keep = (M234 <= BD) & (U >= L)
+    c, x3, x34, D, M234, ax3sq, L, U = (v[keep] for v in (c, x3, x34, D, M234, ax3sq, L, U))
 
     total = 0
     cum = np.cumsum(U - L + 1)

@@ -17,7 +17,8 @@ classes themselves by exhaustive enumeration, and eta_bruteforce counts them
 classes); eta_closed implements the case table and is what the density
 formulas use.  At a prime power the enumeration is root_tower, which lifts
 the square roots of a one p-adic digit at a time; a composite q is scanned
-residue by residue.  Neither path consults the case table.
+residue by residue in a plain loop.  Neither path consults the case table,
+and the module uses Python integers only (no numpy).
 """
 
 from __future__ import annotations
@@ -62,8 +63,9 @@ def rho_classes(q: int, a: int) -> tuple[list[int], int, int]:
 
     For a != 0 (both callers pass a nonsquare a); the definition needs no
     nonsquare gate.  A prime power q = p^k takes the roots of rho^2 = a
-    (mod p^k) from root_tower; a composite q is a numpy scan of every residue
-    class mod q*g'/g, which must stay below 10**6 entries.
+    (mod p^k) from root_tower; a composite q is a Python scan of every residue
+    class mod q*g'/g, which must stay below 10**6 entries (the verify suites
+    send composite q <= 40).
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -82,15 +84,8 @@ def rho_classes(q: int, a: int) -> tuple[list[int], int, int]:
 
     if modulus > 10**6:
         raise ValueError("direct enumeration limit exceeded for composite q")
-    # every residue class mod `modulus`, scanned at once; numpy is imported
-    # here so that a cache hit of the CLI never loads it.  int64 is exact:
-    # g/g' <= g' <= modulus, so q = modulus*g/g' <= modulus^2 <= 1e12, and
-    # rho^2 - (a mod q) lies in (-1e12, 1e12).
-    import numpy as np
-
-    rho = np.arange(modulus, dtype=np.int64)
-    roots = rho[(rho * rho - a % q) % q == 0]
-    return roots[np.gcd(roots, modulus) == gp].tolist(), modulus, gp
+    classes = [r for r in range(modulus) if (r * r - a) % q == 0 and math.gcd(r, modulus) == gp]
+    return classes, modulus, gp
 
 
 @lru_cache(maxsize=None)

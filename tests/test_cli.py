@@ -147,6 +147,21 @@ def test_compare_mismatch_exits_3_and_stores_nothing(tmp_path, monkeypatch, caps
     assert not (tmp_path / "cache.jsonl").exists()
 
 
+def test_count_mismatch_exits_3_and_stores_nothing(tmp_path, monkeypatch, capsys):
+    import dataclasses
+
+    import delpezzo.counting as counting
+
+    count = counting.torsor_count
+    monkeypatch.setattr(
+        counting, "torsor_count", lambda a, B, jobs: dataclasses.replace(count(a, B, jobs), count=-1)
+    )
+    assert main(["count", "--a", "-1", "--B", "50", "--method", "both", "--cache-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "mismatch" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "cache.jsonl").exists()
+
+
 def test_internal_assertion_is_not_a_mismatch(tmp_path, monkeypatch):
     import delpezzo.constant as constant
 
@@ -349,6 +364,18 @@ def test_cache_hit_skips_numeric_imports(tmp_path):
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1] == "0 []"
+
+
+def test_verify_without_counters_skips_numpy():
+    # a fresh interpreter: only the counters and `predict` need numpy
+    probe = (
+        "import sys; from delpezzo.cli import main; "
+        "rc = sum(main(['verify', '--suite', s]) for s in ('eta', 'densities', 'theta', 'torsor')); "
+        "print(rc, 'numpy' in sys.modules)"
+    )
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "0 False"
 
 
 def test_cache_get_last_match_among_decoys(tmp_path):
