@@ -142,17 +142,6 @@ class RegionIntegral:
     error_estimate: float
 
 
-def N_inf(a: int, y5: float, y6: float, y7: float) -> float:
-    """The five-monomial max norm at the real place."""
-    return max(
-        abs(y6 * (a * y6 * y6 - y7 * y7)),
-        abs(y5 * y6 * y7),
-        abs(y5) ** 3,
-        abs(y5 * y6 * y6),
-        abs(y5 * y5 * y6),
-    )
-
-
 def _section_len(c2, slack, cap):
     """Length of {y7 : |y7| <= cap, |c2 - y7^2| <= slack} (union of <= 4
     intervals, symmetric in y7), elementwise.  Where c2 + slack <= 0 or
@@ -370,7 +359,7 @@ def omega_inf_chart(a: int, tol: float = 1e-9) -> RegionIntegral:
 
 def omega_inf_montecarlo(a: int, samples: int, seed: int) -> RegionIntegral:
     """Third estimate of omega_inf: (3/2) vol_SF on the slice a1..a4 = 1 at
-    B = 1, where Ntilde is N_inf."""
+    B = 1, where Ntilde is the five-monomial max norm N."""
     v = vol_SF(a, 1, 1, 1, 1, 1.0, samples, seed)
     return RegionIntegral(1.5 * v.value, 1.5 * v.error_estimate)
 

@@ -12,8 +12,8 @@ since sum_{j<K} 1/(r + j*m) = (psi(K + r/m) - psi(r/m))/m.  The digamma
 function psi is evaluated in numpy: the recurrence psi(x) = psi(x + 1) - 1/x
 shifts each argument to x >= 10, where the asymptotic series
 psi(x) ~ log x - 1/(2x) - sum_k B_2k / (2k x^2k) is summed to k = 7.  The
-term-by-term chunked sum of the same S_N is kept as the test oracle
-(`_sum_upto`).  The table, its partial sums and S_N are built and summed
+term-by-term chunked sum of the same S_N is its test oracle (`sum_upto` in
+tests/test_characters.py).  The table, its partial sums and S_N are built and summed
 BLOCK residues at a time, so only the int8 table is O(|a|) in memory.
 """
 
@@ -136,17 +136,6 @@ class CharacterChi:
             raise AssertionError("character table does not sum to zero over a period")
         self.partial_max = amax
 
-    def chi(self, n: int) -> int:
-        if n < 1:
-            raise ValueError("chi defined on positive integers")
-        return int(self.table[n % self.modulus])
-
-    def partial_sum(self, x: int) -> int:
-        """A(x) = sum_{n <= x} chi(n).  Periodic in x since period sums vanish."""
-        if x <= 0:
-            return 0
-        return int(self.table[: x % self.modulus + 1].sum(dtype=np.int64))
-
     def L1(self, tolerance: float) -> EulerEstimate:
         """L(1, chi) = sum chi(n)/n with tail bound 2*max|A|/(N+1) <= tolerance.
         _sum_periods costs O(modulus) for any N, so N is not capped."""
@@ -169,14 +158,3 @@ class CharacterChi:
             x = r / m
             total += float(np.dot(chis, digamma(N // m + x) - digamma(x)))
         return total / m
-
-    def _sum_upto(self, N: int) -> float:
-        """S_N term by term in numpy chunks (test oracle of _sum_periods)."""
-        table = self.table.astype(np.float64)
-        total = 0.0
-        chunk = 8_000_000
-        for start in range(1, N + 1, chunk):
-            stop = min(start + chunk, N + 1)
-            n = np.arange(start, stop, dtype=np.int64)
-            total += float(np.sum(table[n % self.modulus] / n))
-        return total

@@ -48,7 +48,16 @@ class Cache:
     """Append-only JSON-lines store keyed by (command, parameters, code version)."""
 
     def __init__(self, directory: Path):
-        self.path = Path(directory) / "cache.jsonl"
+        directory = Path(directory)
+        # `put` makes the directory after the work: refuse one it cannot make
+        for path in (directory, *directory.parents):
+            if path.exists():
+                if not path.is_dir():
+                    raise NotADirectoryError(
+                        f"cache directory {directory} cannot be made: {path} is not a directory"
+                    )
+                break
+        self.path = directory / "cache.jsonl"
 
     def get(self, command: str, params: dict):
         """The last record of (command, params) at this code version, or None.
@@ -165,7 +174,7 @@ def cmd_compare(args) -> int:
         from .constant import check_compare_B, check_prime_cut, compare, predict_constant
 
         check_a_limit(args.a)  # refuse before any count or predict
-        check_compare_B(args.B_list)
+        check_compare_B(args.a, args.B_list)
         check_prime_cut(args.prime_cut)
         bd = predict_constant(args.a, prime_cut=args.prime_cut)
         return [vars(row) for row in compare(args.a, args.B_list, breakdown=bd)]
@@ -408,7 +417,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except OutOfRange as exc:
+    except (OutOfRange, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CounterMismatch as exc:  # raised inside compute(): nothing is stored

@@ -27,11 +27,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .alpha_polytope import ALPHA
 from .archimedean import RegionIntegral, omega_inf_chart, omega_inf_region
 from .arith import CounterMismatch, OutOfRange, factorize, primes_upto
 from .characters import CharacterChi, EulerEstimate
 from .local_densities import omega_p
+
+# vol(P)/3 for the height polytope P, derived by tests/test_alpha.py::test_v0_volume_exact
+ALPHA = Fraction(1, 1728)
 
 
 @dataclass
@@ -149,14 +151,15 @@ class CompareRow:
     ratio: float
 
 
-def check_compare_B(B_list) -> None:
-    """Raise OutOfRange unless each B is at least 2 and the direct counter takes it."""
+def check_compare_B(a: int, B_list) -> None:
+    """Raise OutOfRange unless each B is at least 2 and the direct counter
+    takes it at a."""
     from .counting import check_direct_B
 
     for B in B_list:
         if B < 2:
             raise OutOfRange(f"B = {B} is below 2, where the prediction c B log^4 B is 0")
-        check_direct_B(math.floor(B))
+        check_direct_B(a, math.floor(B))
 
 
 def compare(a: int, B_list, breakdown: ConstantBreakdown):
@@ -164,7 +167,7 @@ def compare(a: int, B_list, breakdown: ConstantBreakdown):
     the direct and the torsor counter (raises CounterMismatch on a mismatch)."""
     from .counting import direct_count, torsor_count
 
-    check_compare_B(B_list)
+    check_compare_B(a, B_list)
     rows = []
     for B in B_list:
         counts = {"direct": direct_count(a, B).count, "torsor": torsor_count(a, B).count}

@@ -4,8 +4,9 @@ direct_count  enumerates coordinate triples (x1, x3, x4) of the projection
               away from the x4-line, maps them back to the surface, reduces,
               and deduplicates.  Any point of height <= B is reproduced by its
               own triple, so the count is complete.  The count is a pruned
-              scan over primitive triples (derivation in _direct_pruned_count);
-              the plain O(B^3) box scan _direct_box is kept as its test oracle.
+              scan over primitive triples (derivation in _direct_pruned_count).
+              Its test oracle, the plain O(B^3) box scan _direct_box, is the
+              one oracle in the package: perfbench/tracer.py wraps it by name.
 
 torsor_count  enumerates torsor tuples (a1, ..., a7) with a8 forced by the
               torsor equation and divides the orbit total by 32.  Signs are
@@ -15,7 +16,7 @@ torsor_count  enumerates torsor tuples (a1, ..., a7) with a8 forced by the
               a7 > 0), and 64/32 = 2.  The count walks one slice (a1..a4) at
               a time (_slice_count), over the slice's (a5, a6) box and a7
               window (_Slice).  The literal enumeration over all sign
-              patterns, _torsor_all_signs, is kept as its test oracle.
+              patterns is its test oracle, in tests/test_counting.py.
 
 moebius_slice_check  verifies, on one fixed slice (a1..a4), that the number
               of completions (a5, a6, a7, a8), which is 4 * _slice_count,
@@ -141,16 +142,25 @@ def _ceil_sqrt_arr(n: np.ndarray) -> np.ndarray:
     return np.where(r * r == n, r, r + 1)
 
 
-# The pruned scan holds products such as B1 * D, x4^3 and a * x3^3 in int64;
-# its ranges keep x3, x4 <= B^(3/4) and D <= B^(5/4), so they grow like
-# |a| B^(9/4).  Larger heights are refused.
+# The largest height the direct counter serves, at any a.
 DIRECT_B_MAX = 100_000
+# A bound on the int64 values of the pruned scan.  Its ranges keep x3, x4 <=
+# B^(3/4) and D <= B^(5/4) (derivation in _direct_pruned_count), so B D, x4^3,
+# x3^2 x4 and x3 x4^2 stay below B^(9/4), and the t window's ends
+# a x3^2 +- B D / x3 below |a| B^(3/2) + B^(9/4).  X0 and X1 are then at most
+# B D, and the floor square root of an n < 2^62 checks (r + 1)^2 < 2^63.
+DIRECT_INT_MAX = 2**62
 
 
-def check_direct_B(B1: int) -> None:
-    """Raise OutOfRange if the direct counter cannot take the integer height B1."""
+def check_direct_B(a: int, B1: int) -> None:
+    """Raise OutOfRange if the direct counter cannot take a at the integer
+    height B1: beyond DIRECT_B_MAX, or where |a| B1^(3/2) + B1^(9/4) reaches
+    DIRECT_INT_MAX and the scan's int64 values could overflow (the first
+    test keeps a huge |a| out of the float product)."""
     if B1 > DIRECT_B_MAX:
         raise OutOfRange(f"B = {B1} exceeds the direct counter's limit {DIRECT_B_MAX}")
+    if abs(a) >= DIRECT_INT_MAX or abs(a) * B1**1.5 + B1**2.25 >= DIRECT_INT_MAX:
+        raise OutOfRange(f"|a| = {abs(a)} at B = {B1} exceeds the direct counter's int64 range")
 
 
 def _direct_pruned_count(a: int, B1: int, ms) -> int:
@@ -244,7 +254,7 @@ def direct_count(a: int, B, jobs: int = 1) -> CountResult:
     B1 = math.floor(B)
     if B1 < 1:
         return CountResult(a, B1, "direct", 0, time.time() - t0)
-    check_direct_B(B1)
+    check_direct_B(a, B1)
     ms = range(1, math.isqrt(B1) + 1)
     n = sum(_fan_out(_direct_pruned_count, (a, B1), ms, jobs))
     method = f"direct/pruned x{jobs}" if jobs > 1 else "direct/pruned"
@@ -390,44 +400,6 @@ def _slice_count(a: int, B1: int, a1: int, a2: int, a3: int, a4: int) -> tuple[i
                     if math.gcd(a7, d7) == 1 and math.gcd((c - a7 * a7) // a1, a5) == 1:
                         total += 2 if a7 > 0 else 1
     return total, visited
-
-
-def _torsor_all_signs(a: int, B) -> int:
-    """Literal count of torsor tuples over all sign patterns, 32 per point
-    (the test oracle of torsor_count; small B only)."""
-    from .torsor import TorsorTuple, height_tilde, validate
-
-    B1 = math.floor(B)
-    raw = 0
-    for a1 in _signed(math.isqrt(B1)):
-        for a2 in _signed(_iroot(B1, 3)):
-            for a3 in _signed(math.isqrt(B1)):
-                if a1 * a1 * abs(a2) * a3 * a3 > B1:
-                    continue
-                for a4 in _signed(_iroot(B1, 4)):
-                    for a5 in _signed(_iroot(B1, 3)):
-                        if a1 * a1 * abs(a2 * a5**3) * a3 * a3 > B1:
-                            continue
-                        for a6 in _signed(math.isqrt(B1)):
-                            if abs(a2**3 * a5) * a3 * a3 * a4**4 * a6 * a6 > B1:
-                                continue
-                            c = a * a2**4 * a3**2 * a4**6 * a6**2
-                            H2 = B1 // abs(a2 * a3 * a4 * a5 * a6)
-                            for a7 in range(-H2, H2 + 1):
-                                if (c - a7 * a7) % a1:
-                                    continue
-                                a8 = (c - a7 * a7) // a1
-                                t = TorsorTuple(a1, a2, a3, a4, a5, a6, a7, a8)
-                                ok, _ = validate(t, a)
-                                if ok and height_tilde(a, a1, a2, a3, a4, a5, a6, a7) <= B:
-                                    raw += 1
-    return raw
-
-
-def _signed(hi: int):
-    for v in range(1, hi + 1):
-        yield v
-        yield -v
 
 
 # ---------------------------------------------------------------------------

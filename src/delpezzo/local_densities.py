@@ -43,13 +43,11 @@ def r_a(p: int, a: int) -> Fraction:
         return 1 - Fraction(1, p ** (v // 2)) * (1 + Fraction(1, p))
     if p != 2:
         return 1 - Fraction(1, p ** (v // 2)) * (1 - kronecker(a // p**v, p))
-    return 1 - Fraction(1, 2 ** (v // 2)) * (2 - s_a(2, a))
+    return 1 - Fraction(1, 2 ** (v // 2)) * (2 - s_a(a))
 
 
-def s_a(p: int, a: int) -> Fraction:
-    """2-adic density correction; defined for p = 2 and even v_2(a)."""
-    if p != 2:
-        raise ValueError("s_a is only defined at p = 2 over Q")
+def s_a(a: int) -> Fraction:
+    """The 2-adic density correction s_a(2), defined for even v_2(a)."""
     v = valuation(2, a)
     if v % 2 == 1:
         raise ValueError("s_a requires even v_2(a)")

@@ -1,11 +1,10 @@
-"""The coprimality/congruence weights theta0, theta1, theta2.
+"""The coprimality/congruence weights theta0 and theta1.
 
-theta1 and theta2 are Euler products whose factor at p depends only on the
-valuation pattern v = (v_p(a1), ..., v_p(a4)) (resp. (v_p(a2), v_p(a3),
-v_p(a4))) and on eta / r_a.  Away from 2a*a1*a2*a3*a4 the factor is the
-generic supp-empty value, so the products are stored as
-(exceptional factor map, generic factor rule) and can be evaluated exactly
-over any prime cut without truncation error in the exceptional part.
+theta1 is an Euler product whose factor at p, theta1_local, depends only on
+the valuation pattern v = (v_p(a1), ..., v_p(a4)) and on eta.  Away from
+2a*a1*a2*a3*a4 the factor is the generic supp-empty value.  The products
+theta1 and theta2 over a prime cut, and the average of theta1 over a1, are
+test oracles in tests/test_theta.py.
 
 theta1_factor_identity re-derives the theta1 factor at one prime from first
 principles: it enumerates the local Moebius data (d56, d58, d5, d6, d7) with
@@ -21,9 +20,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .arith import factorize, primes_upto, valuation
+from .arith import valuation
 from .eta import eta_bruteforce, eta_closed
-from .local_densities import r_a
 
 
 def theta0(a1: int, a2: int, a3: int, a4: int) -> int:
@@ -56,64 +54,6 @@ def theta1_local(p: int, a: int, v: tuple[int, int, int, int]) -> Fraction:
     if supp in ({2}, {2, 3}, {2, 4}):
         return one_minus**3
     return Fraction(0)
-
-
-def theta2_local(p: int, a: int, v: tuple[int, int, int]) -> Fraction:
-    """The theta2 Euler factor at p for valuation pattern (v2, v3, v4)."""
-    supp = frozenset(i + 2 for i, x in enumerate(v) if x != 0)
-    one_minus = 1 - Fraction(1, p)
-    if not supp:
-        return one_minus**2 * (1 + (2 + r_a(p, a)) / p)
-    if supp in ({3}, {4}):
-        return one_minus**3
-    if supp in ({2}, {2, 3}, {2, 4}):
-        return one_minus**4
-    return Fraction(0)
-
-
-class FiniteEulerProduct:
-    """An Euler product with finitely many exceptional factors and a generic
-    rule elsewhere.  Exact over any finite prime cut; the full product over
-    all primes converges only conditionally and is never materialized."""
-
-    def __init__(self, exceptional: dict[int, Fraction], generic):
-        self.exceptional = dict(exceptional)
-        self.generic = generic
-
-    def factor(self, p: int) -> Fraction:
-        if p in self.exceptional:
-            return self.exceptional[p]
-        return self.generic(p)
-
-    def value_over_cut(self, prime_cut: int) -> Fraction:
-        out = Fraction(1)
-        for p in primes_upto(prime_cut):
-            out *= self.factor(p)
-            if out == 0:
-                break
-        return out
-
-
-def theta1(a: int, a1: int, a2: int, a3: int, a4: int) -> FiniteEulerProduct:
-    """theta1(a1..a4) as a finite-exceptional Euler product."""
-    if min(a1, a2, a3, a4) < 1:
-        raise ValueError("arguments must be positive")
-    exceptional = {}
-    for p, _ in factorize(2 * a * a1 * a2 * a3 * a4):
-        v = (valuation(p, a1), valuation(p, a2), valuation(p, a3), valuation(p, a4))
-        exceptional[p] = theta1_local(p, a, v)
-    return FiniteEulerProduct(exceptional, lambda p: theta1_local(p, a, (0, 0, 0, 0)))
-
-
-def theta2(a: int, a2: int, a3: int, a4: int) -> FiniteEulerProduct:
-    """theta2(a2, a3, a4) as a finite-exceptional Euler product."""
-    if min(a2, a3, a4) < 1:
-        raise ValueError("arguments must be positive")
-    exceptional = {}
-    for p, _ in factorize(2 * a * a2 * a3 * a4):
-        v = (valuation(p, a2), valuation(p, a3), valuation(p, a4))
-        exceptional[p] = theta2_local(p, a, v)
-    return FiniteEulerProduct(exceptional, lambda p: theta2_local(p, a, (0, 0, 0)))
 
 
 def theta1_factor_identity(p: int, a: int, v: tuple[int, int, int, int]):
@@ -161,24 +101,3 @@ def theta1_factor_identity(p: int, a: int, v: tuple[int, int, int, int]):
             total += (-1) ** (e56 + e58 + e5 + e6 + e7) * rho[e58] * p ** (6 - D)
     total = Fraction(total, p**6)
     return table, total, table == total
-
-
-def theta1_average(a: int, a2: int, a3: int, a4: int, x: int):
-    """(sum_{a1 <= x} theta1, theta2 * x), both exact over the cut of all
-    primes <= max(x, primes of 2a*a2*a3*a4).
-
-    The cut cancels in the ratio: primes beyond it contribute identical
-    generic factors to both sides.
-    """
-    t2 = theta2(a, a2, a3, a4)
-    cut = sorted(set(primes_upto(max(x, 2))).union(t2.exceptional))
-    # the generic factors over the cut are common to every a1; per a1 its
-    # exceptional factors (at the primes of 2a a1 a2 a3 a4, all in the cut)
-    # replace the generic ones there
-    generic = dict(zip(cut, map(theta1(a, 1, a2, a3, a4).generic, cut)))
-    total = Fraction(0)
-    for a1 in range(1, x + 1):
-        t1 = theta1(a, a1, a2, a3, a4)
-        total += math.prod((f / generic[p] for p, f in t1.exceptional.items()), start=Fraction(1))
-    total *= math.prod(generic.values(), start=Fraction(1))
-    return total, x * t2.value_over_cut(cut[-1])

@@ -57,9 +57,6 @@ class TorsorTuple(NamedTuple):
     a7: int
     a8: int
 
-    def coords(self) -> tuple[int, ...]:
-        return tuple(self)
-
 
 class ProjectivePoint(NamedTuple):
     """Primitive, sign-normalized integer point on the surface with x4 != 0."""
@@ -207,7 +204,7 @@ def act(u: tuple[int, int, int, int, int], t: TorsorTuple) -> TorsorTuple:
 
 # the 32 coordinate sign vectors of the action: act(u, (1, ..., 1)) for each u
 _ORBIT_SIGNS = tuple(
-    act(tuple(-1 if mask >> i & 1 else 1 for i in range(5)), TorsorTuple(*[1] * 8)).coords()
+    act(tuple(-1 if mask >> i & 1 else 1 for i in range(5)), TorsorTuple(*[1] * 8))
     for mask in range(32)
 )
 

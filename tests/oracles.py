@@ -1,4 +1,6 @@
-"""Exact volume of the height-condition polytope and the constant alpha.
+"""Test oracles shared by two test files: the height-condition polytope and
+its exact volume (test_alpha.py, acceptance criterion 07), and chi(n) read
+off a CharacterChi's table (test_characters.py, test_constant.py).
 
 After substituting t_i = B^{u_i}, the leading-term height integral
 
@@ -9,13 +11,13 @@ becomes B (log B)^4 vol(P) for the rational polytope
 
     P = {u >= 0, 2u1 + u2 + 2u3 <= 1, -u1 + 4u2 + 2u3 + 6u4 <= 1}.
 
-The predicted constant has alpha = 1/1728, and the counting main term uses
-J(B) = 3 alpha B (log B)^4, i.e.
+The predicted constant has alpha = 1/1728 (delpezzo.constant.ALPHA), and the
+counting main term uses J(B) = 3 alpha B (log B)^4, i.e.
 
     vol(P) = 3 alpha = 1/576
 
-(verified here three ways: exact triangulation, iterated exact integration in
-the tests, and Monte Carlo).  The volume is computed exactly: vertices by
+(verified three ways: exact triangulation, iterated exact integration in
+test_alpha.py, and Monte Carlo).  The volume is computed exactly: vertices by
 solving all 4-subsets of the 6 facet hyperplanes in rational arithmetic, then
 a recursive cone triangulation over the face lattice with exact simplex
 determinants.
@@ -30,7 +32,7 @@ from math import factorial
 
 import numpy as np
 
-ALPHA = Fraction(1, 1728)
+from delpezzo.characters import CharacterChi
 
 
 @dataclass
@@ -224,3 +226,10 @@ def v0_montecarlo(B: float, samples: int, seed: int):
     est = box_vol * float(vals.mean())
     stderr = box_vol * float(vals.std(ddof=1)) / np.sqrt(samples)
     return est, stderr
+
+
+def chi_at(self: CharacterChi, n: int) -> int:
+    """chi(n) for n >= 1, from the period table of the character `self`."""
+    if n < 1:
+        raise ValueError("chi defined on positive integers")
+    return int(self.table[n % self.modulus])

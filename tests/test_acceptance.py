@@ -86,13 +86,8 @@ def test_criterion_06_theta1_factor_identity():
 
 def test_criterion_07_alpha():
     t0 = time.time()
-    from delpezzo.alpha_polytope import (
-        ALPHA,
-        polytope_mc_volume,
-        v0_montecarlo,
-        v0_polytope,
-        v0_volume,
-    )
+    from delpezzo.constant import ALPHA
+    from oracles import polytope_mc_volume, v0_montecarlo, v0_polytope, v0_volume
 
     v = v0_volume()
     assert v == Fraction(1, 576)

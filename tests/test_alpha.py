@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from delpezzo.alpha_polytope import (
-    ALPHA,
+from delpezzo.constant import ALPHA
+from oracles import (
     HPolytope,
     exact_volume,
     polytope_mc_volume,

@@ -6,7 +6,6 @@ import pytest
 
 from delpezzo import archimedean
 from delpezzo.archimedean import (
-    N_inf,
     _chart_section,
     _far_half,
     _far_section,
@@ -18,6 +17,17 @@ from delpezzo.archimedean import (
     vol_SF,
 )
 from delpezzo.arith import BLOCK, TESTBED
+
+
+def N_inf(a: int, y5: float, y6: float, y7: float) -> float:
+    """The five-monomial max norm at the real place."""
+    return max(
+        abs(y6 * (a * y6 * y6 - y7 * y7)),
+        abs(y5 * y6 * y7),
+        abs(y5) ** 3,
+        abs(y5 * y6 * y6),
+        abs(y5 * y5 * y6),
+    )
 
 
 def test_N_inf_values():

@@ -10,7 +10,7 @@ import pytest
 from delpezzo.archimedean import MC_SAMPLES_MAX
 from delpezzo.arith import OutOfRange
 from delpezzo.characters import A_MAX
-from delpezzo.cli import Cache, main
+from delpezzo.cli import CACHE_ENV, Cache, main
 from delpezzo.constant import PRIME_CUT_MAX
 
 
@@ -206,6 +206,8 @@ def test_main_in_process(tmp_path):
     [
         ["count", "--a", "-1", "--B", "100001", "--method", "direct"],
         ["count", "--a", "-1", "--B", "100001", "--method", "both"],
+        ["count", "--a", "10000000000000000001", "--B", "100"],
+        ["count", "--a", "-10000000000000000001", "--B", "100"],
         ["compare", "--a", "-1", "--B-list", "100,100001"],
         ["compare", "--a", "-1", "--B-list", "1,x"],
         ["compare", "--a", "-1", "--B-list", "1", "--format", "json"],
@@ -310,6 +312,30 @@ def test_count_has_no_a_limit(tmp_path):
     assert r.returncode == 0, r.stderr
     out = json.loads(r.stdout)
     assert out["direct"] == out["torsor"] == 0
+
+
+@pytest.mark.parametrize("where", ["flag", "env", "below"])
+@pytest.mark.parametrize(
+    "args",
+    [["count", "--a", "-1", "--B", "10"], ["predict", "--a", "-1"], ["compare", "--a", "-1", "--B-list", "10"]],
+)
+def test_cache_dir_not_a_directory_refused_before_compute(tmp_path, capsys, monkeypatch, args, where):
+    import delpezzo.constant as constant
+    import delpezzo.counting as counting
+
+    for module, name in ((constant, "predict_constant"), (counting, "direct_count"),
+                         (counting, "torsor_count")):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: pytest.fail(f"{name} called"))
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    if where == "env":
+        monkeypatch.setenv(CACHE_ENV, str(afile))
+    else:
+        args = [*args, "--cache-dir", str(afile if where == "flag" else afile / "sub")]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1, captured.err
+    assert captured.out == "" and afile.read_text() == ""
 
 
 def test_count_cache_key_ignores_jobs(tmp_path, capsys):

@@ -9,14 +9,53 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delpezzo import counting
+from delpezzo.arith import OutOfRange
 from delpezzo.counting import (
     _direct_box,
-    _torsor_all_signs,
+    _iroot,
     direct_count,
     moebius_slice_check,
     torsor_count,
 )
 from delpezzo.theta import theta0
+from delpezzo.torsor import TorsorTuple, height_tilde, validate
+
+
+def _torsor_all_signs(a: int, B) -> int:
+    """Literal count of torsor tuples over all sign patterns, 32 per point
+    (the test oracle of torsor_count; small B only)."""
+    B1 = math.floor(B)
+    raw = 0
+    for a1 in _signed(math.isqrt(B1)):
+        for a2 in _signed(_iroot(B1, 3)):
+            for a3 in _signed(math.isqrt(B1)):
+                if a1 * a1 * abs(a2) * a3 * a3 > B1:
+                    continue
+                for a4 in _signed(_iroot(B1, 4)):
+                    for a5 in _signed(_iroot(B1, 3)):
+                        if a1 * a1 * abs(a2 * a5**3) * a3 * a3 > B1:
+                            continue
+                        for a6 in _signed(math.isqrt(B1)):
+                            if abs(a2**3 * a5) * a3 * a3 * a4**4 * a6 * a6 > B1:
+                                continue
+                            c = a * a2**4 * a3**2 * a4**6 * a6**2
+                            H2 = B1 // abs(a2 * a3 * a4 * a5 * a6)
+                            for a7 in range(-H2, H2 + 1):
+                                if (c - a7 * a7) % a1:
+                                    continue
+                                a8 = (c - a7 * a7) // a1
+                                t = TorsorTuple(a1, a2, a3, a4, a5, a6, a7, a8)
+                                ok, _ = validate(t, a)
+                                if ok and height_tilde(a, a1, a2, a3, a4, a5, a6, a7) <= B:
+                                    raw += 1
+    return raw
+
+
+def _signed(hi: int):
+    for v in range(1, hi + 1):
+        yield v
+        yield -v
+
 
 # frozen on the first oracle run (O(B^3) box scan); regression constants
 FROZEN = {
@@ -68,6 +107,16 @@ def test_counters_agree_small():
             t = torsor_count(a, B).count
             raw = _torsor_all_signs(a, B)
             assert d == t and raw == 32 * t, (a, B, d, t, raw)
+
+
+def test_direct_refuses_where_int64_could_overflow():
+    # served while |a| B^(3/2) + B^(9/4) < 2^62: at B = 100, |a| < 4.6e15
+    a = 4 * 10**15 + 1
+    assert direct_count(a, 100).count == torsor_count(a, 100).count
+    for a in (5 * 10**15 + 1, -(5 * 10**15 + 1), 10**19 + 1, 10**400 + 1):
+        with pytest.raises(OutOfRange, match="int64"):
+            direct_count(a, 100)
+        assert torsor_count(a, 100).count == 0  # Python integers: no such limit
 
 
 def test_pruned_equals_box():

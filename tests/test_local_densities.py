@@ -22,17 +22,15 @@ def test_r_a_cases():
     assert r_a(7, 5) == kronecker(5, 7)
     assert r_a(3, 3) == Fraction(-1, 3)
     # p = 2, even valuation goes through s_a
-    assert r_a(2, 17) == 1 - (2 - s_a(2, 17))
+    assert r_a(2, 17) == 1 - (2 - s_a(17))
 
 
 def test_s_a_values():
-    assert s_a(2, 17) == 2  # eta(2)=1, eta(4)=2, eta(8)=4
-    assert s_a(2, 5) == 1  # eta(8;5) = 0
-    assert s_a(2, 3) == Fraction(1, 2)  # eta(4;3) = 0
+    assert s_a(17) == 2  # eta(2)=1, eta(4)=2, eta(8)=4
+    assert s_a(5) == 1  # eta(8;5) = 0
+    assert s_a(3) == Fraction(1, 2)  # eta(4;3) = 0
     with pytest.raises(ValueError):
-        s_a(2, 8)  # odd 2-adic valuation
-    with pytest.raises(ValueError):
-        s_a(3, 5)
+        s_a(8)  # odd 2-adic valuation
 
 
 def test_omega_p_examples():

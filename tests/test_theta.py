@@ -1,21 +1,92 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
-from delpezzo.arith import primes_upto
+from delpezzo.arith import factorize, primes_upto, valuation
 from delpezzo.eta import eta_bruteforce
 from delpezzo.local_densities import r_a
-from delpezzo.theta import (
-    FiniteEulerProduct,
-    theta0,
-    theta1,
-    theta1_average,
-    theta1_factor_identity,
-    theta1_local,
-    theta2,
-    theta2_local,
-)
+from delpezzo.theta import theta0, theta1_factor_identity, theta1_local
+
+
+def theta2_local(p: int, a: int, v: tuple[int, int, int]) -> Fraction:
+    """The theta2 Euler factor at p for valuation pattern (v2, v3, v4)."""
+    supp = frozenset(i + 2 for i, x in enumerate(v) if x != 0)
+    one_minus = 1 - Fraction(1, p)
+    if not supp:
+        return one_minus**2 * (1 + (2 + r_a(p, a)) / p)
+    if supp in ({3}, {4}):
+        return one_minus**3
+    if supp in ({2}, {2, 3}, {2, 4}):
+        return one_minus**4
+    return Fraction(0)
+
+
+class FiniteEulerProduct:
+    """An Euler product with finitely many exceptional factors and a generic
+    rule elsewhere.  Exact over any finite prime cut; the full product over
+    all primes converges only conditionally and is never materialized."""
+
+    def __init__(self, exceptional: dict[int, Fraction], generic):
+        self.exceptional = dict(exceptional)
+        self.generic = generic
+
+    def factor(self, p: int) -> Fraction:
+        if p in self.exceptional:
+            return self.exceptional[p]
+        return self.generic(p)
+
+    def value_over_cut(self, prime_cut: int) -> Fraction:
+        out = Fraction(1)
+        for p in primes_upto(prime_cut):
+            out *= self.factor(p)
+            if out == 0:
+                break
+        return out
+
+
+def theta1(a: int, a1: int, a2: int, a3: int, a4: int) -> FiniteEulerProduct:
+    """theta1(a1..a4) as a finite-exceptional Euler product."""
+    if min(a1, a2, a3, a4) < 1:
+        raise ValueError("arguments must be positive")
+    exceptional = {}
+    for p, _ in factorize(2 * a * a1 * a2 * a3 * a4):
+        v = (valuation(p, a1), valuation(p, a2), valuation(p, a3), valuation(p, a4))
+        exceptional[p] = theta1_local(p, a, v)
+    return FiniteEulerProduct(exceptional, lambda p: theta1_local(p, a, (0, 0, 0, 0)))
+
+
+def theta2(a: int, a2: int, a3: int, a4: int) -> FiniteEulerProduct:
+    """theta2(a2, a3, a4) as a finite-exceptional Euler product."""
+    if min(a2, a3, a4) < 1:
+        raise ValueError("arguments must be positive")
+    exceptional = {}
+    for p, _ in factorize(2 * a * a2 * a3 * a4):
+        v = (valuation(p, a2), valuation(p, a3), valuation(p, a4))
+        exceptional[p] = theta2_local(p, a, v)
+    return FiniteEulerProduct(exceptional, lambda p: theta2_local(p, a, (0, 0, 0)))
+
+
+def theta1_average(a: int, a2: int, a3: int, a4: int, x: int):
+    """(sum_{a1 <= x} theta1, theta2 * x), both exact over the cut of all
+    primes <= max(x, primes of 2a*a2*a3*a4).
+
+    The cut cancels in the ratio: primes beyond it contribute identical
+    generic factors to both sides.
+    """
+    t2 = theta2(a, a2, a3, a4)
+    cut = sorted(set(primes_upto(max(x, 2))).union(t2.exceptional))
+    # the generic factors over the cut are common to every a1; per a1 its
+    # exceptional factors (at the primes of 2a a1 a2 a3 a4, all in the cut)
+    # replace the generic ones there
+    generic = dict(zip(cut, map(theta1(a, 1, a2, a3, a4).generic, cut)))
+    total = Fraction(0)
+    for a1 in range(1, x + 1):
+        t1 = theta1(a, a1, a2, a3, a4)
+        total += math.prod((f / generic[p] for p, f in t1.exceptional.items()), start=Fraction(1))
+    total *= math.prod(generic.values(), start=Fraction(1))
+    return total, x * t2.value_over_cut(cut[-1])
 
 
 def test_theta0():
