@@ -27,9 +27,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .archimedean import RegionIntegral, omega_inf_chart, omega_inf_region
-from .arith import CounterMismatch, OutOfRange, factorize, primes_upto
-from .characters import CharacterChi, EulerEstimate
+from .archimedean import RegionIntegral, check_mc_samples, omega_inf_chart, omega_inf_montecarlo, omega_inf_region
+from .arith import OutOfRange, factorize, primes_upto
+from .characters import CharacterChi, EulerEstimate, check_a_limit
 from .local_densities import omega_p
 
 # vol(P)/3 for the height polytope P, derived by tests/test_alpha.py::test_v0_volume_exact
@@ -44,9 +44,10 @@ class ConstantBreakdown:
     finite_product: EulerEstimate
     L1_chi: EulerEstimate
     c: float
+    omega_inf_mc: RegionIntegral | None = None  # the Monte Carlo estimate, if drawn
 
     def factors(self) -> dict:
-        return {
+        factors = {
             "alpha": float(self.alpha),
             "omega_inf": self.omega_inf.value,
             "omega_inf_alt": self.omega_inf_alt.value,
@@ -59,6 +60,10 @@ class ConstantBreakdown:
             "rho_field": 1.0,  # rho_Q, see the module docstring
             "c": self.c,
         }
+        if self.omega_inf_mc is not None:
+            factors["omega_inf_mc"] = self.omega_inf_mc.value
+            factors["omega_inf_mc_stderr"] = self.omega_inf_mc.error_estimate
+        return factors
 
 
 L1_TOLERANCE = 1e-7
@@ -125,8 +130,14 @@ def finite_product(
     return EulerEstimate(val, bound, prime_cut)
 
 
-def predict_constant(a: int, prime_cut: int = 20000, tolerance: float = 1e-6) -> ConstantBreakdown:
-    """Every factor of the predicted constant over Q (field factors are 1)."""
+def predict_constant(a: int, prime_cut: int = 20000, tolerance: float = 1e-6,
+                     mc_samples: int = 0, seed: int = 1) -> ConstantBreakdown:
+    """Every factor of the predicted constant over Q (field factors are 1) and,
+    for mc_samples > 0, the Monte Carlo estimate of omega_inf drawn with seed.
+    Checks prime_cut, then mc_samples, then |a| (in CharacterChi) before it builds anything."""
+    check_prime_cut(prime_cut)
+    if mc_samples:
+        check_mc_samples(mc_samples)
     chi = CharacterChi(a)
     L1 = chi.L1(L1_TOLERANCE)
     fp = finite_product(a, prime_cut, L1, chi)
@@ -140,6 +151,7 @@ def predict_constant(a: int, prime_cut: int = 20000, tolerance: float = 1e-6) ->
         finite_product=fp,
         L1_chi=L1,
         c=c,
+        omega_inf_mc=omega_inf_montecarlo(a, mc_samples, seed) if mc_samples else None,
     )
 
 
@@ -151,29 +163,23 @@ class CompareRow:
     ratio: float
 
 
-def check_compare_B(a: int, B_list) -> None:
-    """Raise OutOfRange unless each B is at least 2 and the direct counter
-    takes it at a."""
-    from .counting import check_direct_B
+def compare(a: int, B_list, prime_cut: int = 20000) -> list[CompareRow]:
+    """Rows (B, N(B), c B (log B)^4, ratio): N(B) from `counting.count`, which
+    raises CounterMismatch unless both counters agree, c from predict_constant.
+    Checks |a|, then each B (at least 2, and within the direct counter's limit),
+    then prime_cut, before it counts or predicts anything."""
+    from .counting import check_direct_B, count  # `import constant` loads no counter
 
+    check_a_limit(a)
     for B in B_list:
         if B < 2:
             raise OutOfRange(f"B = {B} is below 2, where the prediction c B log^4 B is 0")
         check_direct_B(a, math.floor(B))
-
-
-def compare(a: int, B_list, breakdown: ConstantBreakdown):
-    """Rows (B, N(B), c B (log B)^4, ratio) with N(B) cross-checked between
-    the direct and the torsor counter (raises CounterMismatch on a mismatch)."""
-    from .counting import direct_count, torsor_count
-
-    check_compare_B(a, B_list)
+    check_prime_cut(prime_cut)
+    c = predict_constant(a, prime_cut).c
     rows = []
     for B in B_list:
-        counts = {"direct": direct_count(a, B).count, "torsor": torsor_count(a, B).count}
-        n = counts["direct"]
-        if counts["torsor"] != n:
-            raise CounterMismatch(f"counter mismatch at B={B}: {counts}")
-        pred = breakdown.c * B * math.log(B) ** 4
+        n = count(a, B)["direct"].count
+        pred = c * B * math.log(B) ** 4
         rows.append(CompareRow(B=float(B), count=n, prediction=pred, ratio=n / pred))
     return rows

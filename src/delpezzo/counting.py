@@ -18,6 +18,9 @@ torsor_count  enumerates torsor tuples (a1, ..., a7) with a8 forced by the
               window (_Slice).  The literal enumeration over all sign
               patterns is its test oracle, in tests/test_counting.py.
 
+count         runs the counters a request names and, when both run, is the
+              one place where their counts are compared (CounterMismatch).
+
 moebius_slice_check  verifies, on one fixed slice (a1..a4), that the number
               of completions (a5, a6, a7, a8), which is 4 * _slice_count,
               equals the Moebius-inverted sum over (d56, d58, d5, d6, d7) and
@@ -39,7 +42,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .arith import OutOfRange, ceil_sqrt, check_nonsquare, crt, moebius, squarefree_divisors
+from .arith import CounterMismatch, OutOfRange, ceil_sqrt, check_nonsquare, crt, moebius, squarefree_divisors
 from .eta import rho_classes
 
 
@@ -65,6 +68,19 @@ def _fan_out(worker, args: tuple, items, jobs: int) -> list:
     parts = [items[w::jobs] for w in range(jobs)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, *([arg] * jobs for arg in args), parts))
+
+
+def count(a: int, B, method: str = "both", jobs: int = 1) -> dict[str, CountResult]:
+    """{name: result} of the counters `method` names ("direct", "torsor" or
+    "both"); with both, raises CounterMismatch unless they agree.  The names
+    are looked up at each call, so a wrapped or patched counter is the one run."""
+    counters = {"direct": direct_count, "torsor": torsor_count}
+    names = counters if method == "both" else (method,)
+    results = {name: counters[name](a, B, jobs=jobs) for name in names}
+    counts = {name: r.count for name, r in results.items()}
+    if len(set(counts.values())) > 1:
+        raise CounterMismatch(f"counter mismatch at B={B}: {counts}")
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -124,17 +140,13 @@ def _ragged_ranges(starts: np.ndarray, stops: np.ndarray):
     return flat, owner
 
 
-def _isqrt_exact(n: np.ndarray, guess: np.ndarray) -> np.ndarray:
-    """Fix up float-sqrt guesses to exact floor square roots."""
-    r = guess
+def _floor_sqrt_arr(n: np.ndarray) -> np.ndarray:
+    """Exact floor square roots: the float square root, fixed up."""
+    r = np.sqrt(n.astype(np.float64)).astype(np.int64)
     r = np.where(r * r > n, r - 1, r)
     r = np.where((r + 1) * (r + 1) <= n, r + 1, r)
     r = np.where(r * r > n, r - 1, r)
     return np.maximum(r, 0)
-
-
-def _floor_sqrt_arr(n: np.ndarray) -> np.ndarray:
-    return _isqrt_exact(n, np.sqrt(n.astype(np.float64)).astype(np.int64))
 
 
 def _ceil_sqrt_arr(n: np.ndarray) -> np.ndarray:
@@ -408,8 +420,6 @@ def _slice_count(a: int, B1: int, a1: int, a2: int, a3: int, a4: int) -> tuple[i
 
 def _count_ap(lo: int, hi: int, r: int, m: int) -> int:
     """#{x in [lo, hi] : x = r (mod m)}."""
-    if hi < lo:
-        return 0
     first = lo + (r - lo) % m
     if first > hi:
         return 0

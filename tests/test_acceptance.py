@@ -138,10 +138,9 @@ def test_criterion_09_l_value():
 def test_criterion_10_end_to_end():
     t0 = time.time()
     from delpezzo.archimedean import omega_inf_montecarlo
-    from delpezzo.constant import compare, finite_product, predict_constant
+    from delpezzo.constant import compare, finite_product
 
-    bd = predict_constant(-1, prime_cut=2000)
-    rows = compare(-1, [100, 1000, 10000], breakdown=bd)
+    rows = compare(-1, [100, 1000, 10000], prime_cut=2000)
     for r in rows:
         assert math.isfinite(r.ratio) and r.ratio > 0
     # both counters agreed exactly inside compare (it raises otherwise)
@@ -159,6 +158,6 @@ def test_criterion_10_end_to_end():
             r2,
         )
     # and the literal doubling form
-    pair = compare(-1, [500, 1000], breakdown=bd)
+    pair = compare(-1, [500, 1000], prime_cut=2000)
     assert abs(pair[1].ratio / pair[0].ratio - 1) < 0.5
     report(10, "end-to-end report: exact counter agreement at 1e2..1e4, stable factors", t0)

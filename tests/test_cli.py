@@ -140,7 +140,9 @@ def test_compare_mismatch_exits_3_and_stores_nothing(tmp_path, monkeypatch, caps
     import delpezzo.counting as counting
 
     count = counting.torsor_count
-    monkeypatch.setattr(counting, "torsor_count", lambda a, B: dataclasses.replace(count(a, B), count=-1))
+    monkeypatch.setattr(
+        counting, "torsor_count", lambda a, B, jobs: dataclasses.replace(count(a, B, jobs), count=-1)
+    )
     args = ["compare", "--a", "-1", "--B-list", "50", "--prime-cut", "200", "--cache-dir", str(tmp_path)]
     assert main(args) == 3
     assert "mismatch" in capsys.readouterr().err
@@ -220,6 +222,17 @@ def test_out_of_range_usage_error(tmp_path, capsys, args):
     assert not (tmp_path / "cache.jsonl").exists()
 
 
+def _fail_compute_layers(monkeypatch):
+    """Make every layer that builds or counts anything fail the test if called."""
+    import delpezzo.constant as constant
+    import delpezzo.counting as counting
+
+    layers = [(constant, name) for name in
+              ("CharacterChi", "omega_inf_chart", "omega_inf_region", "omega_inf_montecarlo")]
+    for module, name in [*layers, (counting, "direct_count"), (counting, "torsor_count")]:
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: pytest.fail(f"{name} called"))
+
+
 @pytest.mark.parametrize(
     "args, limit",
     [
@@ -245,7 +258,7 @@ def test_limit_refusal_is_the_library_message(tmp_path, capsys, monkeypatch, arg
     refuse = {
         "B": lambda: counting.direct_count(-1, 100001),
         "a": lambda: CharacterChi(A_MAX + 1),
-        "B_min": lambda: constant.compare(-1, [1], breakdown=None),
+        "B_min": lambda: constant.compare(-1, [1], prime_cut=200),
         "prime_cut": lambda: constant.finite_product(-1, 99),
         "prime_cut_max": lambda: constant.finite_product(-1, PRIME_CUT_MAX + 1),
         "mc_samples": lambda: vol_SF(-1, 1, 1, 1, 1, 1.0, samples=1),
@@ -256,13 +269,32 @@ def test_limit_refusal_is_the_library_message(tmp_path, capsys, monkeypatch, arg
     # refused before any count or prediction, except count's B and predict's
     # |a|, which the counter and the character refuse themselves
     if args[0] == "compare" or limit not in ("B", "a"):
-        for module, name in ((constant, "predict_constant"), (counting, "direct_count"),
-                             (counting, "torsor_count")):
-            monkeypatch.setattr(module, name, lambda *a, name=name, **k: pytest.fail(f"{name} called"))
+        _fail_compute_layers(monkeypatch)
     assert main([*args, "--cache-dir", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {refusal.value}\n" and captured.out == ""
     assert not (tmp_path / "cache.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c: c.predict_constant(-1, prime_cut=99),
+        lambda c: c.predict_constant(-1, mc_samples=1),
+        lambda c: c.compare(-1, [1]),
+        lambda c: c.compare(-1, [100001]),
+        lambda c: c.compare(-1, [100], prime_cut=99),
+        lambda c: c.compare(A_MAX + 1, [100]),
+    ],
+    ids=["predict-prime_cut", "predict-mc_samples", "compare-B_min", "compare-B_max",
+         "compare-prime_cut", "compare-a"],
+)
+def test_library_refuses_bad_input_before_computing(monkeypatch, call):
+    import delpezzo.constant as constant
+
+    _fail_compute_layers(monkeypatch)
+    with pytest.raises(OutOfRange):
+        call(constant)
 
 
 def _cap_address_space():
@@ -314,7 +346,7 @@ def test_count_has_no_a_limit(tmp_path):
     assert out["direct"] == out["torsor"] == 0
 
 
-@pytest.mark.parametrize("where", ["flag", "env", "below"])
+@pytest.mark.parametrize("where", ["flag", "env", "below", "cache_file"])
 @pytest.mark.parametrize(
     "args",
     [["count", "--a", "-1", "--B", "10"], ["predict", "--a", "-1"], ["compare", "--a", "-1", "--B-list", "10"]],
@@ -330,6 +362,9 @@ def test_cache_dir_not_a_directory_refused_before_compute(tmp_path, capsys, monk
     afile.write_text("")
     if where == "env":
         monkeypatch.setenv(CACHE_ENV, str(afile))
+    elif where == "cache_file":  # the directory exists, its record file is a directory
+        (tmp_path / "d" / "cache.jsonl").mkdir(parents=True)
+        args = [*args, "--cache-dir", str(tmp_path / "d")]
     else:
         args = [*args, "--cache-dir", str(afile if where == "flag" else afile / "sub")]
     assert main(args) == 2
@@ -419,6 +454,19 @@ def test_cache_get_last_match_among_decoys(tmp_path):
     assert c.get("count", params)["result"] == {"n": 2}
     assert c.get("predict", params)["result"] == {"n": 3}
     assert c.get("count", {**params, "jobs": 2}) is None
+
+
+def test_cache_skips_a_line_that_is_not_utf8(tmp_path, capsys):
+    args = ["count", "--a", "-1", "--B", "40", "--cache-dir", str(tmp_path)]
+    assert main(args) == 0
+    miss = capsys.readouterr().out
+    path = tmp_path / "cache.jsonl"
+    record = path.read_bytes()
+    # a later copy of the record, with a byte that is not UTF-8 in one key
+    path.write_bytes(record + record.replace(b'"result"', b'"result\xff"'))
+    assert main(args) == 0
+    assert capsys.readouterr().out == miss
+    assert len(path.read_bytes().splitlines()) == 2  # served from the record: nothing added
 
 
 def test_predict_miss_skips_scipy(tmp_path):

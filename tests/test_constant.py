@@ -106,8 +106,7 @@ def test_predict_constant_assembly():
 
 
 def test_compare_rows():
-    bd = predict_constant(-1, prime_cut=500)
-    rows = compare(-1, [50, 100, 200], breakdown=bd)
+    rows = compare(-1, [50, 100, 200], prime_cut=500)
     assert [r.B for r in rows] == [50.0, 100.0, 200.0]
     for r in rows:
         assert r.count >= 0 and r.prediction > 0
@@ -120,7 +119,6 @@ def test_compare_detects_mismatch(monkeypatch):
     import delpezzo.counting as counting
     import delpezzo.constant as constant
 
-    bd = predict_constant(-1, prime_cut=500)
     real = counting.torsor_count
 
     def broken(a, B, **kw):
@@ -131,7 +129,7 @@ def test_compare_detects_mismatch(monkeypatch):
     monkeypatch.setattr(constant, "torsor_count", None, raising=False)
     monkeypatch.setattr(counting, "torsor_count", broken)
     with pytest.raises(CounterMismatch):
-        compare(-1, [20], breakdown=bd)
+        compare(-1, [20], prime_cut=500)
 
 
 def test_omega_good_is_exact_omega_p():
