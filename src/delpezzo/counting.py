@@ -28,8 +28,10 @@ moebius_slice_check  verifies, on one fixed slice (a1..a4), that the number
               and lattice points counted by floor arithmetic on the same box
               and a7 window.
 
-With jobs > 1 both counters split their outer loop over worker processes
-(_fan_out) and sum the parts.
+Both counters are sums over one outer loop, whose items _fan_out maps one
+at a time: the reduced height m for the direct counter, a1 for the torsor.
+With jobs > 1 the items go to worker processes, one task each, so a free
+worker takes the next item and no part is fixed in advance.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -57,17 +59,17 @@ class CountResult:
 
 
 def _fan_out(worker, args: tuple, items, jobs: int) -> list:
-    """[worker(*args, part)] for the parts items[w::n], w < n, each part in
-    its own worker process when n > 1; n = jobs, but no more than there are
+    """[worker(*args, item) for item in items], each item one task of a pool
+    of n worker processes when n > 1; n = jobs, but no more than there are
     items or cores (the pool starts all its workers at once)."""
     jobs = min(jobs, len(items), os.cpu_count() or 1)
+    work = partial(worker, *args)
     if jobs <= 1:
-        return [worker(*args, items)]
+        return list(map(work, items))
     from concurrent.futures import ProcessPoolExecutor
 
-    parts = [items[w::jobs] for w in range(jobs)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, *([arg] * jobs for arg in args), parts))
+        return list(pool.map(work, items))
 
 
 def count(a: int, B, method: str = "both", jobs: int = 1) -> dict[str, CountResult]:
@@ -128,12 +130,10 @@ def _direct_box(a: int, B1: int) -> set[tuple[int, ...]]:
 
 
 def _ragged_ranges(starts: np.ndarray, stops: np.ndarray):
-    """Flatten inclusive integer ranges [starts[i], stops[i]] into one array,
-    returning (values, owner_index)."""
-    lens = np.maximum(stops - starts + 1, 0).astype(np.int64)
+    """Flatten inclusive integer ranges [starts[i], stops[i]], at least one
+    and each non-empty, into one array, returning (values, owner_index)."""
+    lens = stops - starts + 1
     total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     owner = np.repeat(np.arange(len(starts), dtype=np.int64), lens)
     offsets = np.concatenate(([0], np.cumsum(lens)[:-1]))
     flat = np.arange(total, dtype=np.int64) - np.repeat(offsets, lens) + np.repeat(starts, lens)
@@ -175,9 +175,9 @@ def check_direct_B(a: int, B1: int) -> None:
         raise OutOfRange(f"|a| = {abs(a)} at B = {B1} exceeds the direct counter's int64 range")
 
 
-def _direct_pruned_count(a: int, B1: int, ms) -> int:
-    """Count points of height <= B1 by primitive-triple enumeration, over the
-    reduced heights m = x4 / gcd(x3, x4) in `ms`, a share of m <= sqrt(B1).
+def _direct_pruned_count(a: int, B1: int, m: int) -> int:
+    """Count points of height <= B1 by primitive-triple enumeration, those
+    with reduced height m = x4 / gcd(x3, x4), one of m <= sqrt(B1).
 
     Soundness of the pruning, for a primitive triple t = (x1, x3, x4) with
     x3 = c n, x4 = c m, c = gcd(x3, x4), mapping to the primitive point y with
@@ -205,22 +205,17 @@ def _direct_pruned_count(a: int, B1: int, ms) -> int:
         x3 > 0 is enumerated and the total is doubled (likewise x1 = +-t
         are distinct points counted by weight 2 for t > 0).
     """
-    total = 0
-    for m in ms:
-        n = np.arange(1, math.isqrt(B1) + 1, dtype=np.int64)
-        if m > 1:
-            n = n[np.gcd(n, m) == 1]
-        # c^2 n <= B, c^2 m <= B and (c m)^2 <= B n
-        cmax = np.minimum(
-            np.minimum(_floor_sqrt_arr(B1 // n), math.isqrt(B1 // m)), _floor_sqrt_arr(B1 * n) // m
-        )
-        keep = cmax >= 1
-        n, cmax = n[keep], cmax[keep]
-        if not len(n):
-            continue
-        c, owner = _ragged_ranges(np.ones(len(n), dtype=np.int64), cmax)
-        total += 2 * _pruned_pairs(a, B1, m, c, c * n[owner])
-    return total
+    n = np.arange(1, math.isqrt(B1) + 1, dtype=np.int64)
+    if m > 1:
+        n = n[np.gcd(n, m) == 1]
+    # c^2 n <= B, c^2 m <= B and (c m)^2 <= B n; n = 1 always passes
+    cmax = np.minimum(
+        np.minimum(_floor_sqrt_arr(B1 // n), math.isqrt(B1 // m)), _floor_sqrt_arr(B1 * n) // m
+    )
+    keep = cmax >= 1
+    n, cmax = n[keep], cmax[keep]
+    c, owner = _ragged_ranges(np.ones(len(n), dtype=np.int64), cmax)
+    return 2 * _pruned_pairs(a, B1, m, c, c * n[owner])
 
 
 def _pruned_pairs(a: int, B1: int, m: int, c: np.ndarray, x3: np.ndarray) -> int:
@@ -246,14 +241,13 @@ def _pruned_pairs(a: int, B1: int, m: int, c: np.ndarray, x3: np.ndarray) -> int
         base = int(cum[start - 1]) if start else 0
         stop = min(int(np.searchsorted(cum, base + 4_000_000, side="left")) + 1, len(c))
         t, owner = _ragged_ranges(L[start:stop], U[start:stop])
-        if len(t):
-            prim = np.gcd(t, c[start:stop][owner]) == 1
-            t, owner = t[prim], owner[prim] + start
-            X0 = (ax3sq[owner] - t * t) * x3[owner]
-            X1 = t * x34[owner]
-            Bg = B1 * np.gcd(np.gcd(D[owner], X1), X0)
-            passing = (np.abs(X0) <= Bg) & (X1 <= Bg) & (M234[owner] <= Bg)
-            total += int(np.count_nonzero(passing) + np.count_nonzero(passing & (t > 0)))
+        prim = np.gcd(t, c[start:stop][owner]) == 1
+        t, owner = t[prim], owner[prim] + start
+        X0 = (ax3sq[owner] - t * t) * x3[owner]
+        X1 = t * x34[owner]
+        Bg = B1 * np.gcd(np.gcd(D[owner], X1), X0)
+        passing = (np.abs(X0) <= Bg) & (X1 <= Bg) & (M234[owner] <= Bg)
+        total += int(np.count_nonzero(passing) + np.count_nonzero(passing & (t > 0)))
         start = stop
     return total
 
@@ -277,11 +271,10 @@ def direct_count(a: int, B, jobs: int = 1) -> CountResult:
 # torsor counter
 
 
-@lru_cache(maxsize=None)
 def _sqrt_table(m: int) -> dict[int, list[int]]:
     """{c: the residues r mod m with r^2 = c (mod m)} over the squares c mod
-    m, built in one pass.  One table per a1 <= sqrt(B) is kept, about B/2
-    residues in all."""
+    m, built in one pass.  The torsor count builds one per a1 and holds one
+    at a time, at most sqrt(B) residues."""
     roots: dict[int, list[int]] = {}
     for r in range(m):
         roots.setdefault(r * r % m, []).append(r)
@@ -304,15 +297,15 @@ def torsor_count(a: int, B, jobs: int = 1) -> CountResult:
     """Count U(Q)-points of height <= B through the torsor parameterization.
     Heights are integers, so this is the count at floor(B).
 
-    jobs > 1 partitions the (a2, a3) outer pairs over worker processes and
-    sums the partial weighted counts (deterministic merge).
+    jobs > 1 hands each a1 to a worker process as one task and sums the
+    weighted counts, which are exact integers.
     """
     check_nonsquare(a)
     t0 = time.time()
     B1 = math.floor(B)
     if B1 < 1:
         return CountResult(a, B1, "torsor", 0, time.time() - t0)
-    parts = _fan_out(_torsor_positive, (a, B1), _a23_pairs(B1), jobs)
+    parts = _fan_out(_torsor_positive, (a, B1), range(1, math.isqrt(B1) + 1), jobs)
     weighted, visited = (sum(col) for col in zip(*parts))
     return CountResult(
         a, B1, f"torsor x{jobs}" if jobs > 1 else "torsor", 2 * weighted, time.time() - t0,
@@ -320,27 +313,18 @@ def torsor_count(a: int, B, jobs: int = 1) -> CountResult:
     )
 
 
-def _a23_pairs(B1: int) -> list[tuple[int, int]]:
-    return [
-        (a2, a3)
-        for a2 in range(1, _iroot(B1, 3) + 1)
-        for a3 in range(1, math.isqrt(B1 // a2**3) + 1)
-    ]
-
-
-def _torsor_positive(a: int, B1: int, pairs) -> tuple[int, int]:
-    """Sum of _slice_count over the admissible slices (a1..a4), those with
-    gcd(a4, a3) = gcd(a1, a2 a3 a4) = 1, whose outer pair (a2, a3) is in
-    `pairs`.  a1 and a4 run up to m3 <= B and m4 <= B; beyond, the slice's
+def _torsor_positive(a: int, B1: int, a1: int) -> tuple[int, int]:
+    """Sum of _slice_count, and of its visited pairs, over the admissible
+    slices (a1..a4) with this a1, those with gcd(a4, a3) = gcd(a1, a2 a3 a4)
+    = 1.  a2, a3 and a4 run up to m3 <= B and m4 <= B; beyond, the slice's
     box is empty."""
+    roots = _sqrt_table(a1)
     total = visited = 0
-    for a2, a3 in pairs:
-        for a4 in range(1, _iroot(B1 // (a2**3 * a3 * a3), 4) + 1):
-            if math.gcd(a4, a3) != 1:
-                continue
-            for a1 in range(1, math.isqrt(B1 // (a2 * a3 * a3)) + 1):
-                if math.gcd(a1, a2 * a3 * a4) == 1:
-                    w, v = _slice_count(a, B1, a1, a2, a3, a4)
+    for a2 in range(1, min(_iroot(B1, 3), B1 // (a1 * a1)) + 1):
+        for a3 in range(1, min(math.isqrt(B1 // a2**3), math.isqrt(B1 // (a1 * a1 * a2))) + 1):
+            for a4 in range(1, _iroot(B1 // (a2**3 * a3 * a3), 4) + 1):
+                if math.gcd(a4, a3) == 1 and math.gcd(a1, a2 * a3 * a4) == 1:
+                    w, v = _slice_count(a, B1, a1, a2, a3, a4, roots)
                     total += w
                     visited += v
     return total, visited
@@ -389,13 +373,14 @@ class _Slice:
         return c, L, U
 
 
-def _slice_count(a: int, B1: int, a1: int, a2: int, a3: int, a4: int) -> tuple[int, int]:
+def _slice_count(
+    a: int, B1: int, a1: int, a2: int, a3: int, a4: int, roots: dict[int, list[int]]
+) -> tuple[int, int]:
     """Completions of one slice with a5, a6 >= 1 and a7 >= 0 (weight 2 if
     a7 > 0) under the remaining coprimality conditions, and the number of
-    coprime (a5, a6) visited."""
+    coprime (a5, a6) visited; roots is _sqrt_table(a1)."""
     s = _Slice(a, B1, a1, a2, a3, a4)
     g5, g6, d7 = a2 * a4, a1 * a2 * a3, s.d7
-    roots = _sqrt_table(a1)
     total = visited = 0
     for a5, a6s in s.box():
         if math.gcd(a5, g5) != 1:
@@ -440,7 +425,7 @@ def moebius_slice_check(a: int, a1: int, a2: int, a3: int, a4: int, B) -> tuple[
 def _slice_lhs(a: int, a1: int, a2: int, a3: int, a4: int, B1: int) -> int:
     """Completions (a5, a6, a7, a8) with the torsor equation, the remaining
     coprimality conditions, and height <= B;  a5, a6 range over both signs."""
-    return 4 * _slice_count(a, B1, a1, a2, a3, a4)[0]
+    return 4 * _slice_count(a, B1, a1, a2, a3, a4, _sqrt_table(a1))[0]
 
 
 def _slice_rhs(a: int, a1: int, a2: int, a3: int, a4: int, B1: int) -> int:

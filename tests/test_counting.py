@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -190,28 +191,52 @@ def test_rational_heights():
 
 
 def test_jobs_partition_deterministic():
-    t1 = torsor_count(2, 250).count
-    t2 = torsor_count(2, 250, jobs=2).count
+    t1 = torsor_count(2, 250)
+    t2 = torsor_count(2, 250, jobs=2)
     d1 = direct_count(2, 250).count
     d2 = direct_count(2, 250, jobs=2).count
-    assert t1 == t2 == d1 == d2
+    assert t1.count == t2.count == d1 == d2
+    assert t1.stats == t2.stats  # visited and weighted_positive
 
 
 def test_fan_out_starts_no_idle_workers(monkeypatch):
-    # a fake process pool: it records its size and maps on one thread
+    # a fake process pool: it records its size and its tasks, and maps on one thread
     class OneThreadPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             sizes.append(max_workers)
             super().__init__(1)
 
+        def submit(self, fn, *args):
+            tasks.append(args)
+            return super().submit(fn, *args)
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", OneThreadPool)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 4)
-    # at most one worker per item and per core; one part runs in this process
+    # at most one worker per item and per core, and one task per item
     for n_items, jobs, want in ((3, 1, []), (3, 2, [2]), (3, 64, [3]), (9, 64, [4])):
-        sizes = []
-        parts = counting._fan_out(lambda k, part: k * sum(part), (10,), list(range(1, n_items + 1)), jobs)
-        assert sum(parts) == 10 * n_items * (n_items + 1) // 2
+        sizes, tasks = [], []
+        items = range(1, n_items + 1)
+        results = counting._fan_out(lambda k, item: k * item, (10,), items, jobs)
+        assert results == [10 * item for item in items]
         assert sizes == want
+        assert tasks == ([(item,) for item in items] if want else [])
+
+
+def test_torsor_memory_is_one_table():
+    # a torsor count holds the square-root table of one a1 at a time, at most
+    # sqrt(B) residues, and one (weighted, visited) result per a1 <= sqrt(B),
+    # each some tens of bytes; tables kept for every a1 would hold about B/2
+    # residues, 10000 here, some 500 kB.  (tracemalloc slows the count about
+    # 25-fold, hence the small B.)
+    B = 20_000
+    torsor_count(-1, 100)  # first-call set-up outside the trace
+    tracemalloc.start()
+    try:
+        torsor_count(-1, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 500 * math.isqrt(B), peak
 
 
 def test_moebius_seed_case():
