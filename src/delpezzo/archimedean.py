@@ -382,6 +382,10 @@ def vol_SF(
     M3 = a1^2 a2 a3^2 |x5|^3 <= B and M4 = a2^3 a3^2 a4^4 |x5| x6^2 <= B;
     M5 = a1 a2^2 a3^2 a4^2 x5^2 |x6| = sqrt(M3 M4) <= B is implied there.
     Compare against (2/3) omega_inf(a) B / (a2 a3 a4).
+
+    The samples are drawn and evaluated BLOCK at a time.  Only the values are
+    held whole, one float64 array of `samples` entries: its whole-array mean
+    fixes the estimate's bits, and its variance is taken in place.
     """
     if B <= 0:
         raise ValueError("B must be positive")
@@ -413,6 +417,11 @@ def vol_SF(
         vals[kept : kept + len(r)] = scale * r * lens
         kept += len(r)
     vals = vals[:kept]
-    est = 4.0 * float(vals.mean())  # sign symmetry in x5 and x6
-    stderr = 4.0 * float(vals.std(ddof=1)) / math.sqrt(len(vals))
+    mean = vals.mean()
+    # the sample variance in place: np.std(ddof=1)'s operations, in its order
+    vals -= mean
+    vals *= vals
+    var = vals.sum() / (kept - 1)
+    est = 4.0 * float(mean)  # sign symmetry in x5 and x6
+    stderr = 4.0 * math.sqrt(float(var)) / math.sqrt(kept)
     return RegionIntegral(est, stderr)

@@ -12,10 +12,13 @@ import math
 from functools import lru_cache
 from itertools import accumulate, chain, compress, cycle
 
-# Elements per step of the O(samples) and O(8|a|) numpy passes of `predict`
-# (archimedean.vol_SF, characters): a float64 temporary is then 512 KiB, and
+# Elements per step of every large numpy pass: the O(samples) Monte Carlo
+# (archimedean.vol_SF), the O(8|a|) character passes (characters), the Euler
+# product's primes (constant.finite_product) and the direct counter's
+# t-candidates (counting._pruned_pairs).  A float64 temporary is then 128 KiB,
+# so the dozen or so of them a block step holds fit in a core's L2 cache, and
 # the passes hold whole only the arrays they return or reduce.
-BLOCK = 1 << 16
+BLOCK = 1 << 14
 
 
 class OutOfRange(ValueError):

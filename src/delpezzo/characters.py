@@ -27,10 +27,9 @@ from .arith import BLOCK, OutOfRange, check_nonsquare, factorize
 
 
 # The largest |a| served.  The int8 table holds 8|a| bytes and a Legendre
-# table up to |a| more, and every other array is BLOCK entries long, so at
-# 10^7 the memory stays under 90 MB, below what `predict` held for its Monte
-# Carlo before that was blocked too; `predict` takes about 15 s there
-# (2-core VM).
+# table up to |a| more, and every other array is BLOCK entries long, so a
+# `predict` at a = -9999991 peaks at 121 MB of RSS, 80 MB of it the table,
+# and takes about 7 s (2-core Xeon VM).
 A_MAX = 10**7
 
 

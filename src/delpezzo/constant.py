@@ -22,13 +22,14 @@ which is why the breakdown reports `rho_field` as 1.0.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .archimedean import RegionIntegral, check_mc_samples, omega_inf_chart, omega_inf_montecarlo, omega_inf_region
-from .arith import OutOfRange, factorize, primes_upto
+from .arith import BLOCK, OutOfRange, factorize, primes_upto
 from .characters import CharacterChi, EulerEstimate, check_a_limit
 from .local_densities import omega_p
 
@@ -68,8 +69,11 @@ class ConstantBreakdown:
 
 L1_TOLERANCE = 1e-7
 
-# The largest prime cut served: the Euler product holds the primes up to
-# 2 prime_cut as Python ints and float64 arrays, about 200 MB at 10^7.
+# The largest prime cut served: the Euler product walks the primes up to
+# 2 prime_cut BLOCK at a time, but arith.primes_upto holds them whole, a
+# cached tuple of Python ints of about 46 MB at 10^7 (78 MB of RSS while
+# its sieve runs); a `predict` at this cut and MC_SAMPLES_MAX peaks at
+# 170 MB of RSS.
 PRIME_CUT_MAX = 10**7
 
 
@@ -92,13 +96,6 @@ def omega_good(p, chi):
     return value
 
 
-def _prime_table(chi: CharacterChi, cut: int):
-    """(primes p <= cut, chi(p) as float64, the primes dividing 2a)."""
-    bad = [p for p, _ in factorize(2 * chi.a)]
-    ps = np.array(primes_upto(cut), dtype=np.int64)
-    return ps, chi.table[ps % chi.modulus].astype(np.float64), bad
-
-
 def finite_product(
     a: int,
     prime_cut: int,
@@ -109,18 +106,29 @@ def finite_product(
 
     L1 is the estimate of L(1, chi) to use; by default it is summed to
     L1_TOLERANCE.  chi is the character of a, built here if not given (its
-    table is O(|a|) numpy passes, so callers that hold one pass it)."""
+    table is O(|a|) numpy passes, so callers that hold one pass it).  The
+    primes up to 2 prime_cut are taken BLOCK at a time, and each block's
+    cumprod starts from the running product of the blocks before it, which
+    gives the bits of one cumprod over all of them."""
     check_prime_cut(prime_cut)
     if chi is None:
         chi = CharacterChi(a)
     if L1 is None:
         L1 = chi.L1(L1_TOLERANCE)
-    ps, chis, bad = _prime_table(chi, 2 * prime_cut)
-    factors = omega_good(ps, chis) * (1 - chis / ps)
-    factors[np.isin(ps, bad)] = 1.0
-    curve = np.cumprod(factors)
-    prod = float(curve[-1])
-    at_cut = float(curve[np.searchsorted(ps, prime_cut, side="right") - 1])
+    bad = [p for p, _ in factorize(2 * a)]
+    primes = primes_upto(2 * prime_cut)
+    cut_index = bisect_right(primes, prime_cut) - 1  # the last prime <= prime_cut
+    prod = 1.0
+    for start in range(0, len(primes), BLOCK):
+        ps = np.array(primes[start : start + BLOCK], dtype=np.int64)
+        chis = chi.table[ps % chi.modulus].astype(np.float64)
+        factors = omega_good(ps, chis) * (1 - chis / ps)
+        factors[np.isin(ps, bad)] = 1.0
+        factors[0] *= prod
+        curve = np.cumprod(factors)
+        if start <= cut_index < start + len(ps):
+            at_cut = float(curve[cut_index - start])
+        prod = float(curve[-1])
     head = 1.0
     for p in bad:
         head *= float(omega_p(p, a))

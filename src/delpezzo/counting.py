@@ -44,7 +44,7 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .arith import CounterMismatch, OutOfRange, ceil_sqrt, check_nonsquare, crt, moebius, squarefree_divisors
+from .arith import BLOCK, CounterMismatch, OutOfRange, ceil_sqrt, check_nonsquare, crt, moebius, squarefree_divisors
 from .eta import rho_classes
 
 
@@ -219,7 +219,10 @@ def _direct_pruned_count(a: int, B1: int, m: int) -> int:
 
 
 def _pruned_pairs(a: int, B1: int, m: int, c: np.ndarray, x3: np.ndarray) -> int:
-    """Weighted passing-triple count over the (x3, x4 = c*m) pairs, x1 = t >= 0."""
+    """Weighted passing-triple count over the (x3, x4 = c*m) pairs, x1 = t >= 0.
+    The t-candidates are taken in whole pairs' windows, BLOCK candidates and
+    one window more at a time, so beside the pairs' own arrays a step holds
+    about ten int64 arrays of that length."""
     x4 = c * m
     D = np.gcd(x3 * m, x4 * c * c)
     M234 = np.maximum(x4 * x4 * x4, x3 * x4 * np.maximum(x3, x4))
@@ -239,7 +242,7 @@ def _pruned_pairs(a: int, B1: int, m: int, c: np.ndarray, x3: np.ndarray) -> int
     start = 0
     while start < len(c):
         base = int(cum[start - 1]) if start else 0
-        stop = min(int(np.searchsorted(cum, base + 4_000_000, side="left")) + 1, len(c))
+        stop = min(int(np.searchsorted(cum, base + BLOCK, side="left")) + 1, len(c))
         t, owner = _ragged_ranges(L[start:stop], U[start:stop])
         prim = np.gcd(t, c[start:stop][owner]) == 1
         t, owner = t[prim], owner[prim] + start
@@ -293,6 +296,15 @@ def _iroot(n: int, k: int) -> int:
     return r
 
 
+def check_torsor_B(B1: int) -> None:
+    """Raise OutOfRange if the integer height B1 >= 2^126, where isqrt(B1) >=
+    2^63: the length of the outer loop range(1, isqrt(B1) + 1) no longer fits
+    a C ssize_t, and from about 10^308 on _iroot's float root overflows.  This
+    is the loop's arithmetic range, not a limit on run time."""
+    if B1 >= 2**126:
+        raise OutOfRange("B >= 2^126 is beyond the torsor counter's range: isqrt(B) must be below 2^63")
+
+
 def torsor_count(a: int, B, jobs: int = 1) -> CountResult:
     """Count U(Q)-points of height <= B through the torsor parameterization.
     Heights are integers, so this is the count at floor(B).
@@ -303,6 +315,7 @@ def torsor_count(a: int, B, jobs: int = 1) -> CountResult:
     check_nonsquare(a)
     t0 = time.time()
     B1 = math.floor(B)
+    check_torsor_B(B1)
     if B1 < 1:
         return CountResult(a, B1, "torsor", 0, time.time() - t0)
     parts = _fan_out(_torsor_positive, (a, B1), range(1, math.isqrt(B1) + 1), jobs)

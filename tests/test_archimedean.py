@@ -210,13 +210,14 @@ def test_vol_SF_blocks_give_the_whole_array_bits(samples):
         assert (v.value, v.error_estimate) == _vol_SF_whole(*args, samples, 3), (args, samples)
 
 
-def test_montecarlo_memory_is_two_value_arrays_and_blocks():
-    # The values are one float64 array of `samples` entries, and std(ddof=1)
-    # forms one more (the deviations).  A block step holds at most 16 float64
+def test_montecarlo_memory_is_one_value_array_and_blocks():
+    # The values are one float64 array of `samples` entries, and their
+    # variance is taken in place.  A block step holds at most 16 float64
     # arrays of BLOCK entries: the two draws and their products with the box
     # sides, w, r and the mask, x5, x6, the section's three arguments and its
     # temporaries, and the values of the block.  Whole-array passes take
-    # about 90 MB.
+    # about 90 MB, and std(ddof=1) would form a second array of `samples`
+    # deviations.
     samples = 10**6
     omega_inf_montecarlo(-1, 2, 1)  # imports and first-call set-up outside the trace
     tracemalloc.start()
@@ -225,4 +226,4 @@ def test_montecarlo_memory_is_two_value_arrays_and_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 8 * samples + 16 * 8 * BLOCK, peak
+    assert peak <= 8 * samples + 16 * 8 * BLOCK, peak

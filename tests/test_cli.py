@@ -331,6 +331,11 @@ def test_prime_cut_and_samples_beyond_limit_refused_before_allocating(tmp_path, 
     _refused_in_capped_child(tmp_path, args)
 
 
+@pytest.mark.parametrize("B", [2**126, 10**400])
+def test_torsor_B_beyond_outer_loop_range_refused(tmp_path, B):
+    _refused_in_capped_child(tmp_path, ["count", "--a", "-1", "--B", str(B), "--method", "torsor"])
+
+
 def test_prime_cut_and_samples_at_limit_served_under_the_cap(tmp_path):
     args = ["predict", "--a", "-1", "--prime-cut", str(PRIME_CUT_MAX), "--mc-samples", str(MC_SAMPLES_MAX)]
     r = run_cli([*args, "--cache-dir", str(tmp_path)], preexec_fn=_cap_address_space)

@@ -1,20 +1,22 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from delpezzo.arith import CounterMismatch, primes_upto
-from delpezzo.characters import CharacterChi
-from delpezzo.constant import (
-    _prime_table,
-    compare,
-    finite_product,
-    omega_good,
-    predict_constant,
-)
+from delpezzo.arith import BLOCK, TESTBED, CounterMismatch, factorize, primes_upto
+from delpezzo.characters import CharacterChi, EulerEstimate
+from delpezzo.constant import compare, finite_product, omega_good, predict_constant
 from delpezzo.local_densities import omega_p
 from oracles import chi_at
+
+
+def _prime_table(chi: CharacterChi, cut: int):
+    """(primes p <= cut, chi(p) as float64, the primes dividing 2a)."""
+    bad = [p for p, _ in factorize(2 * chi.a)]
+    ps = np.array(primes_upto(cut), dtype=np.int64)
+    return ps, chi.table[ps % chi.modulus].astype(np.float64), bad
 
 
 def naive_partial_product(a: int, cut: int) -> float:
@@ -75,6 +77,53 @@ def test_finite_product_cut_floor():
         finite_product(-1, 50)
 
 
+def _finite_product_whole(a: int, prime_cut: int, L1: EulerEstimate, chi: CharacterChi):
+    """finite_product's (value, bound) with one pass over whole arrays of the
+    primes up to 2 prime_cut: the reference the blocked pass matches bit for bit."""
+    ps, chis, bad = _prime_table(chi, 2 * prime_cut)
+    factors = omega_good(ps, chis) * (1 - chis / ps)
+    factors[np.isin(ps, bad)] = 1.0
+    curve = np.cumprod(factors)
+    prod = float(curve[-1])
+    at_cut = float(curve[np.searchsorted(ps, prime_cut, side="right") - 1])
+    head = 1.0
+    for p in bad:
+        head *= float(omega_p(p, a))
+    doubling = abs(prod - at_cut) * head * abs(L1.value)
+    return head * L1.value * prod, doubling + head * prod * L1.bound
+
+
+def test_finite_product_blocks_give_the_whole_array_bits():
+    # the cut's prime last in the first block, first in the second, and cuts
+    # whose doubled range spans 2 and 9 blocks
+    last, first = primes_upto(10**6)[BLOCK - 1 : BLOCK + 1]
+    for a in TESTBED:
+        chi = CharacterChi(a)
+        L1 = chi.L1(1e-6)
+        for cut in (100, last, first, 10**5, 10**6):
+            fp = finite_product(a, cut, L1, chi)
+            assert (fp.value, fp.bound) == _finite_product_whole(a, cut, L1, chi), (a, cut)
+
+
+def test_finite_product_memory_is_of_order_block():
+    # A block step holds about a dozen arrays of BLOCK primes: the slice of
+    # the prime tuple, the primes and their residues, chi(p), omega_good's
+    # temporaries, the factors and the running product.  Whole-array passes
+    # over the 148933 primes below 2 * 10^6 took 12 MB.
+    a, cut = 12, 10**6
+    chi = CharacterChi(a)
+    L1 = chi.L1(1e-6)
+    primes_upto(2 * cut)  # the sieve is cached process-wide: warm it outside the trace
+    finite_product(a, 100, L1, chi)
+    tracemalloc.start()
+    try:
+        finite_product(a, cut, L1, chi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 8 * BLOCK, peak
+
+
 def test_finite_product_stability_under_doubling():
     for a in (-1, 5):
         f1 = finite_product(a, 1000)
@@ -133,8 +182,6 @@ def test_compare_detects_mismatch(monkeypatch):
 
 
 def test_omega_good_is_exact_omega_p():
-    from delpezzo.arith import TESTBED
-
     for a in TESTBED:
         chi = CharacterChi(a)
         for p in primes_upto(2000):
@@ -145,8 +192,6 @@ def test_omega_good_is_exact_omega_p():
 
 
 def test_finite_product_matches_exact_loop():
-    from delpezzo.arith import TESTBED, factorize
-
     for a in TESTBED:
         chi = CharacterChi(a)
         L1 = chi.L1(1e-6)

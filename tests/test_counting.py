@@ -10,9 +10,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delpezzo import counting
-from delpezzo.arith import OutOfRange
+from delpezzo.arith import BLOCK, OutOfRange
 from delpezzo.counting import (
     _direct_box,
+    _direct_pruned_count,
     _iroot,
     direct_count,
     moebius_slice_check,
@@ -118,6 +119,16 @@ def test_direct_refuses_where_int64_could_overflow():
         with pytest.raises(OutOfRange, match="int64"):
             direct_count(a, 100)
         assert torsor_count(a, 100).count == 0  # Python integers: no such limit
+
+
+def test_torsor_refuses_B_whose_root_overflows_the_outer_loop(monkeypatch):
+    # isqrt(B) >= 2^63: range(1, isqrt(B) + 1) has no C length, and at 10^400
+    # the float root in _iroot overflows; refused before any slice is walked
+    monkeypatch.setattr(counting, "_fan_out", lambda *args: pytest.fail("the outer loop ran"))
+    for B in (2**126, 10**400, float(2**126)):
+        with pytest.raises(OutOfRange, match="2\\^63"):
+            torsor_count(-1, B)
+    counting.check_torsor_B(2**126 - 1)  # isqrt = 2^63 - 1: in range
 
 
 def test_pruned_equals_box():
@@ -237,6 +248,22 @@ def test_torsor_memory_is_one_table():
     finally:
         tracemalloc.stop()
     assert peak <= 500 * math.isqrt(B), peak
+
+
+def test_pruned_memory_is_of_order_block():
+    # a = 2, m = 1 at B = 10^5 has 293903 t-candidates, some 18 blocks, over
+    # 10635 (x3, x4) pairs.  A block step holds about ten int64 arrays of
+    # BLOCK t-candidates (the ragged ranges, t, owner and the gathered
+    # columns, X0, X1 and their gcds), and the pairs' own arrays add about
+    # 1 MB; taking the t-candidates 4,000,000 at a time held 10 MB here.
+    _direct_pruned_count(2, 100, 1)  # first-call set-up outside the trace
+    tracemalloc.start()
+    try:
+        _direct_pruned_count(2, 10**5, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 8 * BLOCK, peak
 
 
 def test_moebius_seed_case():
