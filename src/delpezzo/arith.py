@@ -71,8 +71,6 @@ def moebius(n: int) -> int:
     """Moebius function: 0 on non-squarefree n, else (-1)^(number of primes)."""
     if n < 1:
         raise ValueError("moebius needs n >= 1")
-    if n == 1:
-        return 1
     f = factorize(n)
     if any(e > 1 for _, e in f):
         return 0
@@ -82,9 +80,8 @@ def moebius(n: int) -> int:
 def squarefree_divisors(n: int) -> list[int]:
     """All squarefree positive divisors of |n|, ascending."""
     divs = [1]
-    if abs(n) != 1:
-        for p, _ in factorize(n):
-            divs += [d * p for d in divs]
+    for p, _ in factorize(n):
+        divs += [d * p for d in divs]
     return sorted(divs)
 
 

@@ -246,8 +246,7 @@ def _suite_moebius(quick: bool):
     import random
 
     from .arith import TESTBED
-    from .counting import moebius_slice_check
-    from .theta import theta0
+    from .counting import moebius_slice_check, theta0
 
     lhs, rhs = moebius_slice_check(-1, 1, 1, 1, 1, 100)
     if lhs != rhs:

@@ -96,25 +96,14 @@ def omega_good(p, chi):
     return value
 
 
-def finite_product(
-    a: int,
-    prime_cut: int,
-    L1: EulerEstimate | None = None,
-    chi: CharacterChi | None = None,
-) -> EulerEstimate:
+def finite_product(a: int, prime_cut: int, L1: EulerEstimate, chi: CharacterChi) -> EulerEstimate:
     """prod_p omega_p by the convergence-factor splitting; error by doubling.
 
-    L1 is the estimate of L(1, chi) to use; by default it is summed to
-    L1_TOLERANCE.  chi is the character of a, built here if not given (its
-    table is O(|a|) numpy passes, so callers that hold one pass it).  The
+    L1 is the estimate of L(1, chi) to use and chi the character of a.  The
     primes up to 2 prime_cut are taken BLOCK at a time, and each block's
     cumprod starts from the running product of the blocks before it, which
     gives the bits of one cumprod over all of them."""
     check_prime_cut(prime_cut)
-    if chi is None:
-        chi = CharacterChi(a)
-    if L1 is None:
-        L1 = chi.L1(L1_TOLERANCE)
     bad = [p for p, _ in factorize(2 * a)]
     primes = primes_upto(2 * prime_cut)
     cut_index = bisect_right(primes, prime_cut) - 1  # the last prime <= prime_cut

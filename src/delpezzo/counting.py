@@ -328,19 +328,26 @@ def torsor_count(a: int, B, jobs: int = 1) -> CountResult:
 
 def _torsor_positive(a: int, B1: int, a1: int) -> tuple[int, int]:
     """Sum of _slice_count, and of its visited pairs, over the admissible
-    slices (a1..a4) with this a1, those with gcd(a4, a3) = gcd(a1, a2 a3 a4)
-    = 1.  a2, a3 and a4 run up to m3 <= B and m4 <= B; beyond, the slice's
-    box is empty."""
+    slices (a1..a4) with this a1, those with theta0 = 1.  a2, a3 and a4 run
+    up to m3 <= B and m4 <= B; beyond, the slice's box is empty."""
     roots = _sqrt_table(a1)
     total = visited = 0
     for a2 in range(1, min(_iroot(B1, 3), B1 // (a1 * a1)) + 1):
         for a3 in range(1, min(math.isqrt(B1 // a2**3), math.isqrt(B1 // (a1 * a1 * a2))) + 1):
             for a4 in range(1, _iroot(B1 // (a2**3 * a3 * a3), 4) + 1):
-                if math.gcd(a4, a3) == 1 and math.gcd(a1, a2 * a3 * a4) == 1:
+                if theta0(a1, a2, a3, a4):
                     w, v = _slice_count(a, B1, a1, a2, a3, a4, roots)
                     total += w
                     visited += v
     return total, visited
+
+
+def theta0(a1: int, a2: int, a3: int, a4: int) -> int:
+    """1 iff the slice (a1..a4) is admissible, gcd(a4, a1*a3) = gcd(a3, a1) =
+    gcd(a2, a1) = 1, which is gcd(a4, a3) = gcd(a1, a2*a3*a4) = 1; else 0."""
+    if min(a1, a2, a3, a4) < 1:
+        raise ValueError("arguments must be positive")
+    return int(math.gcd(a4, a3) == 1 and math.gcd(a1, a2 * a3 * a4) == 1)
 
 
 class _Slice:
@@ -427,8 +434,6 @@ def _count_ap(lo: int, hi: int, r: int, m: int) -> int:
 def moebius_slice_check(a: int, a1: int, a2: int, a3: int, a4: int, B) -> tuple[int, int]:
     """Both sides of the Moebius-inversion identity on one (a1..a4) slice."""
     check_nonsquare(a)
-    from .theta import theta0
-
     if theta0(a1, a2, a3, a4) != 1:
         raise ValueError("slice requires theta0(a1..a4) = 1")
     B1 = math.floor(B)

@@ -15,10 +15,10 @@ Two independent evaluators are provided on purpose: rho_classes lists the
 classes themselves by exhaustive enumeration, and eta_bruteforce counts them
 (the oracle; the Moebius side of the slice identity iterates the same
 classes); eta_closed implements the case table and is what the density
-formulas use.  At a prime power the enumeration is root_tower, which lifts
-the square roots of a one p-adic digit at a time; a composite q is scanned
-residue by residue in a plain loop.  Neither path consults the case table,
-and the module uses Python integers only (no numpy).
+formulas use.  The enumeration is one loop over the prime powers p^k || q:
+root_tower lifts the square roots of a mod p^k one p-adic digit at a time,
+and the local classes are joined by the Chinese remainder theorem.  It never
+consults the case table, and the module uses Python integers only (no numpy).
 """
 
 from __future__ import annotations
@@ -26,14 +26,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .arith import check_nonsquare, factorize, kronecker, valuation
-
-
-def _gprime(g: int) -> int:
-    out = 1
-    for p, e in factorize(g):
-        out *= p ** ((e + 1) // 2)
-    return out
+from .arith import check_nonsquare, crt, factorize, kronecker, valuation
 
 
 def eta_bruteforce(q: int, a: int) -> int:
@@ -62,30 +55,26 @@ def rho_classes(q: int, a: int) -> tuple[list[int], int, int]:
     """(the classes rho that eta(q; a) counts, their modulus q*g'/g, g').
 
     For a != 0 (both callers pass a nonsquare a); the definition needs no
-    nonsquare gate.  A prime power q = p^k takes the roots of rho^2 = a
-    (mod p^k) from root_tower; a composite q is a Python scan of every residue
-    class mod q*g'/g, which must stay below 10**6 entries (the verify suites
-    send composite q <= 40).
+    nonsquare gate.  Both conditions are local, so at each p^k || q, with
+    v = v_p(g) = min(k, v_p(a)), g'_p = p^ceil(v/2) and m_p = p^(k-v) g'_p,
+    the local classes are the roots mod p^k from root_tower reduced mod m_p,
+    those with gcd g'_p with m_p; each such class holds exactly p^k/m_p roots
+    (the normalization makes the congruence well defined on it).  The classes
+    mod q*g'/g = prod m_p are the CRT products of the local ones; q = 1 has
+    the one class 0 mod 1.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    g = math.gcd(q, abs(a))
-    gp = _gprime(g)
-    modulus = q // g * gp
-    fq = factorize(q)
-
-    if len(fq) == 1:
-        p, k = fq[0]
-        # classes mod `modulus` with the gcd-normalization; each such class
-        # holds exactly p^k/modulus roots mod p^k (well-definedness of the
-        # congruence on the coarser classes is forced by the normalization)
-        classes = sorted({s % modulus for s in root_tower(p, k, a)[k] if math.gcd(s, modulus) == gp})
-        return classes, modulus, gp
-
-    if modulus > 10**6:
-        raise ValueError("direct enumeration limit exceeded for composite q")
-    classes = [r for r in range(modulus) if (r * r - a) % q == 0 and math.gcd(r, modulus) == gp]
-    return classes, modulus, gp
+    classes, modulus, gp = [0], 1, 1
+    for p, k in factorize(q):
+        v = min(k, valuation(p, a))
+        gp_p = p ** ((v + 1) // 2)
+        m_p = p ** (k - v) * gp_p
+        local = {s % m_p for s in root_tower(p, k, a)[k] if math.gcd(s, m_p) == gp_p}
+        classes = [crt([(r, modulus), (s, m_p)])[0] for r in classes for s in local]
+        modulus *= m_p
+        gp *= gp_p
+    return sorted(classes), modulus, gp
 
 
 @lru_cache(maxsize=None)
@@ -118,11 +107,4 @@ def eta(q: int, a: int) -> int:
     if q < 1:
         raise ValueError("q must be >= 1")
     check_nonsquare(a)
-    out = 1
-    if q > 1:
-        for p, e in factorize(q):
-            out *= eta_closed(p, e, a)
-            if out == 0:
-                break
-    return out
-
+    return math.prod(eta_closed(p, e, a) for p, e in factorize(q))

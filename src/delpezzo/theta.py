@@ -1,4 +1,4 @@
-"""The coprimality/congruence weights theta0 and theta1.
+"""The congruence weight theta1 (the slice test theta0 is counting.theta0).
 
 theta1 is an Euler product whose factor at p, theta1_local, depends only on
 the valuation pattern v = (v_p(a1), ..., v_p(a4)) and on eta.  Away from
@@ -17,20 +17,10 @@ That finite sum must equal the table value.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 from .arith import valuation
 from .eta import eta_bruteforce, eta_closed
-
-
-def theta0(a1: int, a2: int, a3: int, a4: int) -> int:
-    """1 iff gcd(a4, a1*a3) = gcd(a3, a1) = gcd(a2, a1) = 1."""
-    if min(a1, a2, a3, a4) < 1:
-        raise ValueError("arguments must be positive")
-    if math.gcd(a4, a1 * a3) != 1 or math.gcd(a3, a1) != 1 or math.gcd(a2, a1) != 1:
-        return 0
-    return 1
 
 
 def _theta1_inner(p: int, v1: int, a: int) -> Fraction:

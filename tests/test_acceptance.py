@@ -138,14 +138,17 @@ def test_criterion_09_l_value():
 def test_criterion_10_end_to_end():
     t0 = time.time()
     from delpezzo.archimedean import omega_inf_montecarlo
-    from delpezzo.constant import compare, finite_product
+    from delpezzo.characters import CharacterChi
+    from delpezzo.constant import L1_TOLERANCE, compare, finite_product
 
     rows = compare(-1, [100, 1000, 10000], prime_cut=2000)
     for r in rows:
         assert math.isfinite(r.ratio) and r.ratio > 0
     # both counters agreed exactly inside compare (it raises otherwise)
     # constant factors stable under doubling within 1%
-    fp1, fp2 = finite_product(-1, 2000), finite_product(-1, 4000)
+    chi = CharacterChi(-1)
+    L1 = chi.L1(L1_TOLERANCE)
+    fp1, fp2 = finite_product(-1, 2000, L1, chi), finite_product(-1, 4000, L1, chi)
     assert abs(fp1.value / fp2.value - 1) < 0.01
     m1 = omega_inf_montecarlo(-1, 10**6, seed=5)
     m2 = omega_inf_montecarlo(-1, 2 * 10**6, seed=5)

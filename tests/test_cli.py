@@ -259,8 +259,8 @@ def test_limit_refusal_is_the_library_message(tmp_path, capsys, monkeypatch, arg
         "B": lambda: counting.direct_count(-1, 100001),
         "a": lambda: CharacterChi(A_MAX + 1),
         "B_min": lambda: constant.compare(-1, [1], prime_cut=200),
-        "prime_cut": lambda: constant.finite_product(-1, 99),
-        "prime_cut_max": lambda: constant.finite_product(-1, PRIME_CUT_MAX + 1),
+        "prime_cut": lambda: constant.check_prime_cut(99),
+        "prime_cut_max": lambda: constant.check_prime_cut(PRIME_CUT_MAX + 1),
         "mc_samples": lambda: vol_SF(-1, 1, 1, 1, 1, 1.0, samples=1),
         "mc_samples_max": lambda: vol_SF(-1, 1, 1, 1, 1, 1.0, samples=MC_SAMPLES_MAX + 1),
     }[limit]

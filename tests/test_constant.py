@@ -7,7 +7,7 @@ import pytest
 
 from delpezzo.arith import BLOCK, TESTBED, CounterMismatch, factorize, primes_upto
 from delpezzo.characters import CharacterChi, EulerEstimate
-from delpezzo.constant import compare, finite_product, omega_good, predict_constant
+from delpezzo.constant import L1_TOLERANCE, compare, finite_product, omega_good, predict_constant
 from delpezzo.local_densities import omega_p
 from oracles import chi_at
 
@@ -17,6 +17,12 @@ def _prime_table(chi: CharacterChi, cut: int):
     bad = [p for p, _ in factorize(2 * chi.a)]
     ps = np.array(primes_upto(cut), dtype=np.int64)
     return ps, chi.table[ps % chi.modulus].astype(np.float64), bad
+
+
+def default_finite_product(a: int, prime_cut: int):
+    """finite_product with chi and L(1, chi) built as predict_constant builds them."""
+    chi = CharacterChi(a)
+    return finite_product(a, prime_cut, chi.L1(L1_TOLERANCE), chi)
 
 
 def naive_partial_product(a: int, cut: int) -> float:
@@ -68,13 +74,13 @@ def test_predict_builds_one_character(monkeypatch):
 
 
 def test_finite_product_positive_factors():
-    fp = finite_product(17, 300)
+    fp = default_finite_product(17, 300)
     assert fp.value > 0 and fp.bound >= 0
 
 
 def test_finite_product_cut_floor():
     with pytest.raises(ValueError):
-        finite_product(-1, 50)
+        default_finite_product(-1, 50)
 
 
 def _finite_product_whole(a: int, prime_cut: int, L1: EulerEstimate, chi: CharacterChi):
@@ -126,8 +132,8 @@ def test_finite_product_memory_is_of_order_block():
 
 def test_finite_product_stability_under_doubling():
     for a in (-1, 5):
-        f1 = finite_product(a, 1000)
-        f2 = finite_product(a, 2000)
+        f1 = default_finite_product(a, 1000)
+        f2 = default_finite_product(a, 2000)
         assert abs(f1.value / f2.value - 1) < 0.01, a
         assert abs(f1.value - f2.value) <= f1.bound + f2.bound
 
@@ -135,13 +141,13 @@ def test_finite_product_stability_under_doubling():
 def test_splitting_vs_naive_partial_product():
     # the raw conditional product oscillates toward the same value
     a = -1
-    fp = finite_product(a, 4000)
+    fp = default_finite_product(a, 4000)
     naive = naive_partial_product(a, 100_000)
     assert abs(naive / fp.value - 1) < 0.01
 
 
 def test_splitting_vs_smoothed_naive_at_1e7():
-    fp = finite_product(-1, 10_000)
+    fp = default_finite_product(-1, 10_000)
     nv = naive_product_smoothed(-1, 10**7)
     assert abs(nv / fp.value - 1) < 1e-3
 
@@ -202,5 +208,5 @@ def test_finite_product_matches_exact_loop():
                 prod *= float(omega_p(p, a))
             else:
                 prod *= float(omega_p(p, a)) * (1 - chi_at(chi, p) / p)
-        fp = finite_product(a, 1000, L1)
+        fp = finite_product(a, 1000, L1, chi)
         assert abs(fp.value / (prod * L1.value) - 1) <= 1e-13, a

@@ -17,9 +17,9 @@ from delpezzo.counting import (
     _iroot,
     direct_count,
     moebius_slice_check,
+    theta0,
     torsor_count,
 )
-from delpezzo.theta import theta0
 from delpezzo.torsor import TorsorTuple, height_tilde, validate
 
 

@@ -6,15 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delpezzo.arith import TESTBED, factorize, primes_upto
-from delpezzo.eta import _gprime, eta, eta_bruteforce, eta_closed, rho_classes, root_tower
+from delpezzo.eta import eta, eta_bruteforce, eta_closed, rho_classes, root_tower
 
 
 def literal_rho_classes(q: int, a: int) -> list[int]:
     """The classes eta(q; a) counts, by a Python loop over every residue mod
-    q*g'/g (the oracle of rho_classes: of its root tower at prime powers and
-    of its numpy scan at composite q)."""
+    q*g'/g (the oracle of rho_classes and its CRT of prime-power root towers).
+    g' = prod_p p^ceil(v_p(g)/2) is the least d >= 1 with g | d^2."""
     g = math.gcd(q, abs(a))
-    gp = _gprime(g)
+    gp = next(d for d in range(1, g + 1) if d * d % g == 0)
     modulus = q // g * gp
     return [rho for rho in range(modulus) if (rho * rho - a) % q == 0 and math.gcd(rho, modulus) == gp]
 
@@ -155,12 +155,38 @@ def test_eta_closed_matches_bruteforce_random(p, k, a):
 @example(q=5**8 * 2, a=5**5 * 2 * 3, sign=-1, shared=0)
 def test_scan_matches_literal_loop(q, a, sign, shared):
     # `shared` moves a toward a large gcd with q, where g' and the
-    # gcd-normalization matter; prime powers q go through the root tower,
-    # composite q through the residue scan, whose moduli stay below 10**6
+    # gcd-normalization matter; each prime power of q goes through the root
+    # tower, and a composite q joins them by CRT
     a = sign * a * math.gcd(q, 210**shared)
     if a > 0 and math.isqrt(a) ** 2 == a:
         a = -a
     assert eta_bruteforce(q, a) == literal_eta(q, a)
+
+
+def test_rho_classes_beyond_a_million_residues():
+    # q = 2*3*5*7*11*13*17*19 and a = -2*11*17, so g = g' = 374 and the
+    # modulus q*g'/g = q is far beyond any residue-by-residue scan
+    q, a = 9699690, -374
+    classes, modulus, gp = rho_classes(q, a)
+    assert (modulus, gp, len(classes)) == (q, 374, 32)
+    assert all((r * r - a) % q == 0 and math.gcd(r, modulus) == gp for r in classes)
+    assert len(set(classes)) == len(classes)
+    assert len(classes) == eta(q, a) == math.prod(eta_bruteforce(p**k, a) for p, k in factorize(q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    q=st.integers(6, 2 * 10**4).filter(lambda q: len(factorize(q)) > 1),
+    a=st.integers(1, 10**6),
+    sign=st.sampled_from([1, -1]),
+    shared=st.integers(0, 12),
+)
+def test_eta_closed_product_matches_bruteforce_at_composite_q(q, a, sign, shared):
+    # q has two or more primes; `shared` gives a a factor in common with q
+    a = sign * a * math.gcd(q, 210**shared)
+    if a > 0 and math.isqrt(a) ** 2 == a:
+        a = -a
+    assert eta(q, a) == eta_bruteforce(q, a)
 
 
 PRIME_POWERS = [(p, k) for p in primes_upto(53) for k in range(1, 18) if p**k <= 2 * 10**5]

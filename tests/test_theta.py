@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from delpezzo.arith import factorize, primes_upto, valuation
+from delpezzo.counting import theta0
 from delpezzo.eta import eta_bruteforce
 from delpezzo.local_densities import r_a
-from delpezzo.theta import theta0, theta1_factor_identity, theta1_local
+from delpezzo.theta import theta1_factor_identity, theta1_local
 
 
 def theta2_local(p: int, a: int, v: tuple[int, int, int]) -> Fraction:
