@@ -117,7 +117,7 @@ def cmd_count(args) -> int:
         from .counting import count
 
         results = count(args.a, args.B, args.method, args.jobs)
-        return {k: {"count": r.count, "elapsed": r.elapsed, "method": r.method} for k, r in results.items()}
+        return {k: {"count": r.count, "elapsed": r.elapsed} for k, r in results.items()}
 
     results = _cached(args, "count", {"a": args.a, "B": str(args.B), "method": args.method}, compute)
     counts = {k: v["count"] for k, v in results.items()}

@@ -15,8 +15,10 @@ torsor_count  enumerates torsor tuples (a1, ..., a7) with a8 forced by the
               64 * (positive-orthant total with a7 >= 0, weight 2 when
               a7 > 0), and 64/32 = 2.  The count walks one slice (a1..a4) at
               a time (_slice_count), over the slice's (a5, a6) box and a7
-              window (_Slice).  The literal enumeration over all sign
-              patterns is its test oracle, in tests/test_counting.py.
+              window (_Slice), where a7 runs over the classes of
+              eta.rho_classes(a1, a) times a unit.  The literal enumeration
+              over all sign patterns is its test oracle, in
+              tests/test_counting.py.
 
 count         runs the counters a request names and, when both run, is the
               one place where their counts are compared (CounterMismatch).
@@ -26,7 +28,8 @@ moebius_slice_check  verifies, on one fixed slice (a1..a4), that the number
               equals the Moebius-inverted sum over (d56, d58, d5, d6, d7) and
               square-root classes rho, with gamma7 solved by non-coprime CRT
               and lattice points counted by floor arithmetic on the same box
-              and a7 window.
+              and a7 window.  Both sides take their roots from rho_classes:
+              it checks the Moebius step, not the roots.
 
 Both counters are sums over one outer loop, whose items _fan_out maps one
 at a time: the reduced height m for the direct counter, a1 for the torsor.
@@ -50,9 +53,6 @@ from .eta import rho_classes
 
 @dataclass
 class CountResult:
-    a: int
-    B: int
-    method: str
     count: int
     elapsed: float
     stats: dict = field(default_factory=dict)
@@ -141,11 +141,12 @@ def _ragged_ranges(starts: np.ndarray, stops: np.ndarray):
 
 
 def _floor_sqrt_arr(n: np.ndarray) -> np.ndarray:
-    """Exact floor square roots: the float square root, fixed up."""
+    """Exact floor square roots of 0 <= n < 2^62.  There the float square
+    root truncates to within 1 of the floor, so one step down and one step
+    up make it exact."""
     r = np.sqrt(n.astype(np.float64)).astype(np.int64)
     r = np.where(r * r > n, r - 1, r)
     r = np.where((r + 1) * (r + 1) <= n, r + 1, r)
-    r = np.where(r * r > n, r - 1, r)
     return np.maximum(r, 0)
 
 
@@ -262,26 +263,15 @@ def direct_count(a: int, B, jobs: int = 1) -> CountResult:
     t0 = time.time()
     B1 = math.floor(B)
     if B1 < 1:
-        return CountResult(a, B1, "direct", 0, time.time() - t0)
+        return CountResult(0, time.time() - t0)
     check_direct_B(a, B1)
     ms = range(1, math.isqrt(B1) + 1)
     n = sum(_fan_out(_direct_pruned_count, (a, B1), ms, jobs))
-    method = f"direct/pruned x{jobs}" if jobs > 1 else "direct/pruned"
-    return CountResult(a, B1, method, n, time.time() - t0)
+    return CountResult(n, time.time() - t0)
 
 
 # ---------------------------------------------------------------------------
 # torsor counter
-
-
-def _sqrt_table(m: int) -> dict[int, list[int]]:
-    """{c: the residues r mod m with r^2 = c (mod m)} over the squares c mod
-    m, built in one pass.  The torsor count builds one per a1 and holds one
-    at a time, at most sqrt(B) residues."""
-    roots: dict[int, list[int]] = {}
-    for r in range(m):
-        roots.setdefault(r * r % m, []).append(r)
-    return roots
 
 
 def _iroot(n: int, k: int) -> int:
@@ -317,26 +307,23 @@ def torsor_count(a: int, B, jobs: int = 1) -> CountResult:
     B1 = math.floor(B)
     check_torsor_B(B1)
     if B1 < 1:
-        return CountResult(a, B1, "torsor", 0, time.time() - t0)
+        return CountResult(0, time.time() - t0)
     parts = _fan_out(_torsor_positive, (a, B1), range(1, math.isqrt(B1) + 1), jobs)
     weighted, visited = (sum(col) for col in zip(*parts))
-    return CountResult(
-        a, B1, f"torsor x{jobs}" if jobs > 1 else "torsor", 2 * weighted, time.time() - t0,
-        {"weighted_positive": weighted, "visited": visited},
-    )
+    return CountResult(2 * weighted, time.time() - t0, {"weighted_positive": weighted, "visited": visited})
 
 
 def _torsor_positive(a: int, B1: int, a1: int) -> tuple[int, int]:
     """Sum of _slice_count, and of its visited pairs, over the admissible
     slices (a1..a4) with this a1, those with theta0 = 1.  a2, a3 and a4 run
     up to m3 <= B and m4 <= B; beyond, the slice's box is empty."""
-    roots = _sqrt_table(a1)
+    classes = rho_classes(a1, a)[:2]  # an a1 with none is walked too: visited counts its pairs
     total = visited = 0
     for a2 in range(1, min(_iroot(B1, 3), B1 // (a1 * a1)) + 1):
         for a3 in range(1, min(math.isqrt(B1 // a2**3), math.isqrt(B1 // (a1 * a1 * a2))) + 1):
             for a4 in range(1, _iroot(B1 // (a2**3 * a3 * a3), 4) + 1):
                 if theta0(a1, a2, a3, a4):
-                    w, v = _slice_count(a, B1, a1, a2, a3, a4, roots)
+                    w, v = _slice_count(a, B1, a1, a2, a3, a4, classes)
                     total += w
                     visited += v
     return total, visited
@@ -354,21 +341,22 @@ class _Slice:
     """One slice (a1..a4) of the torsor at integer height B1.
 
     A completion (a5, a6, a7) with a5, a6 >= 1, and a8 forced by the torsor
-    equation a1 a8 = c - a7^2 with c = c_base a6^2, has height <= B iff
+    equation a1 a8 = c - a7^2, c = a (w a6)^2, has height <= B iff
       M3 = m3 a5^3 <= B1,  M4 = m4 a5 a6^2 <= B1,  M5 = m5 a5^2 a6 <= B1
     (the (a5, a6) box), and
       M1 = a6 |c - a7^2| / a1 <= B1,  M2 = d7 a5 a6 |a7| <= B1
     (the a7 window).  Signs of a5, a6, a7 change no condition.
     """
 
-    __slots__ = ("a1", "B1", "m3", "m4", "m5", "c_base", "d7")
+    __slots__ = ("a1", "B1", "m3", "m4", "m5", "w", "c_base", "d7")
 
     def __init__(self, a: int, B1: int, a1: int, a2: int, a3: int, a4: int):
         self.a1, self.B1 = a1, B1
         self.m3 = a1 * a1 * a2 * a3 * a3
         self.m4 = a2**3 * a3 * a3 * a4**4
         self.m5 = a1 * a2 * a2 * a3 * a3 * a4 * a4
-        self.c_base = a * a2**4 * a3 * a3 * a4**6
+        self.w = a2 * a2 * a3 * a4**3
+        self.c_base = a * self.w * self.w
         self.d7 = a2 * a3 * a4
 
     def a5_hi(self) -> int:
@@ -393,12 +381,13 @@ class _Slice:
         return c, L, U
 
 
-def _slice_count(
-    a: int, B1: int, a1: int, a2: int, a3: int, a4: int, roots: dict[int, list[int]]
-) -> tuple[int, int]:
+def _slice_count(a: int, B1: int, a1: int, a2: int, a3: int, a4: int, classes: tuple) -> tuple[int, int]:
     """Completions of one slice with a5, a6 >= 1 and a7 >= 0 (weight 2 if
     a7 > 0) under the remaining coprimality conditions, and the number of
-    coprime (a5, a6) visited; roots is _sqrt_table(a1)."""
+    coprime (a5, a6) visited.  classes is rho_classes(a1, a)[:2], (rhos, m):
+    u = w a6 is a unit mod a1, and the lifts of the rhos are the roots of a
+    mod a1, so a1 | a u^2 - a7^2 iff a7 = u rho (mod m) for one rho."""
+    rhos, m = classes
     s = _Slice(a, B1, a1, a2, a3, a4)
     g5, g6, d7 = a2 * a4, a1 * a2 * a3, s.d7
     total = visited = 0
@@ -412,8 +401,9 @@ def _slice_count(
             c, L, U = s.window(a5, a6)
             if U < L:
                 continue
-            for r in roots.get(c % a1, ()):
-                for a7 in range(L + (r - L) % a1, U + 1, a1):
+            u = s.w * a6
+            for rho in rhos:
+                for a7 in range(L + (u * rho - L) % m, U + 1, m):
                     if math.gcd(a7, d7) == 1 and math.gcd((c - a7 * a7) // a1, a5) == 1:
                         total += 2 if a7 > 0 else 1
     return total, visited
@@ -443,7 +433,7 @@ def moebius_slice_check(a: int, a1: int, a2: int, a3: int, a4: int, B) -> tuple[
 def _slice_lhs(a: int, a1: int, a2: int, a3: int, a4: int, B1: int) -> int:
     """Completions (a5, a6, a7, a8) with the torsor equation, the remaining
     coprimality conditions, and height <= B;  a5, a6 range over both signs."""
-    return 4 * _slice_count(a, B1, a1, a2, a3, a4, _sqrt_table(a1))[0]
+    return 4 * _slice_count(a, B1, a1, a2, a3, a4, rho_classes(a1, a)[:2])[0]
 
 
 def _slice_rhs(a: int, a1: int, a2: int, a3: int, a4: int, B1: int) -> int:
@@ -454,20 +444,18 @@ def _slice_rhs(a: int, a1: int, a2: int, a3: int, a4: int, B1: int) -> int:
     if A5 < 1 or A6 < 1:
         return 0
 
+    g56 = a1 * a2 * a3 * a4
+    d56s = [(d, mu) for d in range(1, A6 + 1) if (mu := moebius(d)) and math.gcd(d, g56) == 1]
     total = 0
-    for d56 in range(1, A6 + 1):
-        mu56 = moebius(d56)
-        if mu56 == 0 or math.gcd(d56, a1 * a2 * a3 * a4) != 1:
+    for d58 in range(1, A5 + 1):
+        mu58 = moebius(d58)
+        if mu58 == 0 or math.gcd(d58, a2 * a3 * a4) != 1:
             continue
-        for d58 in range(1, A5 + 1):
-            mu58 = moebius(d58)
-            if mu58 == 0 or math.gcd(d58, a2 * a3 * a4) != 1:
-                continue
-            rhos, mod_rho, gp = rho_classes(d58 * a1, a)
-            if not rhos:
-                continue
+        rhos, mod_rho, gp = rho_classes(d58 * a1, a)
+        if not rhos:
+            continue
+        for d56, mu56 in d56s:
             lcm_5658 = math.lcm(d56, d58)
-            rr = a2 * a2 * a3 * a4**3
             for d5 in squarefree_divisors(a2 * a4):
                 b5 = d5 * lcm_5658
                 if b5 > A5:
@@ -484,7 +472,7 @@ def _slice_rhs(a: int, a1: int, a2: int, a3: int, a4: int, B1: int) -> int:
                         for rho in rhos:
                             # gp | rho and gcd(d7, d58 a1) = 1 (theta0), so the
                             # congruences are compatible and the modulus is b7
-                            gamma7, _ = crt([(0, gp * d7), (rho * rr % mod_rho, mod_rho)])
+                            gamma7, _ = crt([(0, gp * d7), (rho * s.w % mod_rho, mod_rho)])
                             total += mu * _lattice_count(s, b5, b6, b7, gamma7)
     return total
 

@@ -13,12 +13,13 @@ r^2 = a/2^v (mod 2^(k-v)), and an odd unit u has 1, 2 [u = 1 mod 4] and
 
 Two independent evaluators are provided on purpose: rho_classes lists the
 classes themselves by exhaustive enumeration, and eta_bruteforce counts them
-(the oracle; the Moebius side of the slice identity iterates the same
-classes); eta_closed implements the case table and is what the density
-formulas use.  The enumeration is one loop over the prime powers p^k || q:
-root_tower lifts the square roots of a mod p^k one p-adic digit at a time,
-and the local classes are joined by the Chinese remainder theorem.  It never
-consults the case table, and the module uses Python integers only (no numpy).
+(the oracle; the torsor counter and the Moebius side of the slice identity
+walk the same classes); eta_closed implements the case table and is what
+the density formulas use.  The enumeration is one loop over the prime
+powers p^k || q: root_tower lifts the square roots of a mod p^k one p-adic
+digit at a time, and the local classes are joined by the Chinese remainder
+theorem.  It never consults the case table, and the module uses Python
+integers only (no numpy).
 """
 
 from __future__ import annotations
@@ -54,14 +55,16 @@ def root_tower(p: int, k: int, a: int) -> list[list[int]]:
 def rho_classes(q: int, a: int) -> tuple[list[int], int, int]:
     """(the classes rho that eta(q; a) counts, their modulus q*g'/g, g').
 
-    For a != 0 (both callers pass a nonsquare a); the definition needs no
+    For a != 0 (every caller passes a nonsquare a); the definition needs no
     nonsquare gate.  Both conditions are local, so at each p^k || q, with
     v = v_p(g) = min(k, v_p(a)), g'_p = p^ceil(v/2) and m_p = p^(k-v) g'_p,
-    the local classes are the roots mod p^k from root_tower reduced mod m_p,
-    those with gcd g'_p with m_p; each such class holds exactly p^k/m_p roots
-    (the normalization makes the congruence well defined on it).  The classes
-    mod q*g'/g = prod m_p are the CRT products of the local ones; q = 1 has
-    the one class 0 mod 1.
+    the local classes are the roots mod p^k from root_tower reduced mod m_p.
+    Each has gcd g'_p with m_p: a root s has v_p(s) = v/2 if v < k (v odd
+    has no roots), and v_p(s) >= ceil(k/2), so s = 0 mod m_p = g'_p, if v = k.
+    As g | g'^2 the congruence is well defined on a class mod m_p, so the
+    classes, lifted to mod q, are all the roots of a mod q.  The classes mod
+    q*g'/g = prod m_p are the CRT products of the local ones; q = 1 has the
+    one class 0 mod 1.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -70,7 +73,7 @@ def rho_classes(q: int, a: int) -> tuple[list[int], int, int]:
         v = min(k, valuation(p, a))
         gp_p = p ** ((v + 1) // 2)
         m_p = p ** (k - v) * gp_p
-        local = {s % m_p for s in root_tower(p, k, a)[k] if math.gcd(s, m_p) == gp_p}
+        local = {s % m_p for s in root_tower(p, k, a)[k]}
         classes = [crt([(r, modulus), (s, m_p)])[0] for r in classes for s in local]
         modulus *= m_p
         gp *= gp_p

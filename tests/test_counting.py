@@ -14,6 +14,7 @@ from delpezzo.arith import BLOCK, OutOfRange
 from delpezzo.counting import (
     _direct_box,
     _direct_pruned_count,
+    _floor_sqrt_arr,
     _iroot,
     direct_count,
     moebius_slice_check,
@@ -234,11 +235,13 @@ def test_fan_out_starts_no_idle_workers(monkeypatch):
 
 
 def test_torsor_memory_is_one_table():
-    # a torsor count holds the square-root table of one a1 at a time, at most
-    # sqrt(B) residues, and one (weighted, visited) result per a1 <= sqrt(B),
-    # each some tens of bytes; tables kept for every a1 would hold about B/2
-    # residues, 10000 here, some 500 kB.  (tracemalloc slows the count about
-    # 25-fold, hence the small B.)
+    # a torsor count holds the rho classes of one a1 at a time, a few of
+    # them, and one (weighted, visited) result per a1 <= sqrt(B), each some
+    # tens of bytes; the lru_cache of `factorize` gains the a1 <= sqrt(B),
+    # some 23 kB here, the whole of the traced peak beyond the 22 kB it has
+    # with that cache filled.  Square-root tables kept for every a1 would
+    # hold about B/2 residues, 10000 here, some 500 kB.  (tracemalloc slows
+    # the count about 25-fold, hence the small B.)
     B = 20_000
     torsor_count(-1, 100)  # first-call set-up outside the trace
     tracemalloc.start()
@@ -248,6 +251,18 @@ def test_torsor_memory_is_one_table():
     finally:
         tracemalloc.stop()
     assert peak <= 500 * math.isqrt(B), peak
+
+
+def test_floor_sqrt_arr_is_isqrt():
+    # the pruned scan's floor square roots, on both sides of every kind of
+    # square up to its bound n < 2^62 and on random n below it
+    rng = random.Random(5)
+    ks = [0, 1, 2, 3, math.isqrt(2**62 - 1)] + [rng.randrange(1, 2**31) for _ in range(20_000)]
+    near = {k * k + d for k in ks for d in (-1, 0, 1)}
+    n = sorted(x for x in near if 0 <= x < 2**62) + [2**62 - 1]
+    n += [rng.randrange(2**e) for e in range(1, 63) for _ in range(300)]
+    got = _floor_sqrt_arr(np.array(n, dtype=np.int64)).tolist()
+    assert got == [math.isqrt(x) for x in n]
 
 
 def test_pruned_memory_is_of_order_block():

@@ -189,6 +189,27 @@ def test_eta_closed_product_matches_bruteforce_at_composite_q(q, a, sign, shared
     assert eta(q, a) == eta_bruteforce(q, a)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    q=st.integers(1, 2 * 10**4),
+    a=st.integers(1, 10**6),
+    sign=st.sampled_from([1, -1]),
+    shared=st.integers(0, 12),
+)
+@example(q=2**14, a=1, sign=-1, shared=12)
+@example(q=3**4 * 5**2, a=7, sign=1, shared=12)
+def test_classes_lift_to_every_root(q, a, sign, shared):
+    # the torsor counter walks the classes in place of all the roots mod q:
+    # lifted by their modulus m they must be exactly the roots, the gcd
+    # normalization rejecting none; `shared` gives a a factor in common with q
+    a = sign * a * math.gcd(q, 210**shared)
+    if a > 0 and math.isqrt(a) ** 2 == a:
+        a = -a
+    classes, m, _ = rho_classes(q, a)
+    lifted = sorted(rho + j * m for rho in classes for j in range(q // m))
+    assert lifted == [r for r in range(q) if (r * r - a) % q == 0]
+
+
 PRIME_POWERS = [(p, k) for p in primes_upto(53) for k in range(1, 18) if p**k <= 2 * 10**5]
 
 
