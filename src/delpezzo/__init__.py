@@ -4,19 +4,3 @@ the quartic del Pezzo surfaces  x0*x4 + x1^2 - a*x3^2 = x2*x3 - x4^2 = 0
 parameterization."""
 
 __version__ = "0.1.0"
-
-from .arith import TESTBED, crt, factorize, kronecker, moebius, valuation
-from .eta import eta, eta_bruteforce, eta_closed
-
-__all__ = [
-    "TESTBED",
-    "crt",
-    "factorize",
-    "kronecker",
-    "moebius",
-    "valuation",
-    "eta",
-    "eta_bruteforce",
-    "eta_closed",
-    "__version__",
-]

@@ -8,7 +8,6 @@ count mismatch.
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import math
 import os
@@ -142,7 +141,7 @@ def cmd_predict(args) -> int:
     def compute():
         from .constant import predict_constant
 
-        return predict_constant(args.a, args.prime_cut, args.tolerance, args.mc_samples, args.seed).factors()
+        return predict_constant(args.a, args.prime_cut, args.tolerance, args.mc_samples, args.seed)
 
     factors = _cached(args, "predict", params, compute)
     if args.format == "json":
@@ -158,7 +157,7 @@ def cmd_compare(args) -> int:
     def compute():
         from .constant import compare
 
-        return [vars(row) for row in compare(args.a, args.B_list, args.prime_cut)]
+        return compare(args.a, args.B_list, args.prime_cut)
 
     params = {"a": args.a, "B_list": args.B_list, "prime_cut": args.prime_cut}
     rows = _cached(args, "compare", params, compute)
@@ -303,13 +302,14 @@ def cmd_verify(args) -> int:
     if not args.inject_fault:
         return _run_suites(args)
     # report one square root too many at (2, 3, 17), to prove the suites can fail
-    eta_module = importlib.import_module(".eta", __package__)
-    eta_closed = eta_module.eta_closed
-    eta_module.eta_closed = lambda p, k, a: eta_closed(p, k, a) + ((p, k, a) == (2, 3, 17))
+    from . import eta
+
+    eta_closed = eta.eta_closed
+    eta.eta_closed = lambda p, k, a: eta_closed(p, k, a) + ((p, k, a) == (2, 3, 17))
     try:
         return _run_suites(args)
     finally:
-        eta_module.eta_closed = eta_closed
+        eta.eta_closed = eta_closed
 
 
 def _run_suites(args) -> int:

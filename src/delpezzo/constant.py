@@ -16,55 +16,24 @@ Over a number field K the constant has the shape
 with rho_K = 2^r1 (2 pi)^r2 h R / (#mu sqrt|Delta_K|) the residue of the
 Dedekind zeta function at s = 1.  This package serves K = Q only: r1 = 1,
 r2 = 0, h = R = 1, #mu = 2 and Delta = 1 give rho_Q = 1 and |Delta_Q| = 1,
-which is why the breakdown reports `rho_field` as 1.0.
+which is why `predict_constant`'s record gives `rho_field` as 1.0.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .archimedean import RegionIntegral, check_mc_samples, omega_inf_chart, omega_inf_montecarlo, omega_inf_region
+from .archimedean import check_mc_samples, omega_inf_chart, omega_inf_montecarlo, omega_inf_region
 from .arith import BLOCK, OutOfRange, factorize, primes_upto
 from .characters import CharacterChi, EulerEstimate, check_a_limit
 from .local_densities import omega_p
 
 # vol(P)/3 for the height polytope P, derived by tests/test_alpha.py::test_v0_volume_exact
 ALPHA = Fraction(1, 1728)
-
-
-@dataclass
-class ConstantBreakdown:
-    alpha: Fraction
-    omega_inf: RegionIntegral
-    omega_inf_alt: RegionIntegral
-    finite_product: EulerEstimate
-    L1_chi: EulerEstimate
-    c: float
-    omega_inf_mc: RegionIntegral | None = None  # the Monte Carlo estimate, if drawn
-
-    def factors(self) -> dict:
-        factors = {
-            "alpha": float(self.alpha),
-            "omega_inf": self.omega_inf.value,
-            "omega_inf_alt": self.omega_inf_alt.value,
-            "omega_inf_rel_gap": abs(self.omega_inf.value - self.omega_inf_alt.value)
-            / self.omega_inf.value,
-            "finite_product": self.finite_product.value,
-            "finite_product_bound": self.finite_product.bound,
-            "L1_chi": self.L1_chi.value,
-            "L1_bound": self.L1_chi.bound,
-            "rho_field": 1.0,  # rho_Q, see the module docstring
-            "c": self.c,
-        }
-        if self.omega_inf_mc is not None:
-            factors["omega_inf_mc"] = self.omega_inf_mc.value
-            factors["omega_inf_mc_stderr"] = self.omega_inf_mc.error_estimate
-        return factors
 
 
 L1_TOLERANCE = 1e-7
@@ -128,10 +97,12 @@ def finite_product(a: int, prime_cut: int, L1: EulerEstimate, chi: CharacterChi)
 
 
 def predict_constant(a: int, prime_cut: int = 20000, tolerance: float = 1e-6,
-                     mc_samples: int = 0, seed: int = 1) -> ConstantBreakdown:
-    """Every factor of the predicted constant over Q (field factors are 1) and,
-    for mc_samples > 0, the Monte Carlo estimate of omega_inf drawn with seed.
-    Checks prime_cut, then mc_samples, then |a| (in CharacterChi) before it builds anything."""
+                     mc_samples: int = 0, seed: int = 1) -> dict:
+    """The record `predict` caches: every factor of the predicted constant over
+    Q, with the bounds of the Euler product and L(1, chi), and, for
+    mc_samples > 0, the Monte Carlo estimate of omega_inf drawn with seed and
+    its standard error.  Checks prime_cut, then mc_samples, then |a| (in
+    CharacterChi) before it builds anything; the Monte Carlo is drawn last."""
     check_prime_cut(prime_cut)
     if mc_samples:
         check_mc_samples(mc_samples)
@@ -140,29 +111,29 @@ def predict_constant(a: int, prime_cut: int = 20000, tolerance: float = 1e-6,
     fp = finite_product(a, prime_cut, L1, chi)
     om_chart = omega_inf_chart(a, tolerance)
     om_region = omega_inf_region(a, tolerance)
-    c = float(ALPHA) * om_chart.value * fp.value  # rho_Q = 1, |disc| = 1
-    return ConstantBreakdown(
-        alpha=ALPHA,
-        omega_inf=om_chart,
-        omega_inf_alt=om_region,
-        finite_product=fp,
-        L1_chi=L1,
-        c=c,
-        omega_inf_mc=omega_inf_montecarlo(a, mc_samples, seed) if mc_samples else None,
-    )
+    record = {
+        "alpha": float(ALPHA),
+        "omega_inf": om_chart.value,
+        "omega_inf_alt": om_region.value,
+        "omega_inf_rel_gap": abs(om_chart.value - om_region.value) / om_chart.value,
+        "finite_product": fp.value,
+        "finite_product_bound": fp.bound,
+        "L1_chi": L1.value,
+        "L1_bound": L1.bound,
+        "rho_field": 1.0,  # rho_Q, see the module docstring
+        "c": float(ALPHA) * om_chart.value * fp.value,  # rho_Q = 1, |disc| = 1
+    }
+    if mc_samples:
+        mc = omega_inf_montecarlo(a, mc_samples, seed)
+        record["omega_inf_mc"] = mc.value
+        record["omega_inf_mc_stderr"] = mc.error_estimate
+    return record
 
 
-@dataclass
-class CompareRow:
-    B: float
-    count: int
-    prediction: float
-    ratio: float
-
-
-def compare(a: int, B_list, prime_cut: int = 20000) -> list[CompareRow]:
-    """Rows (B, N(B), c B (log B)^4, ratio): N(B) from `counting.count`, which
-    raises CounterMismatch unless both counters agree, c from predict_constant.
+def compare(a: int, B_list, prime_cut: int = 20000) -> list[dict]:
+    """The rows `compare` caches, {"B", "count", "prediction", "ratio"} with
+    prediction c B (log B)^4: N(B) from `counting.count`, which raises
+    CounterMismatch unless both counters agree, c from predict_constant.
     Checks |a|, then each B (at least 2, and within the direct counter's limit),
     then prime_cut, before it counts or predicts anything."""
     from .counting import check_direct_B, count  # `import constant` loads no counter
@@ -173,10 +144,10 @@ def compare(a: int, B_list, prime_cut: int = 20000) -> list[CompareRow]:
             raise OutOfRange(f"B = {B} is below 2, where the prediction c B log^4 B is 0")
         check_direct_B(a, math.floor(B))
     check_prime_cut(prime_cut)
-    c = predict_constant(a, prime_cut).c
+    c = predict_constant(a, prime_cut)["c"]
     rows = []
     for B in B_list:
         n = count(a, B)["direct"].count
         pred = c * B * math.log(B) ** 4
-        rows.append(CompareRow(B=float(B), count=n, prediction=pred, ratio=n / pred))
+        rows.append({"B": float(B), "count": n, "prediction": pred, "ratio": n / pred})
     return rows

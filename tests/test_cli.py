@@ -424,7 +424,7 @@ def test_cache_hit_skips_numeric_imports(tmp_path):
     probe = (
         "import sys; from delpezzo.cli import main; "
         f"rc = main({count!r}) + main({predict!r}); "
-        "print(rc, sorted(m for m in ('delpezzo.counting', 'delpezzo.constant', 'numpy', "
+        "print(rc, sorted(m for m in ('delpezzo.counting', 'delpezzo.constant', 'delpezzo.eta', 'numpy', "
         "'dataclasses', 'fractions') if m in sys.modules))"
     )
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)

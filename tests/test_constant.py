@@ -52,10 +52,10 @@ def naive_product_smoothed(a: int, cut: int) -> float:
 
 
 def test_alpha_exact_in_breakdown():
-    bd = predict_constant(-1, prime_cut=500)
-    assert bd.alpha == Fraction(1, 1728)
-    assert bd.c > 0
-    assert bd.omega_inf.value > 0 and bd.finite_product.value > 0
+    f = predict_constant(-1, prime_cut=500)
+    assert f["alpha"] == float(Fraction(1, 1728))
+    assert f["c"] > 0
+    assert f["omega_inf"] > 0 and f["finite_product"] > 0
 
 
 def test_predict_builds_one_character(monkeypatch):
@@ -153,21 +153,20 @@ def test_splitting_vs_smoothed_naive_at_1e7():
 
 
 def test_predict_constant_assembly():
-    bd = predict_constant(2, prime_cut=800)
-    f = bd.factors()
+    f = predict_constant(2, prime_cut=800)
     assert f["rho_field"] == 1.0
-    assert abs(bd.c - float(bd.alpha) * bd.omega_inf.value * bd.finite_product.value) < 1e-15
+    assert abs(f["c"] - f["alpha"] * f["omega_inf"] * f["finite_product"]) < 1e-15
     assert f["omega_inf_rel_gap"] < 1e-3
 
 
 def test_compare_rows():
     rows = compare(-1, [50, 100, 200], prime_cut=500)
-    assert [r.B for r in rows] == [50.0, 100.0, 200.0]
+    assert [r["B"] for r in rows] == [50.0, 100.0, 200.0]
     for r in rows:
-        assert r.count >= 0 and r.prediction > 0
-        assert math.isfinite(r.ratio) and r.ratio > 0
+        assert r["count"] >= 0 and r["prediction"] > 0
+        assert math.isfinite(r["ratio"]) and r["ratio"] > 0
     # ratio varies slowly under doubling
-    assert abs(rows[2].ratio / rows[1].ratio - 1) < 0.5
+    assert abs(rows[2]["ratio"] / rows[1]["ratio"] - 1) < 0.5
 
 
 def test_compare_detects_mismatch(monkeypatch):

@@ -1,4 +1,3 @@
-import importlib
 import math
 
 import pytest
@@ -66,7 +65,7 @@ def test_squarefree_2adic_table():
 def test_closed_form_needs_no_scan(monkeypatch):
     # eta_closed is a case table at every prime power, p = 2 included: it
     # must agree with the residue scan without calling it
-    eta_module = importlib.import_module("delpezzo.eta")  # the package's `eta` is the function
+    import delpezzo.eta as eta_module
 
     want = {(p, k, a): eta_bruteforce(p**k, a) for a in TESTBED for p in primes_upto(53) for k in range(1, 11)}
 

@@ -3,6 +3,7 @@ of src/delpezzo must be used by the package's own live code; test oracles
 live in tests/ (shared ones in oracles.py, the others beside their test)."""
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -27,8 +28,8 @@ def _references(node) -> set[str]:
 def unused_definitions() -> list[str]:
     """The module-level functions and classes that no live code of the
     package references.  Live code is the modules' other top-level statements,
-    the names in `delpezzo.__all__`, ENTRY_POINTS, and the bodies of the
-    definitions that live code references, to a fixed point."""
+    ENTRY_POINTS, and the bodies of the definitions that live code
+    references, to a fixed point."""
     definitions: dict[str, list[ast.AST]] = {}
     live: set[str] = set(ENTRY_POINTS)
     for path in sorted(PACKAGE.glob("*.py")):
@@ -37,10 +38,6 @@ def unused_definitions() -> list[str]:
                 definitions.setdefault(stmt.name, []).append(stmt)
                 continue
             live |= _references(stmt)
-            if path.name == "__init__.py" and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in getattr(stmt, "targets", ())
-            ):
-                live |= set(ast.literal_eval(stmt.value))
     seen: set[str] = set()
     while todo := (live & definitions.keys()) - seen:
         for name in todo:
@@ -64,3 +61,15 @@ def test_product_imports_load_no_oracle_code():
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1] == "[]"
+
+
+def test_submodule_attributes_are_the_modules():
+    # no name bound in the package root may hide the submodule of that name
+    import delpezzo
+    import delpezzo.eta as m
+
+    assert m.__name__ == "delpezzo.eta"
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "__init__":
+            module = importlib.import_module(f"delpezzo.{path.stem}")
+            assert getattr(delpezzo, path.stem) is module, path.stem

@@ -1,4 +1,3 @@
-import importlib
 import math
 from fractions import Fraction
 
@@ -96,8 +95,8 @@ def test_bruteforce_reaches_depth_past_residue_tables():
 
 def test_oracles_use_no_case_table(monkeypatch):
     # the exhaustive oracles must not lean on the closed forms they check
-    eta_module = importlib.import_module("delpezzo.eta")  # the package's `eta` is the function
-    ld = importlib.import_module("delpezzo.local_densities")
+    import delpezzo.eta as eta_module
+    import delpezzo.local_densities as ld
 
     def case_table(*args):
         raise AssertionError("an oracle called a closed form")

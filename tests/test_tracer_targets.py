@@ -1,8 +1,8 @@
 """Names that code outside the package resolves must exist: every function
 the traced benchmark wraps (perfbench/tracer.py TARGETS), so that a rename in
-the package fails here and not only in the traced benchmark run, and every
-name the package exports.  The tracer's counts functions read fields of the
-wrapped functions' results, so they are applied to real small results too."""
+the package fails here and not only in the traced benchmark run.  The
+tracer's counts functions read fields of the wrapped functions' results, so
+they are applied to real small results too."""
 
 import importlib
 import importlib.util
@@ -61,10 +61,3 @@ def test_tracer_counts_read_real_results(tracer, tmp_path):
     assert torsor.count == direct.count == 2 * torsor.stats["weighted_positive"]
     assert torsor.stats["visited"] > 0
     assert got["characters.L1"] == {"terms": L1.cut} and L1.cut > 0
-
-
-def test_package_exports_resolve():
-    import delpezzo
-
-    missing = [name for name in delpezzo.__all__ if not hasattr(delpezzo, name)]
-    assert not missing, missing
