@@ -173,6 +173,9 @@ def cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 # verification suites
 
+# the a that the quick eta and Moebius suites walk
+QUICK_TESTBED = (-4, -1, 2, 12, 17)
+
 
 def _suite_eta(quick: bool):
     from .arith import TESTBED, primes_upto
@@ -180,8 +183,7 @@ def _suite_eta(quick: bool):
 
     ps = primes_upto(19 if quick else 53)
     kmax = 6 if quick else 10
-    testbed = (-4, -1, 2, 12, 17) if quick else TESTBED
-    for a in testbed:
+    for a in QUICK_TESTBED if quick else TESTBED:
         for p in ps:
             for k in range(1, kmax + 1):
                 c, b = eta_closed(p, k, a), eta_bruteforce(p**k, a)
@@ -242,27 +244,18 @@ def _suite_theta(quick: bool):
 
 
 def _suite_moebius(quick: bool):
-    import random
-
+    """The Moebius slice identity on every slice the torsor counter walks at
+    B = 100 (criterion 05)."""
     from .arith import TESTBED
-    from .counting import moebius_slice_check, theta0
+    from .counting import moebius_slice_check, slices
 
-    lhs, rhs = moebius_slice_check(-1, 1, 1, 1, 1, 100)
-    if lhs != rhs:
-        yield {"case": "moebius seed a=-1 (1,1,1,1) B=100", "lhs": lhs, "rhs": rhs}
-    rng = random.Random(20260810)
-    want = 20 if quick else 100
-    done = 0
-    while done < want:
-        a = rng.choice(TESTBED)
-        a1, a2, a3, a4 = (rng.randint(1, 6) for _ in range(4))
-        if theta0(a1, a2, a3, a4) != 1:
-            continue
-        B = rng.randint(10, 200)
-        done += 1
-        lhs, rhs = moebius_slice_check(a, a1, a2, a3, a4, B)
-        if lhs != rhs:
-            yield {"case": f"moebius a={a} slice={(a1,a2,a3,a4)} B={B}", "lhs": lhs, "rhs": rhs}
+    B = 100
+    for a in QUICK_TESTBED if quick else TESTBED:
+        for a1 in range(1, math.isqrt(B) + 1):
+            for s in slices(B, a1):
+                lhs, rhs = moebius_slice_check(a, *s, B)
+                if lhs != rhs:
+                    yield {"case": f"moebius a={a} slice={s} B={B}", "lhs": lhs, "rhs": rhs}
 
 
 def _suite_torsor(quick: bool):

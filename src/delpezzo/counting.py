@@ -13,23 +13,25 @@ torsor_count  enumerates torsor tuples (a1, ..., a7) with a8 forced by the
               factored out: every height monomial and coprimality condition
               depends only on absolute values, so the full total is
               64 * (positive-orthant total with a7 >= 0, weight 2 when
-              a7 > 0), and 64/32 = 2.  The count walks one slice (a1..a4) at
-              a time (_slice_count), over the slice's (a5, a6) box and a7
-              window (_Slice), where a7 runs over the classes of
-              eta.rho_classes(a1, a) times a unit.  The literal enumeration
-              over all sign patterns is its test oracle, in
-              tests/test_counting.py.
+              a7 > 0), and 64/32 = 2.  The count walks the admissible slices
+              (a1..a4) that `slices` yields, one at a time (_slice_count),
+              over the slice's (a5, a6) box and a7 window (_Slice), where a7
+              runs over the classes of eta.rho_classes(a1, a) times a unit.
+              The literal enumeration over all sign patterns is its test
+              oracle, in tests/test_counting.py.
 
 count         runs the counters a request names and, when both run, is the
               one place where their counts are compared (CounterMismatch).
 
-moebius_slice_check  verifies, on one fixed slice (a1..a4), that the number
+moebius_slice_check  verifies, on one given slice (a1..a4), that the number
               of completions (a5, a6, a7, a8), which is 4 * _slice_count,
               equals the Moebius-inverted sum over (d56, d58, d5, d6, d7) and
               square-root classes rho, with gamma7 solved by non-coprime CRT
               and lattice points counted by floor arithmetic on the same box
               and a7 window.  Both sides take their roots from rho_classes:
-              it checks the Moebius step, not the roots.
+              it checks the Moebius step, not the roots.  `verify --suite
+              moebius` runs it on every slice of the torsor counter's walk
+              at B = 100.
 
 Both counters are sums over one outer loop, whose items _fan_out maps one
 at a time: the reduced height m for the direct counter, a1 for the torsor.
@@ -314,19 +316,21 @@ def torsor_count(a: int, B, jobs: int = 1) -> CountResult:
 
 
 def _torsor_positive(a: int, B1: int, a1: int) -> tuple[int, int]:
-    """Sum of _slice_count, and of its visited pairs, over the admissible
-    slices (a1..a4) with this a1, those with theta0 = 1.  a2, a3 and a4 run
-    up to m3 <= B and m4 <= B; beyond, the slice's box is empty."""
+    """Sum of _slice_count, and of its visited pairs, over slices(B1, a1)."""
     classes = rho_classes(a1, a)[:2]  # an a1 with none is walked too: visited counts its pairs
-    total = visited = 0
+    parts = [_slice_count(a, B1, *s, classes) for s in slices(B1, a1)]
+    return sum(w for w, _ in parts), sum(v for _, v in parts)
+
+
+def slices(B1: int, a1: int):
+    """The admissible slices (a1, a2, a3, a4) with this a1 at integer height
+    B1, those with theta0 = 1.  a2, a3 and a4 run up to m3 <= B and m4 <= B;
+    beyond, the slice's box is empty."""
     for a2 in range(1, min(_iroot(B1, 3), B1 // (a1 * a1)) + 1):
         for a3 in range(1, min(math.isqrt(B1 // a2**3), math.isqrt(B1 // (a1 * a1 * a2))) + 1):
             for a4 in range(1, _iroot(B1 // (a2**3 * a3 * a3), 4) + 1):
                 if theta0(a1, a2, a3, a4):
-                    w, v = _slice_count(a, B1, a1, a2, a3, a4, classes)
-                    total += w
-                    visited += v
-    return total, visited
+                    yield a1, a2, a3, a4
 
 
 def theta0(a1: int, a2: int, a3: int, a4: int) -> int:

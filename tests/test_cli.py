@@ -188,6 +188,17 @@ def test_verify_fault_injection():
     assert "eta_closed(p=2,k=3,a=17)" in r.stdout
 
 
+def test_verify_moebius_fails_on_a_wrong_lattice_count(monkeypatch):
+    # --inject-fault perturbs eta_closed, which this suite never calls; a
+    # lattice count that drops the top end of each a7 window must fail it
+    from delpezzo import counting
+    from delpezzo.cli import SUITES
+
+    count_ap = counting._count_ap
+    monkeypatch.setattr(counting, "_count_ap", lambda lo, hi, r, m: count_ap(lo, hi - 1, r, m))
+    assert list(SUITES["moebius"](True))
+
+
 def test_verify_torsor_fails_when_the_sampler_runs_out(monkeypatch, capsys):
     import delpezzo.torsor as torsor
 

@@ -10,14 +10,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delpezzo import counting
-from delpezzo.arith import BLOCK, OutOfRange
+from delpezzo.arith import BLOCK, TESTBED, OutOfRange
 from delpezzo.counting import (
     _direct_box,
     _direct_pruned_count,
     _floor_sqrt_arr,
     _iroot,
+    _Slice,
+    _slice_lhs,
     direct_count,
     moebius_slice_check,
+    slices,
     theta0,
     torsor_count,
 )
@@ -296,37 +299,40 @@ def test_moebius_requires_admissible_slice():
         moebius_slice_check(-1, 2, 2, 1, 1, 50)
 
 
-def test_moebius_random_slices():
-    rng = random.Random(99)
-    done = 0
-    while done < 25:
-        a = rng.choice([-5, -4, -2, -1, 2, 3, 5, 6, 8, 12, 17, 18, 45])
-        a1, a2, a3, a4 = (rng.randint(1, 6) for _ in range(4))
-        if theta0(a1, a2, a3, a4) != 1:
-            continue
-        B = rng.randint(10, 150)
-        done += 1
-        lhs, rhs = moebius_slice_check(a, a1, a2, a3, a4, B)
-        assert lhs == rhs, (a, (a1, a2, a3, a4), B)
+@settings(max_examples=30, deadline=None)
+@given(
+    a=st.sampled_from(TESTBED)
+    | st.integers(-(10**12), 10**12).filter(lambda a: a < 0 or math.isqrt(a) ** 2 != a),
+    B=st.integers(10, 150),
+)
+def test_moebius_on_walked_slices(a, B):
+    # both sides agree on every slice the torsor counter walks, at an a that
+    # may lie off the testbed grid
+    for a1 in range(1, math.isqrt(B) + 1):
+        for s in slices(B, a1):
+            lhs, rhs = moebius_slice_check(a, *s, B)
+            assert lhs == rhs, (a, s, B)
 
 
 def test_slices_reassemble_count():
-    # sum over admissible positive slices of the completion count = 2 N(B)
-    import math
-
-    a, B = 2, 50
-    total = 0
-    from delpezzo.counting import _iroot, _slice_lhs
-
-    for a1 in range(1, math.isqrt(B) + 1):
-        for a2 in range(1, _iroot(B, 3) + 1):
-            for a3 in range(1, math.isqrt(B) + 1):
-                if a1 * a1 * a2 * a3 * a3 > B:
-                    break
-                for a4 in range(1, B + 1):
-                    if a2**3 * a3**2 * a4**4 > B:
+    # the walk yields every admissible slice whose box is nonempty, once each,
+    # and the completions over the admissible slices sum to 2 N(B)
+    for a, B in ((-1, 1), (2, 2), (2, 50), (-5, 200), (-1, 997), (12, 997)):
+        admissible = []
+        for a1 in range(1, math.isqrt(B) + 1):
+            for a2 in range(1, _iroot(B, 3) + 1):
+                for a3 in range(1, math.isqrt(B) + 1):
+                    if a1 * a1 * a2 * a3 * a3 > B:
                         break
-                    if theta0(a1, a2, a3, a4) != 1:
-                        continue
-                    total += _slice_lhs(a, a1, a2, a3, a4, B)
-    assert total == 2 * torsor_count(a, B).count
+                    for a4 in range(1, B + 1):
+                        if a2**3 * a3**2 * a4**4 > B:
+                            break
+                        if theta0(a1, a2, a3, a4) == 1:
+                            admissible.append((a1, a2, a3, a4))
+        walked = [s for a1 in range(1, math.isqrt(B) + 1) for s in slices(B, a1)]
+        assert len(set(walked)) == len(walked), (a, B)
+        assert all(theta0(*s) == 1 for s in walked), (a, B)
+        boxes = {s: _Slice(a, B, *s) for s in admissible}
+        nonempty = {s for s, box in boxes.items() if box.a5_hi() >= 1 and box.a6_hi(1) >= 1}
+        assert nonempty <= set(walked), (a, B, sorted(nonempty - set(walked)))
+        assert sum(_slice_lhs(a, *s, B) for s in admissible) == 2 * torsor_count(a, B).count, (a, B)
