@@ -80,7 +80,7 @@ def theta1_factor_identity(p: int, a: int, v: tuple[int, int, int, int]):
     total = 0  # the sum times p^6: every D is at most 6
     if t0_ok:
         rho = {
-            e58: eta_bruteforce(p ** (e58 + v1), a) if e58 + v1 else 1
+            e58: eta_bruteforce(p ** (e58 + v1), a)
             for e58 in free(not (v2 or v3 or v4))
             if n % 2 == 0 or e58 + v1 <= n
         }

@@ -10,7 +10,8 @@ and maps to the surface by the anticanonical monomials psi.  The sign torus
 {+-1}^5 acts through the weight matrix below; over Q the class group and unit
 contributions collapse, the action is free on tuples with a1..a6 != 0 (the
 first six weight vectors span F_2^5), and every orbit has exactly 32 members
-mapping to a single rational point.
+mapping to a single rational point.  `orbit_representatives` walks one tuple
+of every orbit in a small box, on which `verify --suite torsor` checks this.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cache
 from typing import NamedTuple
 
 # weight vectors m^(1)..m^(8) of the {+-1}^5 action on (a1, ..., a8)
@@ -82,18 +82,6 @@ def normalize_point(coords: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(c // g for c in coords)
 
 
-def _coprime_a1_a6(a1: int, a2: int, a3: int, a4: int, a5: int, a6: int) -> str:
-    """The coprimality conditions on a1..a6 alone that validate checks, in
-    its order: the name of the first that fails, or '' if all hold."""
-    if math.gcd(a6, a1 * a2 * a3 * a5) != 1:
-        return "gcd(a6,a1*a2*a3*a5)"
-    if math.gcd(a5, a2 * a4) != 1:
-        return "gcd(a5,a2*a4)"
-    if math.gcd(a4, a1 * a3) != 1:
-        return "gcd(a4,a1*a3)"
-    return ""
-
-
 def validate(t: TorsorTuple, a: int) -> tuple[bool, str]:
     """Check nonvanishing, the torsor equation and the coprimality conditions
     but gcd(a3,a1) and gcd(a2,a1): a prime dividing a1 and a2 or a3 divides
@@ -107,51 +95,39 @@ def validate(t: TorsorTuple, a: int) -> tuple[bool, str]:
         return False, "gcd(a8,a5) != 1"
     if math.gcd(a7, a2 * a3 * a4) != 1:
         return False, "gcd(a7,a2*a3*a4) != 1"
-    name = _coprime_a1_a6(a1, a2, a3, a4, a5, a6)
-    if name:
-        return False, f"{name} != 1"
+    if math.gcd(a6, a1 * a2 * a3 * a5) != 1:
+        return False, "gcd(a6,a1*a2*a3*a5) != 1"
+    if math.gcd(a5, a2 * a4) != 1:
+        return False, "gcd(a5,a2*a4) != 1"
+    if math.gcd(a4, a1 * a3) != 1:
+        return False, "gcd(a4,a1*a3) != 1"
     return True, "ok"
 
 
-@cache
-def magnitudes() -> tuple[tuple[int, ...], ...]:
-    """|a1|..|a6| in {1..4}^6 that pass the conditions on a1..a6 alone, the
-    implied gcd(a1,a2*a3) = 1 included (272 of 4096); built on first use."""
-    return tuple(m for m in itertools.product(range(1, 5), repeat=6)
-                 if not _coprime_a1_a6(*m) and math.gcd(m[0], m[1] * m[2]) == 1)
+# the box that orbit_representatives walks: 1 <= |a1|..|a6| <= BOX_AI, |a7| <= BOX_A7
+BOX_AI = 2
+BOX_A7 = 3
 
 
-ATTEMPTS = 10_000
+def orbit_representatives(a: int):
+    """One valid tuple of every sign orbit in the box: a1 of either sign,
+    a2..a6 positive, a8 forced by the torsor equation.
 
-
-def random_valid(rng, a_values) -> tuple[int, TorsorTuple]:
-    """A random surface parameter a and a valid torsor tuple for it.
-
-    Each attempt draws a from a_values, the magnitudes of a1..a6 from
-    magnitudes(), a sign per coordinate and a7 in -9..9; a8 is forced by the
-    torsor equation, and the attempt is rejected unless a1 divides it and
-    validate passes.  The result has the distribution of the plain sampler:
-    a uniform, each |ai| uniform in 1..4, uniform signs and a7, conditioned
-    on validity.  magnitudes() keeps those magnitude tuples that pass
-    conditions every valid tuple meets, ones that depend on neither a, nor
-    the signs, nor a7; drawing uniformly from it is drawing uniformly from
-    {1..4}^6 conditioned on them, and conditioning further on validity gives
-    the same law as conditioning {1..4}^6 on validity directly.  Raises
-    RuntimeError after ATTEMPTS rejections.
+    The action's image on the signs of (a1..a6) is the column space mod 2 of
+    the first six weights: {s in F_2^6 : s1 + s2 + s5 + s6 = 0}, of dimension
+    5, without the sign of a1 alone.  So it meets the signs of a2..a6 one to
+    one, and each orbit of the signed box has exactly one member with
+    a2..a6 > 0.
     """
-    for _ in range(ATTEMPTS):
-        a = rng.choice(a_values)
-        mags = rng.choice(magnitudes())
-        signs = rng.getrandbits(6)
-        a7 = rng.randint(-9, 9)
-        a1, a2, a3, a4, a5, a6 = (-m if signs >> i & 1 else m for i, m in enumerate(mags))
-        num = a * a2**4 * a3**2 * a4**6 * a6**2 - a7 * a7
-        if num % a1:
-            continue
-        t = TorsorTuple(a1, a2, a3, a4, a5, a6, a7, num // a1)
-        if validate(t, a)[0]:
-            return a, t
-    raise RuntimeError(f"no valid torsor tuple in {ATTEMPTS} attempts")
+    mags = range(1, BOX_AI + 1)
+    for a1 in (*mags, *(-m for m in mags)):
+        for a2, a3, a4, a5, a6 in itertools.product(mags, repeat=5):
+            for a7 in range(-BOX_A7, BOX_A7 + 1):
+                num = a * a2**4 * a3**2 * a4**6 * a6**2 - a7 * a7
+                if num % a1 == 0:
+                    t = TorsorTuple(a1, a2, a3, a4, a5, a6, a7, num // a1)
+                    if validate(t, a)[0]:
+                        yield t
 
 
 def psi(t: TorsorTuple, a: int) -> ProjectivePoint:

@@ -73,7 +73,7 @@ def test_criterion_05_moebius_identity():
     failures = list(SUITES["moebius"](False))
     assert not failures, failures[:5]
     assert time.time() - t0 < 300
-    report(5, "Moebius slice identity exact on every walked slice at B = 100, all testbed a", t0)
+    report(5, "Moebius slice identity exact on every walked slice at B = 300, all testbed a", t0)
 
 
 def test_criterion_06_theta1_factor_identity():

@@ -199,13 +199,19 @@ def test_verify_moebius_fails_on_a_wrong_lattice_count(monkeypatch):
     assert list(SUITES["moebius"](True))
 
 
-def test_verify_torsor_fails_when_the_sampler_runs_out(monkeypatch, capsys):
+def test_verify_torsor_fails_on_a_wrong_action_weight(monkeypatch, capsys):
+    # a8's weight (2,0,0,0,-1) made (1,0,0,0,-1): the orbit leaves the torsor,
+    # and psi's ValueError is a failing case, not a traceback
     import delpezzo.torsor as torsor
 
-    monkeypatch.setattr(torsor, "ATTEMPTS", 1)  # most draws now give up
+    weights = (*torsor.ACTION_WEIGHTS[:7], (1, 0, 0, 0, -1))
+    monkeypatch.setattr(torsor, "ACTION_WEIGHTS", weights)
+    ones = torsor.TorsorTuple(*[1] * 8)
+    signs = [torsor.act(tuple(-1 if mask >> i & 1 else 1 for i in range(5)), ones) for mask in range(32)]
+    monkeypatch.setattr(torsor, "_ORBIT_SIGNS", tuple(signs))
     assert main(["verify", "--suite", "torsor"]) == 1
     out = capsys.readouterr().out
-    assert "suite torsor: FAIL" in out and "no valid torsor tuple in 1 attempts" in out
+    assert "suite torsor: FAIL" in out and "invalid torsor tuple: torsor equation fails" in out
 
 
 def test_main_in_process(tmp_path):

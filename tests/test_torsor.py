@@ -1,6 +1,5 @@
 import itertools
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -13,11 +12,10 @@ from delpezzo.torsor import (
     TorsorTuple,
     act,
     height_tilde,
-    magnitudes,
     normalize_point,
     orbit,
+    orbit_representatives,
     psi,
-    random_valid,
     validate,
     weight_rank_mod2,
 )
@@ -108,18 +106,15 @@ def test_height_examples():
 
 
 def test_action_involution_and_identity():
-    rng = random.Random(3)
-    _, t = random_valid(rng, (-1,))
-    assert act((1, 1, 1, 1, 1), t) == t
     u = (-1, 1, -1, 1, -1)
-    assert act(u, act(u, t)) == t
+    for t in orbit_representatives(-1):
+        assert act((1, 1, 1, 1, 1), t) == t
+        assert act(u, act(u, t)) == t
 
 
 def test_orbits_and_height_descent():
-    rng = random.Random(11)
     for a in (-1, 2, 5, 12):
-        for _ in range(60):
-            _, t = random_valid(rng, (a,))
+        for t in orbit_representatives(a):
             orb = orbit(t)
             assert len(orb) == 32
             # all orbit members valid and mapping to the same point
@@ -133,6 +128,27 @@ def test_orbits_and_height_descent():
             # the Weil height of the image equals the tuple height
             pt = psi(t, a)
             assert Fraction(pt.height) == height_tilde(a, *t[:7])
+
+
+def test_orbit_representatives_meet_each_orbit_of_the_signed_box_once():
+    # oracle: every valid tuple with |a1|..|a6| in {1, 2}, each of the 64 sign
+    # patterns of a1..a6, and |a7| <= 3
+    for a in (-1, 2, 12, -5):
+        box = set()
+        for mags in itertools.product((1, 2), repeat=6):
+            for signs in range(64):
+                c = [-m if signs >> i & 1 else m for i, m in enumerate(mags)]
+                a1, a2, a3, a4, a5, a6 = c
+                for a7 in range(-3, 4):
+                    num = a * a2**4 * a3**2 * a4**6 * a6**2 - a7 * a7
+                    if num % a1 == 0 and literal_validate((*c, a7, num // a1), a)[0]:
+                        box.add((*c, a7, num // a1))
+        reps = list(orbit_representatives(a))
+        orbits = [orbit(t) for t in reps]
+        assert all(len(o) == 32 for o in orbits)
+        union = set().union(*orbits)
+        assert len(union) == 32 * len(reps)  # pairwise disjoint
+        assert union == box and box
 
 
 def test_normalize_point_sign_convention():
@@ -171,27 +187,6 @@ def test_validate_and_height_equal_literal_oracles(a, c, a8, on):
     if a1:
         h = height_tilde(a, *c)
         assert type(h) is Fraction and h == literal_height_tilde(a, *c)
-
-
-def test_magnitudes_are_the_literal_a1_a6_conditions():
-    # the conditions that name neither a7 nor a8, with a7, a8 set aside
-    def a1_a6_ok(m):
-        checks = literal_checks(*m, None, None)
-        return all(math.gcd(x, y) == 1 for x, y, name in checks if "a7" not in name and "a8" not in name)
-
-    want = tuple(m for m in itertools.product(range(1, 5), repeat=6) if a1_a6_ok(m))
-    assert magnitudes() == want and len(want) == 272
-
-
-def test_random_valid_draws_valid_tuples():
-    rng = random.Random(5)
-    seen = set()
-    for _ in range(300):
-        a, t = random_valid(rng, (-1, 2, 5, 12, -2))
-        assert literal_validate(t, a) == (True, "ok")
-        assert all(1 <= abs(c) <= 4 for c in t[:6]) and -9 <= t[6] <= 9
-        seen.add(a)
-    assert seen == {-1, 2, 5, 12, -2}
 
 
 def test_validate_reports_the_literal_first_failure_on_a_grid():
