@@ -24,8 +24,8 @@ Two independent routes to omega_inf:
 
 Both routes use `quad`, a globally adaptive 21-point Gauss-Kronrod rule
 (QUADPACK's QAG with qk21, Piessens et al. 1983) whose error estimate is
-QUADPACK's; a reported error_estimate covers the outer and the inner
-quadrature.
+QUADPACK's; the bound of the Estimate each returns covers the outer and the
+inner quadrature.
 
 Their agreement (1e-3 relative) is the real-place version of the density
 identity between the height form and the chart measure.
@@ -40,11 +40,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import BLOCK, OutOfRange, check_nonsquare
+from .arith import BLOCK, Estimate, OutOfRange, check_nonsquare
 
 # The largest Monte Carlo sample count served (vol_SF holds 8 bytes a sample)
 MC_SAMPLES_MAX = 10**7  # criterion 08 draws this many
@@ -136,12 +135,6 @@ def quad(f, lo: float, hi: float, limit: int, epsabs: float, epsrel: float) -> t
     return math.fsum(p[3] for p in panels), math.fsum(-p[0] for p in panels)
 
 
-@dataclass
-class RegionIntegral:
-    value: float
-    error_estimate: float
-
-
 def _section_len(c2, slack, cap):
     """Length of {y7 : |y7| <= cap, |c2 - y7^2| <= slack} (union of <= 4
     intervals, symmetric in y7), elementwise.  Where c2 + slack <= 0 or
@@ -175,7 +168,7 @@ def _quartic_root(a: int, k: float, sign: int) -> float:
     return y
 
 
-def omega_inf_region(a: int, tol: float = 1e-9) -> RegionIntegral:
+def omega_inf_region(a: int, tol: float = 1e-9) -> Estimate:
     """(3/2) vol{N <= 1} by exact y7-sections + nested quadrature.
 
     On {N <= 1}: |y5| <= 1 and |y5| y6^2 <= 1 (the y5^2|y6| <= 1 constraint is
@@ -227,7 +220,7 @@ def omega_inf_region(a: int, tol: float = 1e-9) -> RegionIntegral:
     vol = 16.0 * val
     omega = 1.5 * vol
     # the outer integrand is known to within inner_err over a unit interval
-    return RegionIntegral(omega, max(24.0 * (err + inner_err), 10 * tol))
+    return Estimate(omega, max(24.0 * (err + inner_err), 10 * tol))
 
 
 def _chart_section(a: float, x3: float) -> float:
@@ -332,7 +325,7 @@ def _far_half(a: int, tol: float) -> tuple[float, float]:
     return quad(lambda u: _far_section(a / (u * u)) / u, 0.0, 1.0, limit=400, epsabs=tol, epsrel=1e-10)
 
 
-def omega_inf_chart(a: int, tol: float = 1e-9) -> RegionIntegral:
+def omega_inf_chart(a: int, tol: float = 1e-9) -> Estimate:
     """The chart-measure integral with exact x1-sections."""
     check_nonsquare(a)
 
@@ -354,14 +347,14 @@ def omega_inf_chart(a: int, tol: float = 1e-9) -> RegionIntegral:
         v, e = quad(near, lo, hi, limit=400, epsabs=tol, epsrel=1e-10)
         val, err = val + v, err + e
     omega = 2.0 * val  # x3 < 0 by symmetry
-    return RegionIntegral(omega, max(2 * err, 10 * tol))
+    return Estimate(omega, max(2 * err, 10 * tol))
 
 
-def omega_inf_montecarlo(a: int, samples: int, seed: int) -> RegionIntegral:
+def omega_inf_montecarlo(a: int, samples: int, seed: int) -> Estimate:
     """Third estimate of omega_inf: (3/2) vol_SF on the slice a1..a4 = 1 at
     B = 1, where Ntilde is the five-monomial max norm N."""
     v = vol_SF(a, 1, 1, 1, 1, 1.0, samples, seed)
-    return RegionIntegral(1.5 * v.value, 1.5 * v.error_estimate)
+    return Estimate(1.5 * v.value, 1.5 * v.bound)
 
 
 def vol_SF(
@@ -373,7 +366,7 @@ def vol_SF(
     B: float,
     samples: int = 10**6,
     seed: int = 1,
-) -> RegionIntegral:
+) -> Estimate:
     """MC volume of {(x5, x6, x7): Ntilde(a; a1..a4; x5, x6, x7) <= B}, for
     a slice's magnitudes a1..a4 >= 1.
 
@@ -424,4 +417,4 @@ def vol_SF(
     var = vals.sum() / (kept - 1)
     est = 4.0 * float(mean)  # sign symmetry in x5 and x6
     stderr = 4.0 * math.sqrt(float(var)) / math.sqrt(kept)
-    return RegionIntegral(est, stderr)
+    return Estimate(est, stderr)

@@ -1,4 +1,5 @@
-"""Exact integer arithmetic: factorization, multiplicative functions, symbols, CRT.
+"""Exact integer arithmetic: factorization, multiplicative functions, the
+Legendre symbol, CRT; and `Estimate`, the one record of a bounded number.
 
 Everything here works with plain Python integers and fractions.Fraction, so all
 density bookkeeping downstream stays exact.  Factorizations are cached
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import accumulate, chain, compress, cycle
+from typing import NamedTuple
 
 # Elements per step of every large numpy pass: the O(samples) Monte Carlo
 # (archimedean.vol_SF), the O(8|a|) character passes (characters), the Euler
@@ -19,6 +21,17 @@ from itertools import accumulate, chain, compress, cycle
 # so the dozen or so of them a block step holds fit in a core's L2 cache, and
 # the passes hold whole only the arrays they return or reduce.
 BLOCK = 1 << 14
+
+
+class Estimate(NamedTuple):
+    """A value with a bound on its error: a series' or product's tail bound, a
+    quadrature or Monte Carlo error estimate, or the p-adic oracle's exact tail
+    bound.  cut is the truncation point of a series, the N terms of
+    CharacterChi.L1; every other producer leaves it 0."""
+
+    value: float
+    bound: float
+    cut: int = 0
 
 
 class OutOfRange(ValueError):
@@ -85,39 +98,10 @@ def squarefree_divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a|n), the multiplicative extension of Legendre's symbol."""
-    if a == 0 and n == 0:
-        raise ValueError("kronecker(0, 0) undefined")
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    sign = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            sign = -sign
-    # factor out 2's of n: (a|2) = 0, 1, -1 for a even, a = +-1 (8), a = +-3 (8)
-    if n % 2 == 0:
-        if a % 2 == 0:
-            return 0
-        e = 0
-        while n % 2 == 0:
-            n //= 2
-            e += 1
-        if e % 2 == 1 and a % 8 in (3, 5):
-            sign = -sign
-    # now n odd positive: Jacobi symbol via reciprocity
-    a %= n
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            sign = -sign
-        a %= n
-    return sign if n == 1 else 0
+def legendre(a: int, p: int) -> int:
+    """Legendre symbol (a|p) for an odd prime p, by Euler's criterion."""
+    r = pow(a, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
 
 
 def crt(residues: list[tuple[int, int]]) -> tuple[int, int] | None:

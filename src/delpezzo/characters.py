@@ -1,5 +1,6 @@
-"""The quadratic character chi(n) = (a|n) on integers coprime to 2a, as a
-periodic function mod 8|a|, and the conditionally convergent value L(1, chi).
+"""The quadratic character chi(n) = (a|n), the Kronecker symbol, on integers
+coprime to 2a, as a periodic function mod 8|a|, and the conditionally
+convergent value L(1, chi).
 
 L(1, chi) is estimated by the partial sum S_N over N = K*m terms, m = 8|a|,
 a whole number of periods: the partial sums A(x) of chi are periodic with
@@ -19,11 +20,9 @@ BLOCK residues at a time, so only the int8 table is O(|a|) in memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .arith import BLOCK, OutOfRange, check_nonsquare, factorize
+from .arith import BLOCK, Estimate, OutOfRange, check_nonsquare, factorize
 
 
 # The largest |a| served.  The int8 table holds 8|a| bytes and a Legendre
@@ -37,16 +36,6 @@ def check_a_limit(a: int) -> None:
     """Raise OutOfRange if |a| > A_MAX: the character table is not built there."""
     if abs(a) > A_MAX:
         raise OutOfRange(f"|a| = {abs(a)} exceeds the character table's limit {A_MAX}")
-
-
-@dataclass
-class EulerEstimate:
-    """A numerical value for a conditionally convergent product/series,
-    together with a rigorous-or-empirical truncation bound and the cut."""
-
-    value: float
-    bound: float
-    cut: int
 
 
 # B_2k / (2k) for k = 1..7, the coefficients of psi's asymptotic series in 1/x^2
@@ -85,7 +74,7 @@ def _legendre(p: int) -> np.ndarray:
 def _chi_table(a: int) -> np.ndarray:
     """chi(n) for n = 0..8|a|-1, as int8, built BLOCK entries at a time.
 
-    For odd n > 0 coprime to a, kronecker(a, n) is the Jacobi symbol, so
+    For odd n > 0 coprime to a, the Kronecker symbol is the Jacobi symbol, so
     (a|n) = (sign a|n) (2|n)^v_2(a) prod_p (p|n)^v_p(a) over the odd p | a,
     with (-1|n) = -1 iff n = 3 (mod 4), (2|n) = -1 iff n = 3, 5 (mod 8) and,
     by reciprocity, (p|n) = (n mod p|p), negated iff p = n = 3 (mod 4).
@@ -116,8 +105,8 @@ def _chi_table(a: int) -> np.ndarray:
 
 
 class CharacterChi:
-    """chi(n) = kronecker(a, n) gated by gcd(n, 2a) = 1, periodic mod 8|a|,
-    for 0 < |a| <= A_MAX."""
+    """chi(n) = (a|n) gated by gcd(n, 2a) = 1, periodic mod 8|a|, for
+    0 < |a| <= A_MAX."""
 
     def __init__(self, a: int):
         self.a = check_nonsquare(a)
@@ -135,7 +124,7 @@ class CharacterChi:
             raise AssertionError("character table does not sum to zero over a period")
         self.partial_max = amax
 
-    def L1(self, tolerance: float) -> EulerEstimate:
+    def L1(self, tolerance: float) -> Estimate:
         """L(1, chi) = sum chi(n)/n with tail bound 2*max|A|/(N+1) <= tolerance.
         _sum_periods costs O(modulus) for any N, so N is not capped."""
         if tolerance <= 0:
@@ -145,7 +134,7 @@ class CharacterChi:
         need = int(2 * amax / tolerance) + 1
         N = ((need + m - 1) // m) * m  # whole periods
         value = self._sum_periods(N)
-        return EulerEstimate(value, 2 * amax / (N + 1), N)
+        return Estimate(value, 2 * amax / (N + 1), N)
 
     def _sum_periods(self, N: int) -> float:
         """S_N = sum_{n <= N} chi(n)/n for N a multiple of the modulus, by digamma."""

@@ -216,7 +216,7 @@ def _suite_density_oracle(quick: bool):
     for p, a in grid:
         V = valuation(p, 4 * a) + (6 if quick else 8)
         bf = omega_p_bruteforce(p, a, V)
-        if abs(omega_p(p, a) - bf.value) > bf.tail_bound:
+        if abs(omega_p(p, a) - bf.value) > bf.bound:
             yield {"case": f"omega_p oracle p={p} a={a}", "diff": float(abs(omega_p(p, a) - bf.value))}
 
 

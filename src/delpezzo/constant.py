@@ -28,8 +28,8 @@ from fractions import Fraction
 import numpy as np
 
 from .archimedean import check_mc_samples, omega_inf_chart, omega_inf_montecarlo, omega_inf_region
-from .arith import BLOCK, OutOfRange, factorize, primes_upto
-from .characters import CharacterChi, EulerEstimate, check_a_limit
+from .arith import BLOCK, Estimate, OutOfRange, factorize, primes_upto
+from .characters import CharacterChi, check_a_limit
 from .local_densities import omega_p
 
 # vol(P)/3 for the height polytope P, derived by tests/test_alpha.py::test_v0_volume_exact
@@ -65,7 +65,7 @@ def omega_good(p, chi):
     return value
 
 
-def finite_product(a: int, prime_cut: int, L1: EulerEstimate, chi: CharacterChi) -> EulerEstimate:
+def finite_product(a: int, prime_cut: int, L1: Estimate, chi: CharacterChi) -> Estimate:
     """prod_p omega_p by the convergence-factor splitting; error by doubling.
 
     L1 is the estimate of L(1, chi) to use and chi the character of a.  The
@@ -93,7 +93,7 @@ def finite_product(a: int, prime_cut: int, L1: EulerEstimate, chi: CharacterChi)
     val = head * L1.value * prod
     doubling = abs(prod - at_cut) * head * abs(L1.value)
     bound = doubling + head * prod * L1.bound
-    return EulerEstimate(val, bound, prime_cut)
+    return Estimate(val, bound)
 
 
 def predict_constant(a: int, prime_cut: int = 20000, tolerance: float = 1e-6,
@@ -126,7 +126,7 @@ def predict_constant(a: int, prime_cut: int = 20000, tolerance: float = 1e-6,
     if mc_samples:
         mc = omega_inf_montecarlo(a, mc_samples, seed)
         record["omega_inf_mc"] = mc.value
-        record["omega_inf_mc_stderr"] = mc.error_estimate
+        record["omega_inf_mc_stderr"] = mc.bound
     return record
 
 

@@ -44,8 +44,8 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
 from functools import partial, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,11 +53,10 @@ from .arith import BLOCK, CounterMismatch, OutOfRange, ceil_sqrt, check_nonsquar
 from .eta import rho_classes
 
 
-@dataclass
-class CountResult:
+class CountResult(NamedTuple):
     count: int
     elapsed: float
-    stats: dict = field(default_factory=dict)
+    stats: dict
 
 
 def _fan_out(worker, args: tuple, items, jobs: int) -> list:
@@ -265,11 +264,11 @@ def direct_count(a: int, B, jobs: int = 1) -> CountResult:
     t0 = time.time()
     B1 = math.floor(B)
     if B1 < 1:
-        return CountResult(0, time.time() - t0)
+        return CountResult(0, time.time() - t0, {})
     check_direct_B(a, B1)
     ms = range(1, math.isqrt(B1) + 1)
     n = sum(_fan_out(_direct_pruned_count, (a, B1), ms, jobs))
-    return CountResult(n, time.time() - t0)
+    return CountResult(n, time.time() - t0, {})
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +308,7 @@ def torsor_count(a: int, B, jobs: int = 1) -> CountResult:
     B1 = math.floor(B)
     check_torsor_B(B1)
     if B1 < 1:
-        return CountResult(0, time.time() - t0)
+        return CountResult(0, time.time() - t0, {})
     parts = _fan_out(_torsor_positive, (a, B1), range(1, math.isqrt(B1) + 1), jobs)
     weighted, visited = (sum(col) for col in zip(*parts))
     return CountResult(2 * weighted, time.time() - t0, {"weighted_positive": weighted, "visited": visited})

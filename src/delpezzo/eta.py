@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .arith import check_nonsquare, crt, factorize, kronecker, valuation
+from .arith import check_nonsquare, crt, factorize, legendre, valuation
 
 
 def eta_bruteforce(q: int, a: int) -> int:
@@ -100,7 +100,7 @@ def eta_closed(p: int, k: int, a: int) -> int:
         return 0
     u = a // p**v
     if p != 2:
-        return 1 + kronecker(u, p)
+        return 1 + legendre(u, p)
     m = 2 ** min(k - v, 3)  # u is a square mod 2^(k-v) iff u = 1 mod m
     return m // 2 if u % m == 1 else 0
 

@@ -20,16 +20,15 @@ to the point where the max stops depending on it.  The counts come from the
 exhaustive square-root tower of eta.root_tower (digit-by-digit lifting of
 u^2 = a/p^v_p(a)), so no residue table is built and any depth is reachable.
 Truncation outside the cell window is controlled by a rigorous geometric tail
-bound (derivation in the comments of _tail_bound).  The oracle never uses the
+bound (derivation in the comments of _window_bound).  The oracle never uses the
 closed-form case table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import check_nonsquare, factorize, kronecker, valuation
+from .arith import Estimate, check_nonsquare, factorize, legendre, valuation
 from .eta import eta_closed, root_tower
 
 
@@ -38,11 +37,11 @@ def r_a(p: int, a: int) -> Fraction:
     check_nonsquare(a)
     v = valuation(p, a)
     if p != 2 and v == 0:
-        return Fraction(kronecker(a, p))
+        return Fraction(legendre(a, p))
     if v % 2 == 1:
         return 1 - Fraction(1, p ** (v // 2)) * (1 + Fraction(1, p))
     if p != 2:
-        return 1 - Fraction(1, p ** (v // 2)) * (1 - kronecker(a // p**v, p))
+        return 1 - Fraction(1, p ** (v // 2)) * (1 - legendre(a // p**v, p))
     return 1 - Fraction(1, 2 ** (v // 2)) * (2 - s_a(a))
 
 
@@ -80,7 +79,7 @@ def remark_omega(p: int, a: int) -> Fraction:
             inner = Fraction(15, 4)
         else:  # 3, 7 mod 8
             inner = Fraction(7, 2)
-    elif kronecker(a, p) == 1:
+    elif legendre(a, p) == 1:
         inner = 1 + Fraction(6, p) + Fraction(1, p * p)
     else:
         inner = 1 + Fraction(4, p) + Fraction(1, p * p)
@@ -95,12 +94,6 @@ def sum_kpk(q, n: int) -> Fraction:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return (1 - 1 / q) ** -2 * (Fraction(n + 1) / q ** (n + 1) - Fraction(n) / q ** (n + 2))
-
-
-@dataclass
-class LocalDensity:
-    value: Fraction
-    tail_bound: Fraction
 
 
 def _pf(p: int, e: int) -> Fraction:
@@ -121,7 +114,7 @@ def _kappa_histogram(p: int, a_unit: int, nmax: int) -> tuple[list[int], int]:
     return [at_least[j] - at_least[j + 1] for j in range(nmax)], R[nmax]
 
 
-def omega_p_bruteforce(p: int, a: int, Vmax: int) -> LocalDensity:
+def omega_p_bruteforce(p: int, a: int, Vmax: int) -> Estimate:
     """omega_p by the valuation-cell integral oracle, with a rigorous tail bound.
 
     Returns (1-1/p)^5 * omega_H_p for direct comparison with omega_p.
@@ -177,11 +170,11 @@ def omega_p_bruteforce(p: int, a: int, Vmax: int) -> LocalDensity:
             inner += (total_units - used) * _pf(p, -ec)
             total += one_minus * _pf(p, -alpha - kappa0) * inner
 
-    tail = _tail_bound(p, gamma, V, B2, A1, A2)
-    return LocalDensity(one_minus**5 * total, one_minus**5 * tail)
+    tail = _window_bound(p, gamma, V, B2, A1, A2)
+    return Estimate(one_minus**5 * total, one_minus**5 * tail)
 
 
-def _tail_bound(p: int, gamma: int, V: int, B2: int, A1: int, A2: int) -> Fraction:
+def _window_bound(p: int, gamma: int, V: int, B2: int, A1: int, A2: int) -> Fraction:
     """Upper bound for the omega_H_p mass outside the enumerated cell window.
 
     Per cell, measure * integrand <= p^(-alpha) / M with

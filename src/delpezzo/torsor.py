@@ -35,16 +35,10 @@ ACTION_WEIGHTS = (
 
 
 def weight_rank_mod2() -> int:
-    """F_2-rank of the first six action weights (must be 5: free action)."""
-    rows = [sum((w % 2) << i for i, w in enumerate(m)) for m in ACTION_WEIGHTS[:6]]
-    basis: list[int] = []
-    for row in rows:
-        cur = row
-        for b in basis:
-            cur = min(cur, cur ^ b)
-        if cur:
-            basis.append(cur)
-    return len(basis)
+    """F_2-rank of the first six action weights (must be 5: free action).
+    The signs the 32 group elements put on a1..a6 are the image of the map
+    F_2^5 -> F_2^6 those rows give mod 2, which has 2^rank elements."""
+    return len({s[:6] for s in _ORBIT_SIGNS}).bit_length() - 1
 
 
 class TorsorTuple(NamedTuple):

@@ -1,6 +1,9 @@
-"""Test oracles shared by two test files: the height-condition polytope and
-its exact volume (test_alpha.py, acceptance criterion 07), and chi(n) read
-off a CharacterChi's table (test_characters.py, test_constant.py).
+"""Test oracles shared by two or more test files: the height-condition polytope
+and its exact volume (test_alpha.py, acceptance criterion 07), chi(n) read
+off a CharacterChi's table (test_characters.py, test_constant.py), and the
+general Kronecker symbol (test_arith.py, test_characters.py,
+test_local_densities.py), of which the package computes only the Legendre
+case.
 
 After substituting t_i = B^{u_i}, the leading-term height integral
 
@@ -233,3 +236,38 @@ def chi_at(self: CharacterChi, n: int) -> int:
     if n < 1:
         raise ValueError("chi defined on positive integers")
     return int(self.table[n % self.modulus])
+
+
+def kronecker(a: int, n: int) -> int:
+    """Kronecker symbol (a|n), the multiplicative extension of Legendre's symbol."""
+    if a == 0 and n == 0:
+        raise ValueError("kronecker(0, 0) undefined")
+    if n == 0:
+        return 1 if a in (1, -1) else 0
+    sign = 1
+    if n < 0:
+        n = -n
+        if a < 0:
+            sign = -sign
+    # factor out 2's of n: (a|2) = 0, 1, -1 for a even, a = +-1 (8), a = +-3 (8)
+    if n % 2 == 0:
+        if a % 2 == 0:
+            return 0
+        e = 0
+        while n % 2 == 0:
+            n //= 2
+            e += 1
+        if e % 2 == 1 and a % 8 in (3, 5):
+            sign = -sign
+    # now n odd positive: Jacobi symbol via reciprocity
+    a %= n
+    while a != 0:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0

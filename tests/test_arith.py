@@ -10,13 +10,14 @@ from delpezzo.arith import (
     check_nonsquare,
     crt,
     factorize,
-    kronecker,
+    legendre,
     moebius,
     primes_upto,
     squarefree_divisors,
     valuation,
 )
 from delpezzo.characters import A_MAX
+from oracles import kronecker
 
 
 def test_factorize_examples():
@@ -60,6 +61,12 @@ def test_moebius_convolution_identity():
                 acc[n] += md
     assert acc[1] == 1
     assert all(acc[n] == 0 for n in range(2, N + 1))
+
+
+def test_legendre_is_kronecker_at_odd_primes():
+    for p in primes_upto(200)[1:]:
+        for a in range(-300, 301):
+            assert legendre(a, p) == kronecker(a, p), (a, p)
 
 
 def test_kronecker_examples():

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from delpezzo.arith import BLOCK, TESTBED, OutOfRange, kronecker
+from delpezzo.arith import BLOCK, TESTBED, OutOfRange
 from delpezzo.characters import A_MAX, CharacterChi, digamma
-from oracles import chi_at
+from oracles import chi_at, kronecker
 
 
 def partial_sum(self: CharacterChi, x: int) -> int:

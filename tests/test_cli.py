@@ -135,14 +135,10 @@ def test_compare_json(tmp_path):
 
 
 def test_compare_mismatch_exits_3_and_stores_nothing(tmp_path, monkeypatch, capsys):
-    import dataclasses
-
     import delpezzo.counting as counting
 
     count = counting.torsor_count
-    monkeypatch.setattr(
-        counting, "torsor_count", lambda a, B, jobs: dataclasses.replace(count(a, B, jobs), count=-1)
-    )
+    monkeypatch.setattr(counting, "torsor_count", lambda a, B, jobs: count(a, B, jobs)._replace(count=-1))
     args = ["compare", "--a", "-1", "--B-list", "50", "--prime-cut", "200", "--cache-dir", str(tmp_path)]
     assert main(args) == 3
     assert "mismatch" in capsys.readouterr().err
@@ -150,14 +146,10 @@ def test_compare_mismatch_exits_3_and_stores_nothing(tmp_path, monkeypatch, caps
 
 
 def test_count_mismatch_exits_3_and_stores_nothing(tmp_path, monkeypatch, capsys):
-    import dataclasses
-
     import delpezzo.counting as counting
 
     count = counting.torsor_count
-    monkeypatch.setattr(
-        counting, "torsor_count", lambda a, B, jobs: dataclasses.replace(count(a, B, jobs), count=-1)
-    )
+    monkeypatch.setattr(counting, "torsor_count", lambda a, B, jobs: count(a, B, jobs)._replace(count=-1))
     assert main(["count", "--a", "-1", "--B", "50", "--method", "both", "--cache-dir", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "mismatch" in err and len(err.splitlines()) == 1
@@ -199,19 +191,37 @@ def test_verify_moebius_fails_on_a_wrong_lattice_count(monkeypatch):
     assert list(SUITES["moebius"](True))
 
 
-def test_verify_torsor_fails_on_a_wrong_action_weight(monkeypatch, capsys):
-    # a8's weight (2,0,0,0,-1) made (1,0,0,0,-1): the orbit leaves the torsor,
-    # and psi's ValueError is a failing case, not a traceback
+def _patch_action_weights(monkeypatch, weights):
+    """Make `weights` the torsor action's, and rebuild the orbit signs from them."""
     import delpezzo.torsor as torsor
 
-    weights = (*torsor.ACTION_WEIGHTS[:7], (1, 0, 0, 0, -1))
     monkeypatch.setattr(torsor, "ACTION_WEIGHTS", weights)
     ones = torsor.TorsorTuple(*[1] * 8)
     signs = [torsor.act(tuple(-1 if mask >> i & 1 else 1 for i in range(5)), ones) for mask in range(32)]
     monkeypatch.setattr(torsor, "_ORBIT_SIGNS", tuple(signs))
+
+
+def test_verify_torsor_fails_on_a_wrong_action_weight(monkeypatch, capsys):
+    # a8's weight (2,0,0,0,-1) made (1,0,0,0,-1): the orbit leaves the torsor,
+    # and psi's ValueError is a failing case, not a traceback
+    from delpezzo.torsor import ACTION_WEIGHTS
+
+    _patch_action_weights(monkeypatch, (*ACTION_WEIGHTS[:7], (1, 0, 0, 0, -1)))
     assert main(["verify", "--suite", "torsor"]) == 1
     out = capsys.readouterr().out
     assert "suite torsor: FAIL" in out and "invalid torsor tuple: torsor equation fails" in out
+
+
+def test_verify_torsor_fails_on_a_weight_rank_below_5(monkeypatch, capsys):
+    # a3's weight made a1's: the first six rows span F_2^4, the action on
+    # a1..a6 is not free, and the rank check is a failing case
+    import delpezzo.torsor as torsor
+
+    w = torsor.ACTION_WEIGHTS
+    _patch_action_weights(monkeypatch, (w[0], w[1], w[0], *w[3:]))
+    assert torsor.weight_rank_mod2() == 4
+    assert main(["verify", "--suite", "torsor"]) == 1
+    assert '"case": "weight rank mod 2"' in capsys.readouterr().out
 
 
 def test_main_in_process(tmp_path):
@@ -450,15 +460,17 @@ def test_cache_hit_skips_numeric_imports(tmp_path):
 
 
 def test_verify_without_counters_skips_numpy():
-    # a fresh interpreter: only the counters and `predict` need numpy
+    # a fresh interpreter: only the counters and `predict` need numpy, and the
+    # package's records are NamedTuples, so no suite loads dataclasses (nor the
+    # inspect module it imports)
     probe = (
         "import sys; from delpezzo.cli import main; "
         "rc = sum(main(['verify', '--suite', s]) for s in ('eta', 'densities', 'theta', 'torsor')); "
-        "print(rc, 'numpy' in sys.modules)"
+        "print(rc, sorted(m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules))"
     )
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines()[-1] == "0 False"
+    assert r.stdout.splitlines()[-1] == "0 []"
 
 
 def test_cache_get_last_match_among_decoys(tmp_path):

@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from delpezzo.arith import BLOCK, TESTBED, CounterMismatch, factorize, primes_upto
-from delpezzo.characters import CharacterChi, EulerEstimate
+from delpezzo.arith import BLOCK, TESTBED, CounterMismatch, Estimate, factorize, primes_upto
+from delpezzo.characters import CharacterChi
 from delpezzo.constant import L1_TOLERANCE, compare, finite_product, omega_good, predict_constant
 from delpezzo.local_densities import omega_p
 from oracles import chi_at
@@ -83,7 +83,7 @@ def test_finite_product_cut_floor():
         default_finite_product(-1, 50)
 
 
-def _finite_product_whole(a: int, prime_cut: int, L1: EulerEstimate, chi: CharacterChi):
+def _finite_product_whole(a: int, prime_cut: int, L1: Estimate, chi: CharacterChi):
     """finite_product's (value, bound) with one pass over whole arrays of the
     primes up to 2 prime_cut: the reference the blocked pass matches bit for bit."""
     ps, chis, bad = _prime_table(chi, 2 * prime_cut)
@@ -177,8 +177,7 @@ def test_compare_detects_mismatch(monkeypatch):
 
     def broken(a, B, **kw):
         r = real(a, B, **kw)
-        r.count += 1
-        return r
+        return r._replace(count=r.count + 1)
 
     monkeypatch.setattr(constant, "torsor_count", None, raising=False)
     monkeypatch.setattr(counting, "torsor_count", broken)
