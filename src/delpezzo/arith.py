@@ -1,5 +1,5 @@
 """Exact integer arithmetic: factorization, multiplicative functions, the
-Legendre symbol, CRT; and `Estimate`, the one record of a bounded number.
+Legendre symbol, CRT; `Estimate`, a bounded number; the torsor's exponents.
 
 Everything here works with plain Python integers and fractions.Fraction, so all
 density bookkeeping downstream stays exact.  Factorizations are cached
@@ -154,3 +154,14 @@ def check_nonsquare(a: int) -> int:
 
 # a-values exercising every branch: odd/even valuations at odd primes and at 2
 TESTBED = (-5, -4, -2, -1, 2, 3, 5, 6, 8, 12, 17, 18, 45)
+
+# The exponents of (a1, ..., a8) in psi's monomials x0..x4, one row each, and
+# of the unit u = a2^2 a3 a4^3 a6 in the torsor equation a1 a8 + a7^2 = a u^2.
+PSI_EXPONENTS = (
+    (0, 0, 0, 0, 0, 1, 0, 1),
+    (0, 1, 1, 1, 1, 1, 1, 0),
+    (2, 1, 2, 0, 3, 0, 0, 0),
+    (0, 3, 2, 4, 1, 2, 0, 0),
+    (1, 2, 2, 2, 2, 1, 0, 0),
+)
+UNIT_EXPONENTS = (0, 2, 1, 3, 0, 1)

@@ -2,11 +2,12 @@
 
 An integer tuple (a1, ..., a8) with a1..a6 nonzero lies on the torsor when
 
-    a1*a8 + a7^2 - a*a2^4*a3^2*a4^6*a6^2 = 0                    (torsor equation)
+    a1*a8 + a7^2 = a*u^2,  u = a2^2*a3*a4^3*a6                  (torsor equation)
     gcd(a8,a5) = gcd(a7,a2*a3*a4) = gcd(a6,a1*a2*a3*a5)
       = gcd(a5,a2*a4) = gcd(a4,a1*a3) = gcd(a3,a1) = gcd(a2,a1) = 1
 
-and maps to the surface by the anticanonical monomials psi.  The sign torus
+and maps to the surface by the anticanonical monomials psi (exponents in
+arith.PSI_EXPONENTS), of height max(|x0|, |x1|, |x2|).  The sign torus
 {+-1}^5 acts through the weight matrix below; over Q the class group and unit
 contributions collapse, the action is free on tuples with a1..a6 != 0 (the
 first six weight vectors span F_2^5), and every orbit has exactly 32 members
@@ -18,8 +19,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import NamedTuple
+
+from .arith import PSI_EXPONENTS, UNIT_EXPONENTS
 
 # weight vectors m^(1)..m^(8) of the {+-1}^5 action on (a1, ..., a8)
 ACTION_WEIGHTS = (
@@ -83,7 +85,7 @@ def validate(t: TorsorTuple, a: int) -> tuple[bool, str]:
     a1, a2, a3, a4, a5, a6, a7, a8 = t
     if not (a1 and a2 and a3 and a4 and a5 and a6):
         return False, "a1..a6 must be nonzero"
-    if a1 * a8 + a7 * a7 - a * a2**4 * a3**2 * a4**6 * a6**2 != 0:
+    if a1 * a8 + a7 * a7 != a * math.prod(map(pow, t, UNIT_EXPONENTS)) ** 2:
         return False, "torsor equation fails"
     if math.gcd(a8, a5) != 1:
         return False, "gcd(a8,a5) != 1"
@@ -115,11 +117,12 @@ def orbit_representatives(a: int):
     """
     mags = range(1, BOX_AI + 1)
     for a1 in (*mags, *(-m for m in mags)):
-        for a2, a3, a4, a5, a6 in itertools.product(mags, repeat=5):
+        for a2_a6 in itertools.product(mags, repeat=5):
+            c = a * math.prod(map(pow, (a1, *a2_a6), UNIT_EXPONENTS)) ** 2
             for a7 in range(-BOX_A7, BOX_A7 + 1):
-                num = a * a2**4 * a3**2 * a4**6 * a6**2 - a7 * a7
+                num = c - a7 * a7
                 if num % a1 == 0:
-                    t = TorsorTuple(a1, a2, a3, a4, a5, a6, a7, num // a1)
+                    t = TorsorTuple(a1, *a2_a6, a7, num // a1)
                     if validate(t, a)[0]:
                         yield t
 
@@ -129,35 +132,21 @@ def psi(t: TorsorTuple, a: int) -> ProjectivePoint:
     ok, reason = validate(t, a)
     if not ok:
         raise ValueError(f"invalid torsor tuple: {reason}")
-    a1, a2, a3, a4, a5, a6, a7, a8 = t
-    raw = (
-        a6 * a8,
-        a2 * a3 * a4 * a5 * a6 * a7,
-        a1**2 * a2 * a3**2 * a5**3,
-        a2**3 * a3**2 * a4**4 * a5 * a6**2,
-        a1 * a2**2 * a3**2 * a4**2 * a5**2 * a6,
-    )
+    raw = tuple(math.prod(map(pow, t, e)) for e in PSI_EXPONENTS)
     pt = ProjectivePoint(normalize_point(raw))
     if not pt.on_surface(a):
         raise AssertionError("psi image left the surface")
     return pt
 
 
-def height_tilde(a: int, a1: int, a2: int, a3: int, a4: int, a5: int, a6: int, a7: int) -> Fraction:
-    """The five-monomial height; equals the Weil height of psi on valid tuples.
-    The four integral monomials are compared with |a6 inner / a1| in integers,
-    so only the maximum becomes a Fraction."""
-    if a1 == 0:
-        raise ValueError("a1 must be nonzero")
-    inner = a * a2**4 * a3**2 * a4**6 * a6**2 - a7 * a7
-    m = max(
-        abs(a2 * a3 * a4 * a5 * a6 * a7),
-        abs(a1**2 * a2 * a3**2 * a5**3),
-        abs(a2**3 * a3**2 * a4**4 * a5 * a6**2),
-        abs(a1 * a2**2 * a3**2 * a4**2 * a5**2 * a6),
-    )
-    num, den = abs(a6 * inner), abs(a1)
-    return Fraction(num, den) if num > m * den else Fraction(m)
+def height_tilde(t: TorsorTuple) -> int:
+    """max(|x0|, |x1|, |x2|) over psi's raw monomials: the height of a valid
+    tuple's image (primitive there), though not off the torsor.  Let H be the
+    largest |x_i| on S_a.  If |x4| = H > 0, x4^2 = x2 x3 gives |x2| = H.  If
+    |x3| were above max(|x0|, |x1|, |x4|), x0 x4 + x1^2 = a x3^2 would give
+    |a| < 2, so a = -1 (a nonsquare), and then |x0 x4| = x1^2 + x3^2 >= x3^2,
+    a contradiction.  So H is reached at x0, x1 or x2."""
+    return max(abs(math.prod(map(pow, t, e))) for e in PSI_EXPONENTS[:3])
 
 
 def act(u: tuple[int, int, int, int, int], t: TorsorTuple) -> TorsorTuple:

@@ -1,9 +1,10 @@
 """Test oracles shared by two or more test files: the height-condition polytope
 and its exact volume (test_alpha.py, acceptance criterion 07), chi(n) read
-off a CharacterChi's table (test_characters.py, test_constant.py), and the
+off a CharacterChi's table (test_characters.py, test_constant.py), the
 general Kronecker symbol (test_arith.py, test_characters.py,
 test_local_densities.py), of which the package computes only the Legendre
-case.
+case, and the literal five-monomial torsor height (test_torsor.py,
+test_counting.py), written without the package's exponent table.
 
 After substituting t_i = B^{u_i}, the leading-term height integral
 
@@ -271,3 +272,17 @@ def kronecker(a: int, n: int) -> int:
             sign = -sign
         a %= n
     return sign if n == 1 else 0
+
+
+def literal_height_tilde(a, a1, a2, a3, a4, a5, a6, a7):
+    """The five-monomial height: the largest of |x1|..|x4| and of
+    |x0| = |a6 a8| = |a6 inner / a1|, with a8 read off the torsor equation, a
+    Fraction when a1 does not divide inner (test oracle)."""
+    inner = a * a2**4 * a3**2 * a4**6 * a6**2 - a7 * a7
+    return max(
+        abs(a2 * a3 * a4 * a5 * a6 * a7),
+        abs(a1**2 * a2 * a3**2 * a5**3),
+        abs(a2**3 * a3**2 * a4**4 * a5 * a6**2),
+        abs(a1 * a2**2 * a3**2 * a4**2 * a5**2 * a6),
+        Fraction(abs(a6 * inner), abs(a1)),
+    )

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from delpezzo.archimedean import MC_SAMPLES_MAX
-from delpezzo.arith import OutOfRange
+from delpezzo.arith import PSI_EXPONENTS, UNIT_EXPONENTS, OutOfRange
 from delpezzo.characters import A_MAX
 from delpezzo.cli import CACHE_ENV, Cache, main
 from delpezzo.constant import PRIME_CUT_MAX
@@ -222,6 +222,55 @@ def test_verify_torsor_fails_on_a_weight_rank_below_5(monkeypatch, capsys):
     assert torsor.weight_rank_mod2() == 4
     assert main(["verify", "--suite", "torsor"]) == 1
     assert '"case": "weight rank mod 2"' in capsys.readouterr().out
+
+
+# every single-entry +-1 change of the torsor's exponent table that keeps the
+# entries nonnegative, as (table, row, column, step); the unit's one row is 0
+TABLE_MUTANTS = [
+    pytest.param(name, i, j, d, id=f"{label[i]}-a{j + 1}{d:+d}")
+    for name, rows, label in (
+        ("PSI_EXPONENTS", PSI_EXPONENTS, ("x0", "x1", "x2", "x3", "x4")),
+        ("UNIT_EXPONENTS", (UNIT_EXPONENTS,), ("u",)),
+    )
+    for i, row in enumerate(rows)
+    for j, e in enumerate(row)
+    for d in (1, -1)
+    if e + d >= 0
+]
+
+
+def _patch_exponent(monkeypatch, name, i, j, d):
+    """Move entry (i, j) of the exponent table `name` by d where torsor reads it."""
+    import delpezzo.torsor as torsor
+
+    rows = [list(r) for r in (PSI_EXPONENTS if name == "PSI_EXPONENTS" else (UNIT_EXPONENTS,))]
+    rows[i][j] += d
+    table = tuple(map(tuple, rows))
+    monkeypatch.setattr(torsor, name, table if name == "PSI_EXPONENTS" else table[0])
+
+
+def test_exponent_mutants_are_all_listed():
+    assert len(TABLE_MUTANTS) == 73
+
+
+@pytest.mark.parametrize("name, i, j, d", TABLE_MUTANTS)
+def test_quick_torsor_suite_fails_on_every_exponent_mutant(monkeypatch, name, i, j, d):
+    # psi's on-surface check reads the surface's equations, not the table, so
+    # a wrong exponent in any row (x3's and x4's included, which never decide
+    # the height) must fail the quick suite
+    from delpezzo.cli import SUITES
+
+    _patch_exponent(monkeypatch, name, i, j, d)
+    assert next(SUITES["torsor"](True), None) is not None
+
+
+def test_verify_torsor_fails_without_a6_in_x4(monkeypatch, capsys):
+    # x4's a6 exponent 1 -> 0: the height never reads x4, and psi's image
+    # leaves the surface
+    _patch_exponent(monkeypatch, "PSI_EXPONENTS", 4, 5, -1)
+    assert main(["verify", "--suite", "torsor"]) == 1
+    out = capsys.readouterr().out
+    assert "suite torsor: FAIL" in out and "psi image left the surface" in out
 
 
 def test_main_in_process(tmp_path):
@@ -471,6 +520,17 @@ def test_verify_without_counters_skips_numpy():
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1] == "0 []"
+
+
+def test_verify_torsor_skips_fractions():
+    # a fresh interpreter: the torsor's heights are integers
+    probe = (
+        "import sys; from delpezzo.cli import main; "
+        "rc = main(['verify', '--suite', 'torsor']); print(rc, 'fractions' in sys.modules)"
+    )
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "0 False"
 
 
 def test_cache_get_last_match_among_decoys(tmp_path):

@@ -24,7 +24,8 @@ from delpezzo.counting import (
     theta0,
     torsor_count,
 )
-from delpezzo.torsor import TorsorTuple, height_tilde, validate
+from delpezzo.torsor import TorsorTuple, validate
+from oracles import literal_height_tilde
 
 
 def _torsor_all_signs(a: int, B) -> int:
@@ -52,7 +53,7 @@ def _torsor_all_signs(a: int, B) -> int:
                                 a8 = (c - a7 * a7) // a1
                                 t = TorsorTuple(a1, a2, a3, a4, a5, a6, a7, a8)
                                 ok, _ = validate(t, a)
-                                if ok and height_tilde(a, a1, a2, a3, a4, a5, a6, a7) <= B:
+                                if ok and literal_height_tilde(a, a1, a2, a3, a4, a5, a6, a7) <= B:
                                     raw += 1
     return raw
 

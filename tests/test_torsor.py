@@ -1,11 +1,12 @@
 import itertools
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delpezzo.arith import TESTBED
+from delpezzo.counting import _direct_box
 from delpezzo.torsor import (
     ACTION_WEIGHTS,
     ProjectivePoint,
@@ -19,6 +20,7 @@ from delpezzo.torsor import (
     validate,
     weight_rank_mod2,
 )
+from oracles import literal_height_tilde
 
 
 def literal_checks(a1, a2, a3, a4, a5, a6, a7, a8):
@@ -46,20 +48,6 @@ def literal_validate(t, a):
         if math.gcd(x, y) != 1:
             return False, f"{name} != 1"
     return True, "ok"
-
-
-def literal_height_tilde(a, a1, a2, a3, a4, a5, a6, a7):
-    """The five-monomial height as the max of five Fractions (test oracle)."""
-    if a1 == 0:
-        raise ValueError("a1 must be nonzero")
-    inner = a * a2**4 * a3**2 * a4**6 * a6**2 - a7 * a7
-    return max(
-        Fraction(abs(a6 * inner), abs(a1)),
-        Fraction(abs(a2 * a3 * a4 * a5 * a6 * a7)),
-        Fraction(abs(a1**2 * a2 * a3**2 * a5**3)),
-        Fraction(abs(a2**3 * a3**2 * a4**4 * a5 * a6**2)),
-        Fraction(abs(a1 * a2**2 * a3**2 * a4**2 * a5**2 * a6)),
-    )
 
 
 def test_weights_span():
@@ -100,9 +88,21 @@ def test_validate():
 
 def test_height_examples():
     for a in (-1, 5):
-        assert height_tilde(a, 1, 1, 1, 1, 1, 1, 0) == max(abs(a), 1)
-    with pytest.raises(ValueError):
-        height_tilde(5, 0, 1, 1, 1, 1, 1, 0)
+        assert height_tilde(TorsorTuple(1, 1, 1, 1, 1, 1, 0, a)) == max(abs(a), 1)
+
+
+def test_height_is_the_largest_of_x0_x1_x2_on_the_surface():
+    # every point of height <= 40 at the TESTBED a: no point's height needs
+    # x3 or x4, and each of x0, x1, x2 is the one largest coordinate somewhere
+    strict = set()
+    for a in TESTBED:
+        for x in _direct_box(a, 40):
+            mags = [abs(c) for c in x]
+            h = max(mags[:3])
+            assert h == max(mags), (a, x)
+            if mags.count(h) == 1:
+                strict.add(mags.index(h))
+    assert strict == {0, 1, 2}
 
 
 def test_action_involution_and_identity():
@@ -123,11 +123,11 @@ def test_orbits_and_height_descent():
                 tt = TorsorTuple(*coords)
                 assert validate(tt, a)[0]
                 images.add(psi(tt, a).x)
-                assert height_tilde(a, *coords[:7]) == height_tilde(a, *t[:7])
+                assert height_tilde(tt) == height_tilde(t)
             assert len(images) == 1
             # the Weil height of the image equals the tuple height
             pt = psi(t, a)
-            assert Fraction(pt.height) == height_tilde(a, *t[:7])
+            assert pt.height == height_tilde(t) == literal_height_tilde(a, *t[:7])
 
 
 def test_orbit_representatives_meet_each_orbit_of_the_signed_box_once():
@@ -184,9 +184,9 @@ def test_validate_and_height_equal_literal_oracles(a, c, a8, on):
         a8 = num // a1  # on the torsor equation
     t = TorsorTuple(*c, a8)
     assert validate(t, a) == literal_validate(t, a)
-    if a1:
-        h = height_tilde(a, *c)
-        assert type(h) is Fraction and h == literal_height_tilde(a, *c)
+    if validate(t, a)[0]:  # off the torsor the three-row maximum is not the height
+        h = height_tilde(t)
+        assert type(h) is int and h == literal_height_tilde(a, *c)
 
 
 def test_validate_reports_the_literal_first_failure_on_a_grid():
@@ -203,5 +203,7 @@ def test_validate_reports_the_literal_first_failure_on_a_grid():
                     got = validate(t, a)
                     assert got == literal_validate(t, a)
                     reasons.add(got[1])
+                    if got[0]:
+                        assert height_tilde(t) == literal_height_tilde(a, *t[:7])
     first = ("gcd(a8,a5)", "gcd(a7,a2*a3*a4)", "gcd(a6,a1*a2*a3*a5)", "gcd(a5,a2*a4)", "gcd(a4,a1*a3)")
     assert reasons == {"ok"} | {f"{name} != 1" for name in first}
