@@ -184,7 +184,10 @@ def test_validate_and_height_equal_literal_oracles(a, c, a8, on):
         a8 = num // a1  # on the torsor equation
     t = TorsorTuple(*c, a8)
     assert validate(t, a) == literal_validate(t, a)
-    if validate(t, a)[0]:  # off the torsor the three-row maximum is not the height
+    # the three-row maximum is the height only on the torsor of a surface S_a,
+    # a a nonzero nonsquare: at a = 0, (1, 1, 1, 1, 1, 2, 0, 0) has x3 = 4 > 1
+    nonsquare = a < 0 or (a > 0 and math.isqrt(a) ** 2 != a)
+    if nonsquare and validate(t, a)[0]:
         h = height_tilde(t)
         assert type(h) is int and h == literal_height_tilde(a, *c)
 
