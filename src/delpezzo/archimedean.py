@@ -43,7 +43,7 @@ import math
 
 import numpy as np
 
-from .arith import BLOCK, Estimate, OutOfRange, check_nonsquare
+from .arith import BLOCK, Estimate, OutOfRange, check_nonsquare, slice_monomials
 
 # The largest Monte Carlo sample count served (vol_SF holds 8 bytes a sample)
 MC_SAMPLES_MAX = 10**7  # criterion 08 draws this many
@@ -372,9 +372,9 @@ def vol_SF(
 
     The x7-section is exact; (x5, x6) are sampled through x5 = s w^2,
     x6 = t r^2/|w| * k6 on the bounded box fixed by the monomial constraints
-    M3 = a1^2 a2 a3^2 |x5|^3 <= B and M4 = a2^3 a3^2 a4^4 |x5| x6^2 <= B;
-    M5 = a1 a2^2 a3^2 a4^2 x5^2 |x6| = sqrt(M3 M4) <= B is implied there.
-    Compare against (2/3) omega_inf(a) B / (a2 a3 a4).
+    M3 = m3 |x5|^3 <= B and M4 = m4 |x5| x6^2 <= B, with d7, m3, m4 and w the
+    slice's arith.slice_monomials; x4's M5 = sqrt(M3 M4) <= B is implied
+    there.  Compare against (2/3) omega_inf(a) B / (a2 a3 a4).
 
     The samples are drawn and evaluated BLOCK at a time.  Only the values are
     held whole, one float64 array of `samples` entries: its whole-array mean
@@ -383,11 +383,12 @@ def vol_SF(
     if B <= 0:
         raise ValueError("B must be positive")
     check_mc_samples(samples)
-    S5 = (B / (a1 * a1 * a2 * a3 * a3)) ** (1 / 3)
-    S4 = B / (a2**3 * a3**2 * a4**4)
-    S2 = B / (a2 * a3 * a4)
+    d7, m3, m4, w = slice_monomials(a1, a2, a3, a4)
+    S5 = (B / m3) ** (1 / 3)
+    S4 = B / m4
+    S2 = B / d7
     S1 = B * a1
-    cc = a * a2**4 * a3**2 * a4**6
+    cc = a * w * w
 
     # The stream draws all the w's, then all the r's; a second generator
     # moved on by `samples` draws gives the r's, so both are taken a block

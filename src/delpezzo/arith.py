@@ -1,8 +1,9 @@
 """Exact integer arithmetic: factorization, multiplicative functions, the
-Legendre symbol, CRT; `Estimate`, a bounded number; the torsor's exponents.
+Legendre symbol, CRT; `Estimate`, a bounded number; the torsor's exponents and
+their evaluation at a slice (`slice_monomials`).
 
-Everything here works with plain Python integers and fractions.Fraction, so all
-density bookkeeping downstream stays exact.  Factorizations are cached
+Everything here works with plain Python integers, so the counts and the
+density bookkeeping built on it stay exact.  Factorizations are cached
 process-wide, since the same small moduli are factored over and over by the
 counting loops.
 """
@@ -165,3 +166,14 @@ PSI_EXPONENTS = (
     (1, 2, 2, 2, 2, 1, 0, 0),
 )
 UNIT_EXPONENTS = (0, 2, 1, 3, 0, 1)
+
+
+def slice_monomials(a1: int, a2: int, a3: int, a4: int) -> list[int]:
+    """(d7, m3, m4, w): the a1..a4 columns of psi's rows x1, x2, x3 and of the
+    unit, evaluated at the slice (a1..a4).  On the slice those rows are
+    d7 a5 a6 a7, m3 a5^3 and m4 a5 a6^2, and u = w a6.  x4's row is left out:
+    x4^2 = x2 x3, so its bound follows from those of x2 and x3."""
+    # map stops after a4, so only a1..a4's columns are read.  A list, not
+    # tuple() of a generator: over a torsor count that leaves freed 4-tuples
+    # on CPython's free list, 140 kB that its tracemalloc test sees.
+    return [math.prod(map(pow, (a1, a2, a3, a4), e)) for e in (*PSI_EXPONENTS[1:4], UNIT_EXPONENTS)]

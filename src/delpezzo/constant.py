@@ -8,8 +8,10 @@ computed through the absolutely convergent splitting
 
 where omega_p (1 - chi(p)/p) = 1 + O(1/p^2): for p not dividing 2a,
 omega_p = (1-1/p)^5 (1 + (5+chi(p))/p + 1/p^2), so pairing with the L-factor
-removes the chi(p)/p oscillation.  Truncation error is estimated empirically
-by doubling the prime cut.
+removes the chi(p)/p oscillation.  That polynomial in 1/p is written once,
+as local_densities.omega_poly, which omega_p evaluates at r_a(p) and the
+Euler product at chi(p).  Truncation error is estimated empirically by
+doubling the prime cut.
 
 Over a number field K the constant has the shape
     c = alpha * rho_K^5 * |Delta_K|^(-1) * prod_v omega_v,
@@ -30,7 +32,7 @@ import numpy as np
 from .archimedean import check_mc_samples, omega_inf_chart, omega_inf_montecarlo, omega_inf_region
 from .arith import BLOCK, Estimate, OutOfRange, factorize, primes_upto
 from .characters import CharacterChi, check_a_limit
-from .local_densities import omega_p
+from .local_densities import omega_p, omega_poly
 
 # vol(P)/3 for the height polytope P, derived by tests/test_alpha.py::test_v0_volume_exact
 ALPHA = Fraction(1, 1728)
@@ -52,19 +54,6 @@ def check_prime_cut(prime_cut: int) -> None:
         raise OutOfRange(f"prime_cut = {prime_cut} is not in 100..{PRIME_CUT_MAX}")
 
 
-def omega_good(p, chi):
-    """omega_p = (1-x)^5 (1 + (5+chi) x + x^2), x = 1/p, at a prime p not
-    dividing 2a, where chi = chi(p).  Expanded in x and evaluated by Horner's
-    rule, which keeps float64 values within an ulp or two (the factored form
-    loses up to 4 ulp, with a bias that builds up over the Euler product).
-    Exact for a Fraction p; elementwise for float arrays."""
-    x = 1 / p
-    value = 0
-    for coeff in (-1, -chi, 14 + 5 * chi, -35 - 10 * chi, 35 + 10 * chi, -14 - 5 * chi, chi, 1):
-        value = value * x + coeff
-    return value
-
-
 def finite_product(a: int, prime_cut: int, L1: Estimate, chi: CharacterChi) -> Estimate:
     """prod_p omega_p by the convergence-factor splitting; error by doubling.
 
@@ -80,7 +69,7 @@ def finite_product(a: int, prime_cut: int, L1: Estimate, chi: CharacterChi) -> E
     for start in range(0, len(primes), BLOCK):
         ps = np.array(primes[start : start + BLOCK], dtype=np.int64)
         chis = chi.table[ps % chi.modulus].astype(np.float64)
-        factors = omega_good(ps, chis) * (1 - chis / ps)
+        factors = omega_poly(ps, chis) * (1 - chis / ps)
         factors[np.isin(ps, bad)] = 1.0
         factors[0] *= prod
         curve = np.cumprod(factors)

@@ -49,8 +49,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import (BLOCK, PSI_EXPONENTS, UNIT_EXPONENTS, CounterMismatch, OutOfRange, ceil_sqrt,
-                    check_nonsquare, crt, moebius, squarefree_divisors)
+from .arith import (BLOCK, CounterMismatch, OutOfRange, ceil_sqrt, check_nonsquare, crt, moebius,
+                    slice_monomials, squarefree_divisors)
 from .eta import rho_classes
 
 
@@ -348,25 +348,25 @@ class _Slice:
     equation a1 a8 = c - a7^2, c = a (w a6)^2, has height <= B iff
       M3 = m3 a5^3 <= B1 (x2: a5's range),  M1 = a6 |c - a7^2| / a1 <= B1 and
       M2 = d7 a5 a6 |a7| <= B1 (x0, x1: the a7 window); the height implies
-      M4 = m4 a5 a6^2 <= B1,  M5 = m5 a5^2 a6 <= B1 (x3, x4: a6's range).
-    d7, m3, m4, m5 and w evaluate EXPONENTS, the a1..a4 columns of psi's rows
-    x1..x4 and of the unit; a5_hi, a6_hi and window invert the a5..a7 columns
-    of those rows.  Signs of a5, a6, a7 change no condition.
+      M4 = m4 a5 a6^2 <= B1 (x3: a6's range).
+    x4 needs no bound of its own: x4^2 = x2 x3 makes its monomial M5 satisfy
+    M5^2 = M3 M4, so M3, M4 <= B1 imply M5 <= B1.  d7, m3, m4 and w are
+    arith.slice_monomials; a5_hi, a6_hi and window invert the a5..a7 columns
+    of psi's rows x1..x3.  Signs of a5, a6, a7 change no condition.
     """
 
-    __slots__ = ("a1", "B1", "m3", "m4", "m5", "w", "c_base", "d7")
-    EXPONENTS = tuple(e[:4] for e in (*PSI_EXPONENTS[1:], UNIT_EXPONENTS))
+    __slots__ = ("a1", "B1", "m3", "m4", "w", "c_base", "d7")
 
     def __init__(self, a: int, B1: int, a1: int, a2: int, a3: int, a4: int):
         self.a1, self.B1 = a1, B1
-        self.d7, self.m3, self.m4, self.m5, self.w = [a1**i * a2**j * a3**k * a4**l for i, j, k, l in self.EXPONENTS]
+        self.d7, self.m3, self.m4, self.w = slice_monomials(a1, a2, a3, a4)
         self.c_base = a * self.w * self.w
 
     def a5_hi(self) -> int:
         return _iroot(self.B1 // self.m3, 3)
 
     def a6_hi(self, a5: int) -> int:
-        return min(math.isqrt(self.B1 // (self.m4 * a5)), self.B1 // (self.m5 * a5 * a5))
+        return math.isqrt(self.B1 // (self.m4 * a5))
 
     def box(self, b5: int = 1, b6: int = 1):
         """The box by rows: (a5, range of a6) with b5 | a5 and b6 | a6."""

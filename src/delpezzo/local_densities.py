@@ -4,7 +4,8 @@ Closed forms (exact rationals):
 
     r_a(p)     four-case formula built on the quadratic symbol and eta
     s_a(2)     the 2-adic correction sum over eta(2^(v+k+1); a)
-    omega_p    (1 - 1/p)^5 (1 + (5 + r_a(p))/p + 1/p^2)
+    omega_p    (1 - 1/p)^5 (1 + (5 + r_a(p))/p + 1/p^2), expanded in 1/p
+               (omega_poly, which constant.finite_product also evaluates)
 
 plus the K = Q squarefree table (remark_omega) used as an exact cross-check.
 
@@ -58,10 +59,21 @@ def s_a(a: int) -> Fraction:
     return out
 
 
+def omega_poly(p, r):
+    """(1-x)^5 (1 + (5+r) x + x^2), x = 1/p, expanded in x and evaluated by
+    Horner's rule, which keeps float64 values within an ulp or two (the
+    factored form loses up to 4 ulp, with a bias that builds up over the Euler
+    product).  Exact for a Fraction p; elementwise for float arrays."""
+    x = 1 / p
+    value = 0
+    for coeff in (-1, -r, 14 + 5 * r, -35 - 10 * r, 35 + 10 * r, -14 - 5 * r, r, 1):
+        value = value * x + coeff
+    return value
+
+
 def omega_p(p: int, a: int) -> Fraction:
     """Local density omega_p = (1-1/p)^5 (1 + (5+r_a(p))/p + 1/p^2), exact."""
-    one_minus = 1 - Fraction(1, p)
-    return one_minus**5 * (1 + (5 + r_a(p, a)) / p + Fraction(1, p * p))
+    return omega_poly(Fraction(p), r_a(p, a))
 
 
 def remark_omega(p: int, a: int) -> Fraction:

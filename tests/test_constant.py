@@ -7,8 +7,8 @@ import pytest
 
 from delpezzo.arith import BLOCK, TESTBED, CounterMismatch, Estimate, factorize, primes_upto
 from delpezzo.characters import CharacterChi
-from delpezzo.constant import L1_TOLERANCE, compare, finite_product, omega_good, predict_constant
-from delpezzo.local_densities import omega_p
+from delpezzo.constant import L1_TOLERANCE, compare, finite_product, predict_constant
+from delpezzo.local_densities import omega_p, omega_poly
 from oracles import chi_at
 
 
@@ -37,7 +37,7 @@ def naive_product_curve(a: int, cut: int):
     """(primes, running products of omega_p) in float64, vectorized away from
     p | 2a, for studying the conditional oscillation at large cuts."""
     ps, chis, bad = _prime_table(CharacterChi(a), cut)
-    factors = omega_good(ps, chis)
+    factors = omega_poly(ps, chis)
     for p in bad:
         factors[ps == p] = float(omega_p(p, a))
     return ps, np.cumprod(factors)
@@ -87,7 +87,7 @@ def _finite_product_whole(a: int, prime_cut: int, L1: Estimate, chi: CharacterCh
     """finite_product's (value, bound) with one pass over whole arrays of the
     primes up to 2 prime_cut: the reference the blocked pass matches bit for bit."""
     ps, chis, bad = _prime_table(chi, 2 * prime_cut)
-    factors = omega_good(ps, chis) * (1 - chis / ps)
+    factors = omega_poly(ps, chis) * (1 - chis / ps)
     factors[np.isin(ps, bad)] = 1.0
     curve = np.cumprod(factors)
     prod = float(curve[-1])
@@ -113,7 +113,7 @@ def test_finite_product_blocks_give_the_whole_array_bits():
 
 def test_finite_product_memory_is_of_order_block():
     # A block step holds about a dozen arrays of BLOCK primes: the slice of
-    # the prime tuple, the primes and their residues, chi(p), omega_good's
+    # the prime tuple, the primes and their residues, chi(p), omega_poly's
     # temporaries, the factors and the running product.  Whole-array passes
     # over the 148933 primes below 2 * 10^6 took 12 MB.
     a, cut = 12, 10**6
@@ -186,13 +186,15 @@ def test_compare_detects_mismatch(monkeypatch):
 
 
 def test_omega_good_is_exact_omega_p():
+    # omega_p is omega_poly at r_a(p), so at the good primes, where the Euler
+    # product evaluates omega_poly at chi(p), this checks chi(p) = r_a(p)
     for a in TESTBED:
         chi = CharacterChi(a)
         for p in primes_upto(2000):
             if (2 * a) % p:
                 x = chi_at(chi, p)
                 pair = 1 - Fraction(x, p)
-                assert omega_good(Fraction(p), x) * pair == omega_p(p, a) * pair, (a, p)
+                assert omega_poly(Fraction(p), x) * pair == omega_p(p, a) * pair, (a, p)
 
 
 def test_finite_product_matches_exact_loop():

@@ -316,9 +316,10 @@ def test_moebius_on_walked_slices(a, B):
 
 
 def test_slices_reassemble_count():
-    # the walk yields every admissible slice whose box is nonempty, once each,
-    # and the completions over the admissible slices sum to 2 N(B)
-    for a, B in ((-1, 1), (2, 2), (2, 50), (-5, 200), (-1, 997), (12, 997)):
+    # the walk yields the admissible slices in order, and they are those whose
+    # box is nonempty; the completions over them sum to 2 N(B).  4096 = 16^3 =
+    # 8^4 puts the walk's closed-form bounds exactly on a cube and a 4th power
+    for a, B in ((-1, 1), (2, 2), (2, 50), (-5, 200), (-1, 997), (12, 997), (-1, 4096)):
         admissible = []
         for a1 in range(1, math.isqrt(B) + 1):
             for a2 in range(1, _iroot(B, 3) + 1):
@@ -331,9 +332,8 @@ def test_slices_reassemble_count():
                         if theta0(a1, a2, a3, a4) == 1:
                             admissible.append((a1, a2, a3, a4))
         walked = [s for a1 in range(1, math.isqrt(B) + 1) for s in slices(B, a1)]
-        assert len(set(walked)) == len(walked), (a, B)
-        assert all(theta0(*s) == 1 for s in walked), (a, B)
+        assert walked == admissible, (a, B)
         boxes = {s: _Slice(a, B, *s) for s in admissible}
         nonempty = {s for s, box in boxes.items() if box.a5_hi() >= 1 and box.a6_hi(1) >= 1}
-        assert nonempty <= set(walked), (a, B, sorted(nonempty - set(walked)))
+        assert nonempty == set(walked), (a, B, sorted(nonempty ^ set(walked)))
         assert sum(_slice_lhs(a, *s, B) for s in admissible) == 2 * torsor_count(a, B).count, (a, B)

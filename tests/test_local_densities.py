@@ -11,6 +11,7 @@ from delpezzo.local_densities import (
     _kappa_histogram,
     omega_p,
     omega_p_bruteforce,
+    omega_poly,
     r_a,
     s_a,
     sum_kpk,
@@ -39,6 +40,15 @@ def test_omega_p_examples():
     assert omega_p(7, 3) == (1 - Fraction(1, 7)) ** 5 * (
         1 + Fraction(4, 7) + Fraction(1, 49)
     )
+
+
+def test_omega_poly_is_the_factored_form_at_every_r_a():
+    # bad primes included: at the primes dividing 2a, r_a(p) need not be +-1
+    for a in TESTBED:
+        for p in primes_upto(100):
+            r = r_a(p, a)
+            factored = (1 - Fraction(1, p)) ** 5 * (1 + (5 + r) / p + Fraction(1, p * p))
+            assert omega_poly(Fraction(p), r) == factored, (a, p)
 
 
 def test_r_a_lower_bound_and_omega_positivity():
