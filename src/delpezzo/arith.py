@@ -1,6 +1,7 @@
 """Exact integer arithmetic: factorization, multiplicative functions, the
 Legendre symbol, CRT; `Estimate`, a bounded number; the torsor's exponents and
-their evaluation at a slice (`slice_monomials`).
+coprimality conditions, their evaluation at a slice (`slice_monomials`,
+`slice_coprime`) and the slice test `theta0`.
 
 Everything here works with plain Python integers, so the counts and the
 density bookkeeping built on it stay exact.  Factorizations are cached
@@ -177,3 +178,45 @@ def slice_monomials(a1: int, a2: int, a3: int, a4: int) -> list[int]:
     # tuple() of a generator: over a torsor count that leaves freed 4-tuples
     # on CPython's free list, 140 kB that its tracemalloc test sees.
     return [math.prod(map(pow, (a1, a2, a3, a4), e)) for e in (*PSI_EXPONENTS[1:4], UNIT_EXPONENTS)]
+
+
+# The torsor's coprimality conditions gcd(a_i, prod_{j in js} a_j) = 1, one row
+# (i, js) each.  Every j is below i, so a row can be tested as soon as a_i is
+# fixed: rows 2-4 decide whether a slice (a1..a4) is admissible (theta0), and
+# rows 5-8 restrict its completions.
+COPRIME = (
+    (2, (1,)),
+    (3, (1,)),
+    (4, (1, 3)),
+    (5, (2, 4)),
+    (6, (1, 2, 3, 5)),
+    (7, (2, 3, 4)),
+    (8, (5,)),
+)
+
+
+def slice_coprime(a1: int, a2: int, a3: int, a4: int) -> list[int]:
+    """[g2, ..., g8]: COPRIME's rows at the slice (a1..a4), g_i the product of
+    the a_j with j in row i's js and j <= 4.  Rows 2-4 read only a_j with
+    j < i, so g2..g4 are whole, and g_i is already the value at (a1, ...,
+    a_(i-1), 1, ...).  For rows 5-8, g_i is the slice's part: the counter
+    tests the a5..a8 entries in its own loops."""
+    # plain loops: a comprehension per row took three times as long, and this
+    # runs once per slice of a torsor count
+    s = (0, a1, a2, a3, a4, 1, 1, 1, 1)
+    out = []
+    for _, js in COPRIME:
+        g = 1
+        for j in js:
+            g *= s[j]
+        out.append(g)
+    return out
+
+
+def theta0(a1: int, a2: int, a3: int, a4: int) -> int:
+    """1 iff the slice (a1..a4) is admissible, COPRIME's rows 2-4 holding on
+    it; else 0."""
+    if min(a1, a2, a3, a4) < 1:
+        raise ValueError("arguments must be positive")
+    g2, g3, g4 = slice_coprime(a1, a2, a3, a4)[:3]
+    return int(math.gcd(a2, g2) == 1 and math.gcd(a3, g3) == 1 and math.gcd(a4, g4) == 1)

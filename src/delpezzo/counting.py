@@ -17,6 +17,10 @@ torsor_count  enumerates torsor tuples (a1, ..., a7) with a8 forced by the
               (a1..a4) that `slices` yields, one at a time (_slice_count),
               over the slice's (a5, a6) box and a7 window (_Slice), where a7
               runs over the classes of eta.rho_classes(a1, a) times a unit.
+              The coprimality conditions are arith.COPRIME's rows, each
+              tested at the loop level that fixes its a_i.  The table's
+              a1..a4 columns come from arith.slice_coprime; its two entries
+              among a5..a8, a5 in rows 6 and 8, are written in the loops.
               The literal enumeration over all sign patterns is its test
               oracle, in tests/test_counting.py.
 
@@ -50,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import (BLOCK, CounterMismatch, OutOfRange, ceil_sqrt, check_nonsquare, crt, moebius,
-                    slice_monomials, squarefree_divisors)
+                    slice_coprime, slice_monomials, squarefree_divisors, theta0)
 from .eta import rho_classes
 
 
@@ -318,27 +322,28 @@ def torsor_count(a: int, B, jobs: int = 1) -> CountResult:
 def _torsor_positive(a: int, B1: int, a1: int) -> tuple[int, int]:
     """Sum of _slice_count, and of its visited pairs, over slices(B1, a1)."""
     classes = rho_classes(a1, a)[:2]  # an a1 with none is walked too: visited counts its pairs
-    parts = [_slice_count(a, B1, *s, classes) for s in slices(B1, a1)]
+    parts = [_slice_count(_Slice(a, B1, *s), classes) for s in slices(B1, a1)]
     return sum(w for w, _ in parts), sum(v for _, v in parts)
 
 
 def slices(B1: int, a1: int):
     """The admissible slices (a1, a2, a3, a4) with this a1 at integer height
     B1, those with theta0 = 1.  a2, a3 and a4 run up to m3 <= B and m4 <= B;
-    beyond, the slice's box is empty."""
+    beyond, the slice's box is empty.  Each of COPRIME's rows 2-4 is tested
+    at its own loop level: row i reads a_j with j < i only, so its product
+    g_i is slice_coprime's at (a1, ..., a_(i-1), 1, ...)."""
+    g2 = slice_coprime(a1, 1, 1, 1)[0]
     for a2 in range(1, min(_iroot(B1, 3), B1 // (a1 * a1)) + 1):
+        if math.gcd(a2, g2) != 1:
+            continue
+        g3 = slice_coprime(a1, a2, 1, 1)[1]
         for a3 in range(1, min(math.isqrt(B1 // a2**3), math.isqrt(B1 // (a1 * a1 * a2))) + 1):
+            if math.gcd(a3, g3) != 1:
+                continue
+            g4 = slice_coprime(a1, a2, a3, 1)[2]
             for a4 in range(1, _iroot(B1 // (a2**3 * a3 * a3), 4) + 1):
-                if theta0(a1, a2, a3, a4):
+                if math.gcd(a4, g4) == 1:
                     yield a1, a2, a3, a4
-
-
-def theta0(a1: int, a2: int, a3: int, a4: int) -> int:
-    """1 iff the slice (a1..a4) is admissible, gcd(a4, a1*a3) = gcd(a3, a1) =
-    gcd(a2, a1) = 1, which is gcd(a4, a3) = gcd(a1, a2*a3*a4) = 1; else 0."""
-    if min(a1, a2, a3, a4) < 1:
-        raise ValueError("arguments must be positive")
-    return int(math.gcd(a4, a3) == 1 and math.gcd(a1, a2 * a3 * a4) == 1)
 
 
 class _Slice:
@@ -353,13 +358,18 @@ class _Slice:
     M5^2 = M3 M4, so M3, M4 <= B1 imply M5 <= B1.  d7, m3, m4 and w are
     arith.slice_monomials; a5_hi, a6_hi and window invert the a5..a7 columns
     of psi's rows x1..x3.  Signs of a5, a6, a7 change no condition.
+    g5..g8 are the slice parts of COPRIME's rows 5-8 (arith.slice_coprime).
+    They are not the box's: _slice_count tests the rows on it, the two that
+    read a5 (rows 6 and 8) as gcd(a6, g6 a5) and gcd(a8, g8 a5), with g6 a5
+    and g8 a5 formed once per a5 row.
     """
 
-    __slots__ = ("a1", "B1", "m3", "m4", "w", "c_base", "d7")
+    __slots__ = ("a1", "B1", "m3", "m4", "w", "c_base", "d7", "g5", "g6", "g7", "g8")
 
     def __init__(self, a: int, B1: int, a1: int, a2: int, a3: int, a4: int):
         self.a1, self.B1 = a1, B1
         self.d7, self.m3, self.m4, self.w = slice_monomials(a1, a2, a3, a4)
+        self.g5, self.g6, self.g7, self.g8 = slice_coprime(a1, a2, a3, a4)[3:]
         self.c_base = a * self.w * self.w
 
     def a5_hi(self) -> int:
@@ -384,21 +394,21 @@ class _Slice:
         return c, L, U
 
 
-def _slice_count(a: int, B1: int, a1: int, a2: int, a3: int, a4: int, classes: tuple) -> tuple[int, int]:
+def _slice_count(s: _Slice, classes: tuple) -> tuple[int, int]:
     """Completions of one slice with a5, a6 >= 1 and a7 >= 0 (weight 2 if
-    a7 > 0) under the remaining coprimality conditions, and the number of
-    coprime (a5, a6) visited.  classes is rho_classes(a1, a)[:2], (rhos, m):
+    a7 > 0) under COPRIME's rows 5-8, and the number of coprime (a5, a6)
+    visited.  classes is rho_classes(a1, a)[:2], (rhos, m):
     u = w a6 is a unit mod a1, and the lifts of the rhos are the roots of a
     mod a1, so a1 | a u^2 - a7^2 iff a7 = u rho (mod m) for one rho."""
     rhos, m = classes
-    s = _Slice(a, B1, a1, a2, a3, a4)
-    g5, g6, d7 = a2 * a4, a1 * a2 * a3, s.d7
+    a1, g5, g6, g7, g8 = s.a1, s.g5, s.g6, s.g7, s.g8
     total = visited = 0
     for a5, a6s in s.box():
         if math.gcd(a5, g5) != 1:
             continue
+        g6a5, g8a5 = g6 * a5, g8 * a5
         for a6 in a6s:
-            if math.gcd(a6, g6 * a5) != 1:
+            if math.gcd(a6, g6a5) != 1:
                 continue
             visited += 1
             c, L, U = s.window(a5, a6)
@@ -407,7 +417,7 @@ def _slice_count(a: int, B1: int, a1: int, a2: int, a3: int, a4: int, classes: t
             u = s.w * a6
             for rho in rhos:
                 for a7 in range(L + (u * rho - L) % m, U + 1, m):
-                    if math.gcd(a7, d7) == 1 and math.gcd((c - a7 * a7) // a1, a5) == 1:
+                    if math.gcd(a7, g7) == 1 and math.gcd((c - a7 * a7) // a1, g8a5) == 1:
                         total += 2 if a7 > 0 else 1
     return total, visited
 
@@ -429,48 +439,50 @@ def moebius_slice_check(a: int, a1: int, a2: int, a3: int, a4: int, B) -> tuple[
     check_nonsquare(a)
     if theta0(a1, a2, a3, a4) != 1:
         raise ValueError("slice requires theta0(a1..a4) = 1")
-    B1 = math.floor(B)
-    return _slice_lhs(a, a1, a2, a3, a4, B1), _slice_rhs(a, a1, a2, a3, a4, B1)
+    s = _Slice(a, math.floor(B), a1, a2, a3, a4)
+    return _slice_lhs(a, s), _slice_rhs(a, s)
 
 
-def _slice_lhs(a: int, a1: int, a2: int, a3: int, a4: int, B1: int) -> int:
+def _slice_lhs(a: int, s: _Slice) -> int:
     """Completions (a5, a6, a7, a8) with the torsor equation, the remaining
     coprimality conditions, and height <= B;  a5, a6 range over both signs."""
-    return 4 * _slice_count(a, B1, a1, a2, a3, a4, rho_classes(a1, a)[:2])[0]
+    return 4 * _slice_count(s, rho_classes(s.a1, a)[:2])[0]
 
 
-def _slice_rhs(a: int, a1: int, a2: int, a3: int, a4: int, B1: int) -> int:
+def _slice_rhs(a: int, s: _Slice) -> int:
     """The Moebius-inverted side: sum over inversion data and the rho classes
-    that eta(d58 a1; a) counts."""
-    s = _Slice(a, B1, a1, a2, a3, a4)
+    that eta(d58 a1; a) counts.  d5, d6 and d7 invert COPRIME's rows 5-7 at
+    their slice parts g5, g6, g7, d56 the a5 entry of row 6 and d58 that of
+    row 8, whose slice part g8 is 1."""
     A5, A6 = s.a5_hi(), s.a6_hi(1)
     if A5 < 1 or A6 < 1:
         return 0
 
-    g56 = a1 * a2 * a3 * a4
+    a1, g5, g6, g7 = s.a1, s.g5, s.g6, s.g7
+    g56 = g5 * g6
     d56s = [(d, mu) for d in range(1, A6 + 1) if (mu := moebius(d)) and math.gcd(d, g56) == 1]
+    d5s, d6s, d7s = ([(d, moebius(d)) for d in squarefree_divisors(g)] for g in (g5, g6, g7))
     total = 0
     for d58 in range(1, A5 + 1):
         mu58 = moebius(d58)
-        if mu58 == 0 or math.gcd(d58, a2 * a3 * a4) != 1:
+        if mu58 == 0 or math.gcd(d58, g7) != 1:
             continue
         rhos, mod_rho, gp = rho_classes(d58 * a1, a)
         if not rhos:
             continue
         for d56, mu56 in d56s:
             lcm_5658 = math.lcm(d56, d58)
-            for d5 in squarefree_divisors(a2 * a4):
+            for d5, mu5 in d5s:
                 b5 = d5 * lcm_5658
                 if b5 > A5:
                     continue
-                mu5 = moebius(d5)
-                for d6 in squarefree_divisors(a1 * a2 * a3):
+                for d6, mu6 in d6s:
                     b6 = d6 * d56
                     if b6 > A6:
                         continue
-                    mu56856 = mu56 * mu58 * mu5 * moebius(d6)
-                    for d7 in squarefree_divisors(a2 * a3 * a4):
-                        mu = mu56856 * moebius(d7)
+                    mu56856 = mu56 * mu58 * mu5 * mu6
+                    for d7, mu7 in d7s:
+                        mu = mu56856 * mu7
                         b7 = d7 * mod_rho
                         for rho in rhos:
                             # gp | rho and gcd(d7, d58 a1) = 1 (theta0), so the

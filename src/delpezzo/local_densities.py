@@ -108,11 +108,6 @@ def sum_kpk(q, n: int) -> Fraction:
     return (1 - 1 / q) ** -2 * (Fraction(n + 1) / q ** (n + 1) - Fraction(n) / q ** (n + 2))
 
 
-def _pf(p: int, e: int) -> Fraction:
-    """p^e as an exact Fraction, e any integer."""
-    return Fraction(p**e) if e >= 0 else Fraction(1, p**-e)
-
-
 def _kappa_histogram(p: int, a_unit: int, nmax: int) -> tuple[list[int], int]:
     """#{units u mod p^nmax : v_p(a_unit - u^2) = j} for j < nmax, plus the
     count with v >= nmax (including exact zeros).
@@ -141,6 +136,7 @@ def omega_p_bruteforce(p: int, a: int, Vmax: int) -> Estimate:
     A1 = 2 * V + gamma + 4  # window for alpha < 0
     A2 = 2 * V + 2          # window for alpha > 0
     one_minus = 1 - Fraction(1, p)
+    q = Fraction(p)  # q ** e is exact for every integer e
 
     tie_possible = gamma % 2 == 0
     gp = gamma // 2
@@ -164,11 +160,11 @@ def omega_p_bruteforce(p: int, a: int, Vmax: int) -> Estimate:
             if not is_tie:
                 m = min(2 * alpha, 2 * beta + gamma)
                 e_M = max(-m, ec)
-                total += one_minus**2 * _pf(p, -alpha - e_M)
+                total += one_minus**2 * q ** (-alpha - e_M)
                 continue
             kappa0 = max(0, -ec - 2 * beta - gamma)
             if kappa0 == 0:
-                total += one_minus**2 * _pf(p, -alpha - ec)
+                total += one_minus**2 * q ** (-alpha - ec)
                 continue
             # resolve kappa classes up to kappa0; beyond that M = p^ec
             scale = p ** (nmax - kappa0)
@@ -177,10 +173,10 @@ def omega_p_bruteforce(p: int, a: int, Vmax: int) -> Estimate:
             for j in range(kappa0):
                 cnt = hist[j] // scale
                 used += cnt
-                inner += cnt * _pf(p, 2 * beta + gamma + j)
+                inner += cnt * q ** (2 * beta + gamma + j)
             total_units = p ** (kappa0 - 1) * (p - 1)
-            inner += (total_units - used) * _pf(p, -ec)
-            total += one_minus * _pf(p, -alpha - kappa0) * inner
+            inner += (total_units - used) * q ** -ec
+            total += one_minus * q ** (-alpha - kappa0) * inner
 
     tail = _window_bound(p, gamma, V, B2, A1, A2)
     return Estimate(one_minus**5 * total, one_minus**5 * tail)
@@ -206,7 +202,8 @@ def _window_bound(p: int, gamma: int, V: int, B2: int, A1: int, A2: int) -> Frac
     All series are geometric or sum_{b>n} b p^(-b) (closed form sum_kpk).
     """
     one_minus = 1 - Fraction(1, p)
-    geo = lambda e: _pf(p, -e) * p / (p - 1)  # sum_{x >= e} p^-x
+    q = Fraction(p)  # q ** e is exact for every integer e
+    geo = lambda e: q ** -e * p / (p - 1)  # sum_{x >= e} p^-x
     H = 4 if p == 2 else 2
     cg = (gamma + 1) // 2  # ceil(gamma/2)
     fg = gamma // 2
@@ -221,14 +218,14 @@ def _window_bound(p: int, gamma: int, V: int, B2: int, A1: int, A2: int) -> Frac
     j0 = (B2 + 2) // 2  # floor(b/2) >= j0 for b > B2
     bound += Fraction(p + 1, p - 1) * 2 * geo(j0)
     # F2, beta < -V: T <= p^(-s) over s >= b - cg
-    bound += _pf(p, cg) * Fraction(p, p - 1) * geo(V + 1)
+    bound += q ** cg * Fraction(p, p - 1) * geo(V + 1)
     # F2, alpha < -A1 inside beta window
     bound += (V + B2 + 2) * geo(A1 + 1)
     # F3, beta < -V: per b, sum_s p^(s - 2b + gamma) <= (p/(p-1)) p^(fg - b)
-    bound += Fraction(p, p - 1) * _pf(p, fg) * geo(V + 1)
+    bound += Fraction(p, p - 1) * q ** fg * geo(V + 1)
     # F4 tie tail
     if gamma % 2 == 0:
         sum_b = sum_kpk(p, V)  # sum_{b > V} b p^-b
         sum_1 = geo(V + 1)
-        bound += one_minus * H * _pf(p, fg) * (sum_b + (1 - gamma) * sum_1)
+        bound += one_minus * H * q ** fg * (sum_b + (1 - gamma) * sum_1)
     return bound

@@ -1,4 +1,4 @@
-"""The congruence weight theta1 (the slice test theta0 is counting.theta0).
+"""The congruence weight theta1 (the slice test theta0 is arith.theta0).
 
 theta1 is an Euler product whose factor at p, theta1_local, depends only on
 the valuation pattern v = (v_p(a1), ..., v_p(a4)) and on eta.  Away from
@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .arith import valuation
+from .arith import slice_coprime, theta0, valuation
 from .eta import eta_bruteforce, eta_closed
 
 
@@ -46,48 +46,50 @@ def theta1_local(p: int, a: int, v: tuple[int, int, int, int]) -> Fraction:
     return Fraction(0)
 
 
+# Both sides of the identity where theta0 fails: one Fraction, since most of
+# the verify suite's patterns fail theta0 and a Fraction takes a microsecond
+_ZERO = Fraction(0)
+
+
 def theta1_factor_identity(p: int, a: int, v: tuple[int, int, int, int]):
     """Check theta1_local(p, a, v) against the local Moebius/rho sum.
 
     Returns (table_value, local_sum, passed).  The local sum enumerates the
-    five squarefree inversion exponents (e56, e58, e5, e6, e7) in {0,1} with
+    five squarefree inversion exponents (e56, e58, e5, e6, e7) in {0,1}.  With
+    g5, g6, g7 the slice parts of arith.COPRIME's rows 5-7 at the slice
+    (p^v1, ..., p^v4), as in _slice_rhs,
 
-        e56 = 1 only if v1 = v2 = v3 = v4 = 0
-        e58 = 1 only if v2 = v3 = v4 = 0,
+        e5, e6, e7 = 1 only if p divides g5, g6, g7 respectively
+        e56 = 1 only if p divides neither g5 nor g6
+        e58 = 1 only if p does not divide g7,
               and v_p(a) odd  =>  e58 + v1 <= v_p(a)
-        e5  = 1 only if v2 + v4 >= 1
-        e6  = 1 only if v1 + v2 + v3 >= 1
-        e7  = 1 only if v2 + v3 + v4 >= 1
 
-    and sums mu * (rho count) / p^D with
+    It sums mu * (rho count) / p^D with
     D = e5+e6+e7+e56+e58+max(e56,e58) - floor(min(e58+v1, v_p(a))/2),
     where the rho count is eta(p^(e58+v1); a) evaluated by exhaustive
     enumeration: eta_bruteforce lifts the roots mod p^(e58+v1) one digit at a
-    time through eta.root_tower (no case table).  theta0 violations force the
-    table value 0 and an empty sum contribution pattern is not asserted there.
+    time through eta.root_tower (no case table).  Where theta0 fails at the
+    slice (p^v1, ..., p^v4), the table value and the sum are both 0.
     """
-    v1, v2, v3, v4 = v
-    n = valuation(p, a)
-    # theta0 localized at p: no pair (1,2), (1,3), (1,4-with-3) etc.
-    t0_ok = not (
-        (v4 > 0 and (v1 > 0 or v3 > 0)) or (v3 > 0 and v1 > 0) or (v2 > 0 and v1 > 0)
-    )
-    table = theta1_local(p, a, v) if t0_ok else Fraction(0)
+    pv = [p**x for x in v]
+    if not theta0(*pv):
+        return _ZERO, _ZERO, True
+    v1, n = v[0], valuation(p, a)
+    g5, g6, g7 = slice_coprime(*pv)[3:6]
 
     def free(cond) -> tuple[int, ...]:
         return (0, 1) if cond else (0,)
 
+    rho = {
+        e58: eta_bruteforce(p ** (e58 + v1), a)
+        for e58 in free(g7 == 1)
+        if n % 2 == 0 or e58 + v1 <= n
+    }
     total = 0  # the sum times p^6: every D is at most 6
-    if t0_ok:
-        rho = {
-            e58: eta_bruteforce(p ** (e58 + v1), a)
-            for e58 in free(not (v2 or v3 or v4))
-            if n % 2 == 0 or e58 + v1 <= n
-        }
-        for e56, e58, e5, e6, e7 in itertools.product(
-            free(not any(v)), rho, free(v2 + v4), free(v1 + v2 + v3), free(v2 + v3 + v4)
-        ):
-            D = e5 + e6 + e7 + e56 + e58 + max(e56, e58) - min(e58 + v1, n) // 2
-            total += (-1) ** (e56 + e58 + e5 + e6 + e7) * rho[e58] * p ** (6 - D)
-    total = Fraction(total, p**6)
+    for e56, e58, e5, e6, e7 in itertools.product(
+        free(g5 * g6 == 1), rho, free(g5 > 1), free(g6 > 1), free(g7 > 1)
+    ):
+        D = e5 + e6 + e7 + e56 + e58 + max(e56, e58) - min(e58 + v1, n) // 2
+        total += (-1) ** (e56 + e58 + e5 + e6 + e7) * rho[e58] * p ** (6 - D)
+    table, total = theta1_local(p, a, v), Fraction(total, p**6)
     return table, total, table == total

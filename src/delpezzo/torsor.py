@@ -3,25 +3,26 @@
 An integer tuple (a1, ..., a8) with a1..a6 nonzero lies on the torsor when
 
     a1*a8 + a7^2 = a*u^2,  u = a2^2*a3*a4^3*a6                  (torsor equation)
-    gcd(a8,a5) = gcd(a7,a2*a3*a4) = gcd(a6,a1*a2*a3*a5)
-      = gcd(a5,a2*a4) = gcd(a4,a1*a3) = gcd(a3,a1) = gcd(a2,a1) = 1
 
-and maps to the surface by the anticanonical monomials psi (exponents in
-arith.PSI_EXPONENTS), of height max(|x0|, |x1|, |x2|).  The sign torus
-{+-1}^5 acts through the weight matrix below; over Q the class group and unit
-contributions collapse, the action is free on tuples with a1..a6 != 0 (the
-first six weight vectors span F_2^5), and every orbit has exactly 32 members
-mapping to a single rational point.  `orbit_representatives` walks one tuple
-of every orbit in a small box, on which `verify --suite torsor` checks this.
+and the coprimality conditions gcd(a_i, prod_{j in js} a_j) = 1 hold, one
+for each row (i, js) of arith.COPRIME.  It maps to the surface by the
+anticanonical monomials psi (exponents in arith.PSI_EXPONENTS), of height
+max(|x0|, |x1|, |x2|).  The sign torus {+-1}^5 acts through the weight matrix
+below; over Q the class group and unit contributions collapse, the action is
+free on tuples with a1..a6 != 0 (the first six weight vectors span F_2^5),
+and every orbit has exactly 32 members mapping to a single rational point.
+`orbit_representatives` walks one tuple of every orbit in a small box, on
+which `verify --suite torsor` checks this.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import NamedTuple
 
-from .arith import PSI_EXPONENTS, UNIT_EXPONENTS
+from .arith import COPRIME, PSI_EXPONENTS, UNIT_EXPONENTS
 
 # weight vectors m^(1)..m^(8) of the {+-1}^5 action on (a1, ..., a8)
 ACTION_WEIGHTS = (
@@ -73,30 +74,27 @@ def normalize_point(coords: tuple[int, ...]) -> tuple[int, ...]:
     g = math.gcd(*coords)
     if g == 0:
         raise ValueError("zero vector is not projective")
-    if next(c for c in coords if c) < 0:
+    if next(filter(None, coords)) < 0:
         g = -g
-    return tuple(c // g for c in coords)
+    return tuple([c // g for c in coords])
 
 
 def validate(t: TorsorTuple, a: int) -> tuple[bool, str]:
     """Check nonvanishing, the torsor equation and the coprimality conditions
-    but gcd(a3,a1) and gcd(a2,a1): a prime dividing a1 and a2 or a3 divides
-    a7 by the equation, so gcd(a7,a2*a3*a4) fails first."""
+    of COPRIME's rows 8 down to 4, which leaves out gcd(a3,a1) and gcd(a2,a1):
+    a prime dividing a1 and a2 or a3 divides a7 by the equation, so
+    gcd(a7,a2*a3*a4) fails first."""
     a1, a2, a3, a4, a5, a6, a7, a8 = t
     if not (a1 and a2 and a3 and a4 and a5 and a6):
         return False, "a1..a6 must be nonzero"
     if a1 * a8 + a7 * a7 != a * math.prod(map(pow, t, UNIT_EXPONENTS)) ** 2:
         return False, "torsor equation fails"
-    if math.gcd(a8, a5) != 1:
-        return False, "gcd(a8,a5) != 1"
-    if math.gcd(a7, a2 * a3 * a4) != 1:
-        return False, "gcd(a7,a2*a3*a4) != 1"
-    if math.gcd(a6, a1 * a2 * a3 * a5) != 1:
-        return False, "gcd(a6,a1*a2*a3*a5) != 1"
-    if math.gcd(a5, a2 * a4) != 1:
-        return False, "gcd(a5,a2*a4) != 1"
-    if math.gcd(a4, a1 * a3) != 1:
-        return False, "gcd(a4,a1*a3) != 1"
+    for i, js in reversed(COPRIME[2:]):
+        g = 1
+        for j in js:
+            g *= t[j - 1]
+        if math.gcd(t[i - 1], g) != 1:
+            return False, f"gcd(a{i},{'*'.join(f'a{j}' for j in js)}) != 1"
     return True, "ok"
 
 
@@ -132,7 +130,7 @@ def psi(t: TorsorTuple, a: int) -> ProjectivePoint:
     ok, reason = validate(t, a)
     if not ok:
         raise ValueError(f"invalid torsor tuple: {reason}")
-    raw = tuple(math.prod(map(pow, t, e)) for e in PSI_EXPONENTS)
+    raw = [math.prod(map(pow, t, e)) for e in PSI_EXPONENTS]
     pt = ProjectivePoint(normalize_point(raw))
     if not pt.on_surface(a):
         raise AssertionError("psi image left the surface")
@@ -170,4 +168,4 @@ _ORBIT_SIGNS = tuple(
 
 def orbit(t: TorsorTuple) -> set[tuple[int, ...]]:
     """All sign-orbit members of a tuple."""
-    return {tuple(s * c for s, c in zip(signs, t)) for signs in _ORBIT_SIGNS}
+    return {tuple(map(operator.mul, signs, t)) for signs in _ORBIT_SIGNS}

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from delpezzo.archimedean import MC_SAMPLES_MAX
-from delpezzo.arith import PSI_EXPONENTS, UNIT_EXPONENTS, OutOfRange
+from delpezzo.arith import COPRIME, PSI_EXPONENTS, UNIT_EXPONENTS, CounterMismatch, OutOfRange
 from delpezzo.characters import A_MAX
 from delpezzo.cli import CACHE_ENV, Cache, main
 from delpezzo.constant import PRIME_CUT_MAX
@@ -271,6 +271,79 @@ def test_verify_torsor_fails_without_a6_in_x4(monkeypatch, capsys):
     assert main(["verify", "--suite", "torsor"]) == 1
     out = capsys.readouterr().out
     assert "suite torsor: FAIL" in out and "psi image left the surface" in out
+
+
+def _loop_entries(table):
+    """The entries (i, j) of a coprimality table with j >= 5: those the torsor
+    counter tests in its own loops, where arith.slice_coprime, which evaluates
+    the a1..a4 columns, does not see them."""
+    return {(i, j) for i, js in table for j in js if j >= 5}
+
+
+def test_coprime_table_shape():
+    # rows 2..8 in order (the counter and theta read them by position), each
+    # j below i, and among a5..a8 only the two a5 entries the counter's loops
+    # write: gcd(a6, g6 a5) and gcd(a8, g8 a5)
+    assert [i for i, _ in COPRIME] == list(range(2, 9))
+    assert all(0 < j < i for i, js in COPRIME for j in js)
+    assert _loop_entries(COPRIME) == {(6, 5), (8, 5)}
+
+
+# every single-entry change of the coprimality table, as (row, column): drop
+# a_j from row i's product, or add an a_j with j < i; 28 in all
+EQUIVALENT = (
+    "a prime dividing a8 and a{j} divides u = a2^2 a3 a4^3 a6, so by the torsor "
+    "equation a1 a8 + a7^2 = a u^2 it divides a7, which row 7 already forbids"
+)
+COPRIME_MUTANTS = [
+    pytest.param(
+        i, j, id=f"a{i}{'-' if j in js else '+'}a{j}",
+        marks=(pytest.mark.xfail(strict=True, raises=AssertionError, reason=EQUIVALENT.format(j=j))
+               if i == 8 and j in (2, 3, 4) else ()),
+    )
+    for i, js in COPRIME
+    for j in range(1, i)
+]
+
+
+def _coprime_checks():
+    """The checks a coprimality mutant meets, in turn, each True if it passes:
+    the two counters agree at B = 300, the quick torsor, Moebius and theta
+    suites, and the table's entries among a5..a8."""
+    from delpezzo import arith, counting
+    from delpezzo.cli import SUITES
+
+    def counters_agree():
+        try:
+            for a in (-1, 2):
+                counting.count(a, 300)
+        except CounterMismatch:
+            return False
+        return True
+
+    yield counters_agree
+    for name in ("torsor", "moebius", "theta"):
+        yield lambda name=name: next(SUITES[name](True), None) is None
+    yield lambda: _loop_entries(arith.COPRIME) == {(6, 5), (8, 5)}
+
+
+def test_coprime_mutants_are_all_listed_and_the_checks_pass_on_the_table():
+    assert len(COPRIME_MUTANTS) == 28
+    assert all(passes() for passes in _coprime_checks())
+
+
+@pytest.mark.parametrize("i, j", COPRIME_MUTANTS)
+def test_every_coprime_mutant_fails_a_check(monkeypatch, i, j):
+    # the table is patched in every module that binds it, each consumer
+    # reading it at call time: arith's slice_coprime and theta0 (which the
+    # walk, the counter, the Moebius side and theta call) and torsor.validate
+    import delpezzo.counting, delpezzo.theta, delpezzo.torsor  # noqa: F401
+
+    table = tuple((r, tuple(sorted(set(js) ^ {j})) if r == i else js) for r, js in COPRIME)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("delpezzo.") and hasattr(module, "COPRIME"):
+            monkeypatch.setattr(module, "COPRIME", table)
+    assert not all(passes() for passes in _coprime_checks())
 
 
 def test_main_in_process(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delpezzo import counting
-from delpezzo.arith import BLOCK, TESTBED, OutOfRange
+from delpezzo.arith import BLOCK, TESTBED, OutOfRange, theta0
 from delpezzo.counting import (
     _direct_box,
     _direct_pruned_count,
@@ -21,7 +21,6 @@ from delpezzo.counting import (
     direct_count,
     moebius_slice_check,
     slices,
-    theta0,
     torsor_count,
 )
 from delpezzo.torsor import TorsorTuple, validate
@@ -336,4 +335,4 @@ def test_slices_reassemble_count():
         boxes = {s: _Slice(a, B, *s) for s in admissible}
         nonempty = {s for s, box in boxes.items() if box.a5_hi() >= 1 and box.a6_hi(1) >= 1}
         assert nonempty == set(walked), (a, B, sorted(nonempty ^ set(walked)))
-        assert sum(_slice_lhs(a, *s, B) for s in admissible) == 2 * torsor_count(a, B).count, (a, B)
+        assert sum(_slice_lhs(a, box) for box in boxes.values()) == 2 * torsor_count(a, B).count, (a, B)

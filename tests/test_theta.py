@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from delpezzo.arith import factorize, primes_upto, valuation
-from delpezzo.counting import theta0
+from delpezzo.arith import factorize, primes_upto, theta0, valuation
 from delpezzo.eta import eta_bruteforce
 from delpezzo.local_densities import r_a
 from delpezzo.theta import theta1_factor_identity, theta1_local
