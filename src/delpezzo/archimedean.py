@@ -45,7 +45,7 @@ import numpy as np
 
 from .arith import BLOCK, Estimate, OutOfRange, check_nonsquare, slice_monomials
 
-# The largest Monte Carlo sample count served (vol_SF holds 8 bytes a sample)
+# The largest Monte Carlo sample count served
 MC_SAMPLES_MAX = 10**7  # criterion 08 draws this many
 
 
@@ -376,9 +376,16 @@ def vol_SF(
     slice's arith.slice_monomials; x4's M5 = sqrt(M3 M4) <= B is implied
     there.  Compare against (2/3) omega_inf(a) B / (a2 a3 a4).
 
-    The samples are drawn and evaluated BLOCK at a time.  Only the values are
-    held whole, one float64 array of `samples` entries: its whole-array mean
-    fixes the estimate's bits, and its variance is taken in place.
+    The samples are drawn and evaluated in the leaves of numpy's pairwise
+    sum over `samples` values: a node of more than BLOCK values splits at
+    n2 = n // 2 rounded down to a multiple of 8 (`_pairwise_tree`).  A leaf
+    keeps three numbers, its sum, its sum of squares and its count, and the
+    leaf sums are added along the same tree.  Since np.add.reduce of a leaf
+    is the pairwise sum of that subtree, the total is the bits of
+    np.add.reduce over the whole array of values, and the estimate is
+    `vals.mean()`'s bits without `vals`.  The standard error comes from the
+    one-pass moments, (Q - S mean)/(n - 1).  A draw with w = 0 or r = 0
+    (probability 2^-53 each) is dropped, and its leaf holds one value fewer.
     """
     if B <= 0:
         raise ValueError("B must be positive")
@@ -391,31 +398,46 @@ def vol_SF(
     cc = a * w * w
 
     # The stream draws all the w's, then all the r's; a second generator
-    # moved on by `samples` draws gives the r's, so both are taken a block
-    # at a time and only the values are held whole.
+    # moved on by `samples` draws gives the r's, so both are taken a leaf
+    # at a time.
     rng_w = np.random.default_rng(seed)
     rng_r = np.random.default_rng(seed)
     rng_r.bit_generator.advance(samples)
     scale = 4.0 * (S5 ** (1 / 2)) * (S4 ** (1 / 4))  # dx5 dx6 = 2w dw * 2r/w dr
-    vals = np.empty(samples)
-    kept = 0
-    for start in range(0, samples, BLOCK):
-        size = min(BLOCK, samples - start)
+    sums = []  # (S, Q, n) of the open subtrees, left to right
+    for size in _pairwise_tree(samples):
+        if not size:  # the last two subtrees close into their parent
+            (s1, q1, n1), (s2, q2, n2) = sums.pop(-2), sums.pop()
+            sums.append((s1 + s2, q1 + q2, n1 + n2))
+            continue
         w = rng_w.random(size) * S5 ** (1 / 2)
         r = rng_r.random(size) * S4 ** (1 / 4)
         good = (w > 0) & (r > 0)
         w, r = w[good], r[good]
         x5 = w * w
         x6 = r * r / w
-        lens = _section_len(cc * x6 * x6, S1 / x6, S2 / (x5 * x6))
-        vals[kept : kept + len(r)] = scale * r * lens
-        kept += len(r)
-    vals = vals[:kept]
-    mean = vals.mean()
-    # the sample variance in place: np.std(ddof=1)'s operations, in its order
-    vals -= mean
-    vals *= vals
-    var = vals.sum() / (kept - 1)
+        # scaled in place: one 128 KiB temporary fewer to free at the top
+        # of the heap, which glibc would hand back to the OS and fault back
+        # in at the next leaf (5x the page faults, 1.4x the time at 10^6)
+        v = _section_len(cc * x6 * x6, S1 / x6, S2 / (x5 * x6))
+        v *= scale * r
+        sums.append((np.add.reduce(v), np.add.reduce(v * v), len(v)))
+    [(S, Q, kept)] = sums
+    mean = S / kept
+    var = (Q - S * mean) / (kept - 1)
     est = 4.0 * float(mean)  # sign symmetry in x5 and x6
     stderr = 4.0 * math.sqrt(float(var)) / math.sqrt(kept)
     return Estimate(est, stderr)
+
+
+def _pairwise_tree(n: int):
+    """The tree of numpy's pairwise sum over n values in post-order, down to
+    leaves of at most BLOCK values: each leaf's size, then a 0 where its
+    parent adds its two subtrees' sums."""
+    if n <= BLOCK:
+        yield n
+        return
+    n2 = n // 2 - n // 2 % 8
+    yield from _pairwise_tree(n2)
+    yield from _pairwise_tree(n - n2)
+    yield 0

@@ -17,11 +17,13 @@ from itertools import accumulate, chain, compress, cycle
 from typing import NamedTuple
 
 # Elements per step of every large numpy pass: the O(samples) Monte Carlo
-# (archimedean.vol_SF), the O(8|a|) character passes (characters), the Euler
-# product's primes (constant.finite_product) and the direct counter's
-# t-candidates (counting._pruned_pairs).  A float64 temporary is then 128 KiB,
-# so the dozen or so of them a block step holds fit in a core's L2 cache, and
-# the passes hold whole only the arrays they return or reduce.
+# (archimedean.vol_SF, leaves of at most BLOCK samples), the O(8|a|)
+# character passes (characters), the Euler product's sieve (constant,
+# segments of 8 BLOCK integers, so fewer than BLOCK primes each) and the
+# direct counter's t-candidates (counting._pruned_pairs).  A float64
+# temporary is then at most 128 KiB, so the dozen or so of them a step holds
+# fit in a core's L2 cache, and the passes hold whole only the arrays they
+# return or reduce.
 BLOCK = 1 << 14
 
 
@@ -127,9 +129,9 @@ def crt(residues: list[tuple[int, int]]) -> tuple[int, int] | None:
     return r0, m0
 
 
-@lru_cache(maxsize=None)
 def primes_upto(n: int) -> tuple[int, ...]:
-    """All primes <= n by sieve."""
+    """All primes <= n by sieve, for small n: the verify suites' ranges and
+    the Euler product's base primes up to sqrt(2 prime_cut)."""
     if n < 2:
         return ()
     sieve = bytearray([1]) * (n + 1)

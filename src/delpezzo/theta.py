@@ -46,11 +46,6 @@ def theta1_local(p: int, a: int, v: tuple[int, int, int, int]) -> Fraction:
     return Fraction(0)
 
 
-# Both sides of the identity where theta0 fails: one Fraction, since most of
-# the verify suite's patterns fail theta0 and a Fraction takes a microsecond
-_ZERO = Fraction(0)
-
-
 def theta1_factor_identity(p: int, a: int, v: tuple[int, int, int, int]):
     """Check theta1_local(p, a, v) against the local Moebius/rho sum.
 
@@ -73,7 +68,7 @@ def theta1_factor_identity(p: int, a: int, v: tuple[int, int, int, int]):
     """
     pv = [p**x for x in v]
     if not theta0(*pv):
-        return _ZERO, _ZERO, True
+        return Fraction(0), Fraction(0), True
     v1, n = v[0], valuation(p, a)
     g5, g6, g7 = slice_coprime(*pv)[3:6]
 

@@ -200,30 +200,31 @@ def _vol_SF_whole(a, a1, a2, a3, a4, B, samples, seed):
     x6 = r * r / w
     lens = archimedean._section_len(cc * x6 * x6, S1 / x6, S2 / (x5 * x6))
     vals = 4.0 * (S5 ** (1 / 2)) * (S4 ** (1 / 4)) * r * lens
-    return 4.0 * float(vals.mean()), 4.0 * float(vals.std(ddof=1)) / math.sqrt(len(vals))
+    mean = vals.mean()
+    var = (np.add.reduce(vals * vals) - np.add.reduce(vals) * mean) / (len(vals) - 1)
+    return 4.0 * float(mean), 4.0 * math.sqrt(float(var)) / math.sqrt(len(vals))
 
 
-@pytest.mark.parametrize("samples", [1000, BLOCK, 3 * BLOCK + 123])
+@pytest.mark.parametrize("samples", [1000, BLOCK, 3 * BLOCK + 123, 10**6])
 def test_vol_SF_blocks_give_the_whole_array_bits(samples):
     for args in ((-1, 1, 1, 1, 1, 1.0), (5, 2, 1, 3, 1, 1e4), (12, 3, 2, 1, 2, 777.0), (-1000003, 1, 1, 1, 1, 1.0)):
         v = vol_SF(*args, samples=samples, seed=3)
         assert (v.value, v.bound) == _vol_SF_whole(*args, samples, 3), (args, samples)
 
 
-def test_montecarlo_memory_is_one_value_array_and_blocks():
-    # The values are one float64 array of `samples` entries, and their
-    # variance is taken in place.  A block step holds at most 16 float64
-    # arrays of BLOCK entries: the two draws and their products with the box
-    # sides, w, r and the mask, x5, x6, the section's three arguments and its
-    # temporaries, and the values of the block.  Whole-array passes take
-    # about 90 MB, and std(ddof=1) would form a second array of `samples`
-    # deviations.
-    samples = 10**6
+def test_montecarlo_memory_is_of_order_block():
+    # No array of values is held: a leaf holds at most 16 float64 arrays of
+    # BLOCK entries (the two draws and their products with the box sides, w,
+    # r and the mask, x5, x6, the section's three arguments and its
+    # temporaries, the values and their squares), and the open subtrees keep
+    # three numbers each.  Whole-array passes took about 90 MB at 10^6
+    # samples, and the array of values 8 bytes a sample.
     omega_inf_montecarlo(-1, 2, 1)  # imports and first-call set-up outside the trace
-    tracemalloc.start()
-    try:
-        omega_inf_montecarlo(-1, samples, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * samples + 16 * 8 * BLOCK, peak
+    for samples in (10**6, 10**7):
+        tracemalloc.start()
+        try:
+            omega_inf_montecarlo(-1, samples, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 8 * BLOCK, (samples, peak)

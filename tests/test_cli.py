@@ -448,14 +448,17 @@ def test_library_refuses_bad_input_before_computing(monkeypatch, call):
 
 def _cap_address_space():
     # the child's own limit: 512 MiB holds the interpreter, numpy and a
-    # predict at the prime-cut and sample limits, not a character table past
-    # A_MAX (80 MB of int8 plus, before the refusal, an int64 index of 640 MB)
+    # predict at the prime-cut and sample limits (which stream in blocks, at
+    # about 37 MB of RSS), not a character table past A_MAX (80 MB of int8
+    # plus, before the refusal, an int64 index of 640 MB)
     cap = 512 * 2**20
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 
 def _refused_in_capped_child(tmp_path, args):
-    r = run_cli([*args, "--cache-dir", str(tmp_path)], preexec_fn=_cap_address_space)
+    # a refusal takes well under a second; the timeout stops an unrefused
+    # request that would stream for hours rather than die of MemoryError
+    r = run_cli([*args, "--cache-dir", str(tmp_path)], preexec_fn=_cap_address_space, timeout=60)
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1, r.stderr
     assert r.stdout == "" and not (tmp_path / "cache.jsonl").exists()
@@ -470,7 +473,8 @@ def test_a_beyond_chi_limit_refused_before_allocating(tmp_path, command, a):
 @pytest.mark.parametrize(
     "args",
     [
-        # unrefused, a sieve to 2 prime_cut or 8 bytes a sample: MemoryError
+        # unrefused, the sieve to 2 prime_cut or the Monte Carlo would run for
+        # hours in O(BLOCK) memory: the timeout fails them fast
         ["predict", "--a", "-1", "--prime-cut", "1000000000", "--mc-samples", "0"],
         ["predict", "--a", "-1", "--mc-samples", "100000000000"],
         ["compare", "--a", "-1", "--B-list", "50", "--prime-cut", "400000000"],

@@ -1,28 +1,35 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from delpezzo.arith import BLOCK, TESTBED, CounterMismatch, Estimate, factorize, primes_upto
-from delpezzo.characters import CharacterChi
-from delpezzo.constant import L1_TOLERANCE, compare, finite_product, predict_constant
+from delpezzo.arith import BLOCK, TESTBED, CounterMismatch, Estimate, factorize, legendre, primes_upto
+from delpezzo.characters import A_MAX, CharacterChi
+from delpezzo.constant import (L1_TOLERANCE, _legendre_at, _prime_segments, compare, finite_product,
+                               predict_constant)
 from delpezzo.local_densities import omega_p, omega_poly
 from oracles import chi_at
 
+# the oracles below sieve the same ranges for every a
+_primes = lru_cache(maxsize=None)(primes_upto)
+
 
 def _prime_table(chi: CharacterChi, cut: int):
-    """(primes p <= cut, chi(p) as float64, the primes dividing 2a)."""
+    """(primes p <= cut, chi(p) from the character table as float64, the
+    primes dividing 2a)."""
     bad = [p for p, _ in factorize(2 * chi.a)]
-    ps = np.array(primes_upto(cut), dtype=np.int64)
+    ps = np.array(_primes(cut), dtype=np.int64)
     return ps, chi.table[ps % chi.modulus].astype(np.float64), bad
 
 
 def default_finite_product(a: int, prime_cut: int):
-    """finite_product with chi and L(1, chi) built as predict_constant builds them."""
-    chi = CharacterChi(a)
-    return finite_product(a, prime_cut, chi.L1(L1_TOLERANCE), chi)
+    """finite_product with L(1, chi) built as predict_constant builds it."""
+    return finite_product(a, prime_cut, CharacterChi(a).L1(L1_TOLERANCE))
 
 
 def naive_partial_product(a: int, cut: int) -> float:
@@ -85,7 +92,8 @@ def test_finite_product_cut_floor():
 
 def _finite_product_whole(a: int, prime_cut: int, L1: Estimate, chi: CharacterChi):
     """finite_product's (value, bound) with one pass over whole arrays of the
-    primes up to 2 prime_cut: the reference the blocked pass matches bit for bit."""
+    primes up to 2 prime_cut and chi(p) read from the character table: the
+    reference the segmented pass matches bit for bit."""
     ps, chis, bad = _prime_table(chi, 2 * prime_cut)
     factors = omega_poly(ps, chis) * (1 - chis / ps)
     factors[np.isin(ps, bad)] = 1.0
@@ -100,34 +108,69 @@ def _finite_product_whole(a: int, prime_cut: int, L1: Estimate, chi: CharacterCh
 
 
 def test_finite_product_blocks_give_the_whole_array_bits():
-    # the cut's prime last in the first block, first in the second, and cuts
-    # whose doubled range spans 2 and 9 blocks
-    last, first = primes_upto(10**6)[BLOCK - 1 : BLOCK + 1]
+    # the cut's prime last in the first segment, first in the second, a
+    # doubled range whose last segment is one integer and holds no prime,
+    # and doubled ranges that span 2 and 16 segments
+    segment = 8 * BLOCK
+    below = _primes(segment - 1)
+    last, first = below[-1], _primes(2 * segment)[len(below)]
     for a in TESTBED:
         chi = CharacterChi(a)
         L1 = chi.L1(1e-6)
-        for cut in (100, last, first, 10**5, 10**6):
-            fp = finite_product(a, cut, L1, chi)
+        for cut in (100, last, first, segment // 2, 10**5, 10**6):
+            fp = finite_product(a, cut, L1)
             assert (fp.value, fp.bound) == _finite_product_whole(a, cut, L1, chi), (a, cut)
 
 
 def test_finite_product_memory_is_of_order_block():
-    # A block step holds about a dozen arrays of BLOCK primes: the slice of
-    # the prime tuple, the primes and their residues, chi(p), omega_poly's
-    # temporaries, the factors and the running product.  Whole-array passes
-    # over the 148933 primes below 2 * 10^6 took 12 MB.
-    a, cut = 12, 10**6
-    chi = CharacterChi(a)
-    L1 = chi.L1(1e-6)
-    primes_upto(2 * cut)  # the sieve is cached process-wide: warm it outside the trace
-    finite_product(a, 100, L1, chi)
+    # A segment holds the sieve's 8 BLOCK bools and the base primes up to
+    # sqrt(2 cut), then about a dozen arrays of its fewer than BLOCK primes:
+    # the primes, the Euler criterion's powers, exponents and products,
+    # chi(p), omega_poly's temporaries, the factors and the running product.
+    # Whole-array passes over the 148933 primes below 2 * 10^6 took 12 MB,
+    # and the tuple of primes below 2 * 10^7 takes 46 MB.
+    a, cut = 12, 10**7
+    L1 = CharacterChi(a).L1(1e-6)
+    finite_product(a, 100, L1)
     tracemalloc.start()
     try:
-        finite_product(a, cut, L1, chi)
+        finite_product(a, cut, L1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 8 * BLOCK, peak
+
+
+@pytest.mark.parametrize("n", sorted({
+    *(k * 8 * BLOCK + d for k in (1, 2, 3) for d in (-1, 0, 1)),  # at the segments' edges
+    *(q * q for q in (2, 3, 11, 359, 509, 1021)),  # squares of base primes
+    2, 3, 100,
+}))
+def test_prime_segments_are_the_primes(n):
+    segments = list(_prime_segments(n))
+    assert all(len(ps) and ps.dtype == np.int64 for ps in segments)
+    assert np.concatenate(segments).tolist() == list(primes_upto(n))
+
+
+ODD_PRIMES = np.array(_primes(2 * 10**5)[1:], dtype=np.int64)
+
+
+def _assert_legendre_at(a):
+    got = _legendre_at(a, ODD_PRIMES)
+    assert got.tolist() == [legendre(a, p) for p in ODD_PRIMES.tolist()], a
+
+
+@pytest.mark.parametrize("a", [*TESTBED, 1000003, -1000003])
+def test_legendre_at_is_legendre(a):
+    _assert_legendre_at(a)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(-A_MAX, A_MAX), st.sampled_from(ODD_PRIMES.tolist()))
+def test_legendre_at_is_legendre_on_a_and_its_multiples(a, p):
+    # a itself, and the multiple of p nearest a toward 0 (or p), where (a|p) = 0
+    _assert_legendre_at(a)
+    _assert_legendre_at(abs(a) // p * p * (-1 if a < 0 else 1) or p)
 
 
 def test_finite_product_stability_under_doubling():
@@ -208,5 +251,5 @@ def test_finite_product_matches_exact_loop():
                 prod *= float(omega_p(p, a))
             else:
                 prod *= float(omega_p(p, a)) * (1 - chi_at(chi, p) / p)
-        fp = finite_product(a, 1000, L1, chi)
+        fp = finite_product(a, 1000, L1)
         assert abs(fp.value / (prod * L1.value) - 1) <= 1e-13, a
