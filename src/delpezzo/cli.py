@@ -15,6 +15,7 @@ import sys
 import time
 import zlib
 from functools import lru_cache
+from importlib.util import find_spec
 from pathlib import Path
 
 from . import __version__
@@ -34,12 +35,15 @@ def default_cache_dir() -> Path:
 
 @lru_cache(maxsize=None)
 def code_version() -> str:
-    """Checksum of the package's sources, so that a cached result never
-    outlives the code that produced it.  CRC-32, because importing hashlib
-    loads OpenSSL and adds about 3.5 MB to every command's memory."""
+    """Checksum of the package's sources and of numpy's version.py, so that a
+    cached result never outlives the code that produced it, numpy's included.
+    find_spec locates numpy without importing it.  CRC-32, because importing
+    hashlib loads OpenSSL and adds about 3.5 MB to every command's memory."""
     crc = 0
     for path in sorted(Path(__file__).parent.glob("*.py")):
         crc = zlib.crc32(path.name.encode() + b"\0" + path.read_bytes(), crc)
+    numpy_version = Path(find_spec("numpy").origin).with_name("version.py")
+    crc = zlib.crc32(numpy_version.read_bytes(), crc)
     return f"{crc:08x}"
 
 

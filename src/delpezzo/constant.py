@@ -42,7 +42,8 @@ L1_TOLERANCE = 1e-7
 # The largest prime cut served.  The Euler product sieves the integers up to
 # 2 prime_cut 8 BLOCK at a time and holds no array of primes, so its memory
 # does not grow with the cut: at this cut and MC_SAMPLES_MAX a `predict`
-# peaks at 37 MB of RSS in about 1.1 s; the limit keeps a miss near a second.
+# peaks at 37 MB of RSS in about 0.8 s (2-core Xeon VM); the limit keeps a
+# miss under a second.
 PRIME_CUT_MAX = 10**7
 
 
@@ -69,46 +70,30 @@ def _prime_segments(n: int):
             yield ps
 
 
-def _legendre_at(a: int, ps: np.ndarray) -> np.ndarray:
-    """(a|p) at each odd prime p of the increasing int64 array ps, by
-    arith.legendre's rule: r = a^((p-1)/2) mod p by square and multiply, -1
-    where r = p - 1.  a is reduced mod p first, so every product stays below
-    p^2 < 2^63 for p < 3 10^9."""
-    base = a % ps
-    r = np.ones_like(ps)
-    e = (ps - 1) // 2
-    for _ in range(int(e[-1]).bit_length()):
-        np.remainder(r * base, ps, out=r, where=(e & 1) == 1)
-        base = base * base % ps
-        e >>= 1
-    return np.where(r == ps - 1, -1, r)
-
-
-def finite_product(a: int, prime_cut: int, L1: Estimate) -> Estimate:
+def finite_product(chi: CharacterChi, prime_cut: int, L1: Estimate) -> Estimate:
     """prod_p omega_p by the convergence-factor splitting; error by doubling.
 
-    L1 is the estimate of L(1, chi) to use.  At an odd prime p not dividing
-    a, chi(p) = (D|p) for the discriminant D of Q(sqrt a) is the Legendre
-    symbol (a|p) (`_legendre_at`); the primes dividing 2a take their exact
-    omega_p.  The primes up to 2 prime_cut are taken a sieve segment at a
-    time (`_prime_segments`), and each segment's cumprod starts from the
-    running product of the segments before it, which gives the bits of one
-    cumprod over all of them."""
+    L1 is the estimate of L(1, chi) to use.  chi(p) is read from chi's table:
+    at an odd prime p not dividing a it is the Legendre symbol (a|p), and it
+    is 0 exactly at the primes dividing 2a, which take their exact omega_p.
+    The primes up to 2 prime_cut are taken a sieve segment at a time
+    (`_prime_segments`), and each segment's cumprod starts from the running
+    product of the segments before it, which gives the bits of one cumprod
+    over all of them."""
     check_prime_cut(prime_cut)
-    bad = [p for p, _ in factorize(2 * a)]
     prod = 1.0
     for ps in _prime_segments(2 * prime_cut):
-        chis = _legendre_at(a, ps).astype(np.float64)
+        chis = chi.table[ps % chi.modulus].astype(np.float64)
         factors = omega_poly(ps, chis) * (1 - chis / ps)
-        factors[np.isin(ps, bad)] = 1.0
+        factors[chis == 0] = 1.0
         factors[0] *= prod
         curve = np.cumprod(factors)
         if ps[0] <= prime_cut:  # the last such segment holds the last prime <= prime_cut
             at_cut = float(curve[np.searchsorted(ps, prime_cut, side="right") - 1])
         prod = float(curve[-1])
     head = 1.0
-    for p in bad:
-        head *= float(omega_p(p, a))
+    for p, _ in factorize(2 * chi.a):
+        head *= float(omega_p(p, chi.a))
     val = head * L1.value * prod
     doubling = abs(prod - at_cut) * head * abs(L1.value)
     bound = doubling + head * prod * L1.bound
@@ -127,7 +112,7 @@ def predict_constant(a: int, prime_cut: int = 20000, tolerance: float = 1e-6,
         check_mc_samples(mc_samples)
     chi = CharacterChi(a)
     L1 = chi.L1(L1_TOLERANCE)
-    fp = finite_product(a, prime_cut, L1)
+    fp = finite_product(chi, prime_cut, L1)
     om_chart = omega_inf_chart(a, tolerance)
     om_region = omega_inf_region(a, tolerance)
     record = {

@@ -146,8 +146,9 @@ def test_criterion_10_end_to_end():
         assert math.isfinite(r["ratio"]) and r["ratio"] > 0
     # both counters agreed exactly inside compare (it raises otherwise)
     # constant factors stable under doubling within 1%
-    L1 = CharacterChi(-1).L1(L1_TOLERANCE)
-    fp1, fp2 = finite_product(-1, 2000, L1), finite_product(-1, 4000, L1)
+    chi = CharacterChi(-1)
+    L1 = chi.L1(L1_TOLERANCE)
+    fp1, fp2 = finite_product(chi, 2000, L1), finite_product(chi, 4000, L1)
     assert abs(fp1.value / fp2.value - 1) < 0.01
     m1 = omega_inf_montecarlo(-1, 10**6, seed=5)
     m2 = omega_inf_montecarlo(-1, 2 * 10**6, seed=5)

@@ -4,13 +4,14 @@ import random
 import resource
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from delpezzo.archimedean import MC_SAMPLES_MAX
 from delpezzo.arith import COPRIME, PSI_EXPONENTS, UNIT_EXPONENTS, CounterMismatch, OutOfRange
 from delpezzo.characters import A_MAX
-from delpezzo.cli import CACHE_ENV, Cache, main
+from delpezzo.cli import CACHE_ENV, Cache, code_version, main
 from delpezzo.constant import PRIME_CUT_MAX
 
 
@@ -566,6 +567,22 @@ def test_cache_misses_other_code_version(tmp_path):
     rec["code_version"] = "0" * len(rec["code_version"])
     c.path.write_text(json.dumps(rec) + "\n")
     assert c.get("count", params) is None
+
+
+def test_code_version_follows_numpy(tmp_path, monkeypatch):
+    # an upgrade of numpy in place changes its version.py, and so the key
+    fake = tmp_path / "numpy"
+    fake.mkdir()
+    monkeypatch.setattr("delpezzo.cli.find_spec", lambda name: SimpleNamespace(origin=str(fake / "__init__.py")))
+    versions = []
+    try:
+        for text in ('version = "2.4.6"\n', 'version = "2.4.7"\n'):
+            (fake / "version.py").write_text(text)
+            code_version.cache_clear()
+            versions.append(code_version())
+    finally:
+        code_version.cache_clear()
+    assert versions[0] != versions[1]
 
 
 def test_cache_hit_skips_numeric_imports(tmp_path):

@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delpezzo.arith import BLOCK, TESTBED, CounterMismatch, Estimate, factorize, legendre, primes_upto
-from delpezzo.characters import A_MAX, CharacterChi
-from delpezzo.constant import (L1_TOLERANCE, _legendre_at, _prime_segments, compare, finite_product,
-                               predict_constant)
+from delpezzo.characters import CharacterChi
+from delpezzo.constant import L1_TOLERANCE, _prime_segments, compare, finite_product, predict_constant
 from delpezzo.local_densities import omega_p, omega_poly
 from oracles import chi_at
 
@@ -28,8 +27,9 @@ def _prime_table(chi: CharacterChi, cut: int):
 
 
 def default_finite_product(a: int, prime_cut: int):
-    """finite_product with L(1, chi) built as predict_constant builds it."""
-    return finite_product(a, prime_cut, CharacterChi(a).L1(L1_TOLERANCE))
+    """finite_product with chi and L(1, chi) built as predict_constant builds them."""
+    chi = CharacterChi(a)
+    return finite_product(chi, prime_cut, chi.L1(L1_TOLERANCE))
 
 
 def naive_partial_product(a: int, cut: int) -> float:
@@ -67,17 +67,22 @@ def test_alpha_exact_in_breakdown():
 
 def test_predict_builds_one_character(monkeypatch):
     # the chi table costs O(|a|) kronecker symbols; L(1, chi) and the Euler
-    # product share one build
-    builds = []
+    # product read the one table that predict_constant builds
+    built, passed = [], []
     init = CharacterChi.__init__
 
     def counted(self, a):
-        builds.append(a)
+        built.append(self)
         init(self, a)
 
+    def spied(chi, prime_cut, L1):
+        passed.append(chi)
+        return finite_product(chi, prime_cut, L1)
+
     monkeypatch.setattr(CharacterChi, "__init__", counted)
+    monkeypatch.setattr("delpezzo.constant.finite_product", spied)
     predict_constant(-7, prime_cut=500)
-    assert builds == [-7]
+    assert len(built) == len(passed) == 1 and passed[0] is built[0] and built[0].a == -7
 
 
 def test_finite_product_positive_factors():
@@ -118,23 +123,24 @@ def test_finite_product_blocks_give_the_whole_array_bits():
         chi = CharacterChi(a)
         L1 = chi.L1(1e-6)
         for cut in (100, last, first, segment // 2, 10**5, 10**6):
-            fp = finite_product(a, cut, L1)
+            fp = finite_product(chi, cut, L1)
             assert (fp.value, fp.bound) == _finite_product_whole(a, cut, L1, chi), (a, cut)
 
 
 def test_finite_product_memory_is_of_order_block():
     # A segment holds the sieve's 8 BLOCK bools and the base primes up to
     # sqrt(2 cut), then about a dozen arrays of its fewer than BLOCK primes:
-    # the primes, the Euler criterion's powers, exponents and products,
-    # chi(p), omega_poly's temporaries, the factors and the running product.
+    # the primes, their residues mod 8|a|, chi(p) as int8 and as float64,
+    # omega_poly's temporaries, the factors and the running product.
     # Whole-array passes over the 148933 primes below 2 * 10^6 took 12 MB,
     # and the tuple of primes below 2 * 10^7 takes 46 MB.
     a, cut = 12, 10**7
-    L1 = CharacterChi(a).L1(1e-6)
-    finite_product(a, 100, L1)
+    chi = CharacterChi(a)
+    L1 = chi.L1(1e-6)
+    finite_product(chi, 100, L1)
     tracemalloc.start()
     try:
-        finite_product(a, cut, L1)
+        finite_product(chi, cut, L1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -155,22 +161,30 @@ def test_prime_segments_are_the_primes(n):
 ODD_PRIMES = np.array(_primes(2 * 10**5)[1:], dtype=np.int64)
 
 
-def _assert_legendre_at(a):
-    got = _legendre_at(a, ODD_PRIMES)
+def _assert_table_is_legendre(a):
+    # finite_product reads chi(p) at the primes from the table
+    chi = CharacterChi(a)
+    got = chi.table[ODD_PRIMES % chi.modulus]
     assert got.tolist() == [legendre(a, p) for p in ODD_PRIMES.tolist()], a
 
 
-@pytest.mark.parametrize("a", [*TESTBED, 1000003, -1000003])
-def test_legendre_at_is_legendre(a):
-    _assert_legendre_at(a)
+@pytest.mark.parametrize("a", [*TESTBED, 1000003, -1000003, 999983])
+def test_chi_table_is_legendre_at_odd_primes(a):
+    _assert_table_is_legendre(a)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(-A_MAX, A_MAX), st.sampled_from(ODD_PRIMES.tolist()))
-def test_legendre_at_is_legendre_on_a_and_its_multiples(a, p):
+def _nonsquare(a: int) -> bool:
+    return a < 0 or (a > 1 and math.isqrt(a) ** 2 != a)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(-10**5, 10**5).filter(_nonsquare), st.sampled_from(_primes(10**5)[1:]))
+def test_chi_table_is_legendre_on_a_and_its_multiples(a, p):
     # a itself, and the multiple of p nearest a toward 0 (or p), where (a|p) = 0
-    _assert_legendre_at(a)
-    _assert_legendre_at(abs(a) // p * p * (-1 if a < 0 else 1) or p)
+    _assert_table_is_legendre(a)
+    multiple = abs(a) // p * p * (-1 if a < 0 else 1) or p
+    if _nonsquare(multiple):
+        _assert_table_is_legendre(multiple)
 
 
 def test_finite_product_stability_under_doubling():
@@ -251,5 +265,5 @@ def test_finite_product_matches_exact_loop():
                 prod *= float(omega_p(p, a))
             else:
                 prod *= float(omega_p(p, a)) * (1 - chi_at(chi, p) / p)
-        fp = finite_product(a, 1000, L1)
+        fp = finite_product(chi, 1000, L1)
         assert abs(fp.value / (prod * L1.value) - 1) <= 1e-13, a
