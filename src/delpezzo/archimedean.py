@@ -224,19 +224,17 @@ def omega_inf_region(a: int, tol: float = 1e-9) -> Estimate:
 
 
 def _chart_section(a: float, x3: float) -> float:
-    """Exact int dx1 / max(|a x3^2 - x1^2|, |x1|, K) over x1 in R, with
-    K = max(|x3|, 1/|x3|) >= 1."""
+    """Exact int dx1 / max(|a x3^2 - x1^2|, |x1|, K, 1) over x1 in R, with
+    K = max(|x3|, 1/|x3|) >= 1, so the 1 never binds."""
     c = a * x3 * x3
     K = max(abs(x3), 1.0 / abs(x3))
 
     # breakpoints of the max on x1 >= 0
     pts = {0.0}
-    for val in (K, 1.0):
-        # x1^2 - c = +-val
-        for s in (val, -val):
-            d = c + s
-            if d > 0:
-                pts.add(math.sqrt(d))
+    for s in (K, -K):  # x1^2 - c = +-K
+        d = c + s
+        if d > 0:
+            pts.add(math.sqrt(d))
     # x1^2 - c = +-x1  ->  x1 = (+-1 + sqrt(1 + 4c))/2
     if 1 + 4 * c >= 0:
         root = math.sqrt(1 + 4 * c)
@@ -376,16 +374,11 @@ def vol_SF(
     slice's arith.slice_monomials; x4's M5 = sqrt(M3 M4) <= B is implied
     there.  Compare against (2/3) omega_inf(a) B / (a2 a3 a4).
 
-    The samples are drawn and evaluated in the leaves of numpy's pairwise
-    sum over `samples` values: a node of more than BLOCK values splits at
-    n2 = n // 2 rounded down to a multiple of 8 (`_pairwise_tree`).  A leaf
-    keeps three numbers, its sum, its sum of squares and its count, and the
-    leaf sums are added along the same tree.  Since np.add.reduce of a leaf
-    is the pairwise sum of that subtree, the total is the bits of
-    np.add.reduce over the whole array of values, and the estimate is
-    `vals.mean()`'s bits without `vals`.  The standard error comes from the
-    one-pass moments, (Q - S mean)/(n - 1).  A draw with w = 0 or r = 0
-    (probability 2^-53 each) is dropped, and its leaf holds one value fewer.
+    The samples are drawn and evaluated in leaves of BLOCK // 2 samples, and
+    the leaves' sums, sums of squares and counts are added in turn, as
+    L(1, chi) adds its blocks.  The standard error comes from the one-pass
+    moments, (Q - S mean)/(n - 1).  A draw with w = 0 or r = 0 (probability
+    2^-53 each) is dropped, and its leaf holds one value fewer.
     """
     if B <= 0:
         raise ValueError("B must be positive")
@@ -404,40 +397,31 @@ def vol_SF(
     rng_r = np.random.default_rng(seed)
     rng_r.bit_generator.advance(samples)
     scale = 4.0 * (S5 ** (1 / 2)) * (S4 ** (1 / 4))  # dx5 dx6 = 2w dw * 2r/w dr
-    sums = []  # (S, Q, n) of the open subtrees, left to right
-    for size in _pairwise_tree(samples):
-        if not size:  # the last two subtrees close into their parent
-            (s1, q1, n1), (s2, q2, n2) = sums.pop(-2), sums.pop()
-            sums.append((s1 + s2, q1 + q2, n1 + n2))
-            continue
+    # Leaves of BLOCK // 2 samples keep every temporary at 64 KiB.  Freed at
+    # the top of the heap, 128 KiB ones pass glibc's trim threshold, and the
+    # top is handed back to the OS and faulted in again at every leaf (14k
+    # page faults against 0.2k, 5% more time at 10^7 samples).
+    leaf = BLOCK // 2
+    S = Q = 0.0
+    kept = 0
+    for start in range(0, samples, leaf):
+        size = min(leaf, samples - start)
         w = rng_w.random(size) * S5 ** (1 / 2)
         r = rng_r.random(size) * S4 ** (1 / 4)
         good = (w > 0) & (r > 0)
         w, r = w[good], r[good]
         x5 = w * w
         x6 = r * r / w
-        # scaled in place: one 128 KiB temporary fewer to free at the top
-        # of the heap, which glibc would hand back to the OS and fault back
-        # in at the next leaf (5x the page faults, 1.4x the time at 10^6)
+        # scaled in place for the same reason: one temporary fewer to free
+        # at the top of the heap (5x the page faults, 1.4x the time at 10^6)
         v = _section_len(cc * x6 * x6, S1 / x6, S2 / (x5 * x6))
         v *= scale * r
-        sums.append((np.add.reduce(v), np.add.reduce(v * v), len(v)))
-    [(S, Q, kept)] = sums
+        S += np.add.reduce(v)
+        Q += np.add.reduce(v * v)
+        kept += len(v)
     mean = S / kept
     var = (Q - S * mean) / (kept - 1)
     est = 4.0 * float(mean)  # sign symmetry in x5 and x6
     stderr = 4.0 * math.sqrt(float(var)) / math.sqrt(kept)
     return Estimate(est, stderr)
 
-
-def _pairwise_tree(n: int):
-    """The tree of numpy's pairwise sum over n values in post-order, down to
-    leaves of at most BLOCK values: each leaf's size, then a 0 where its
-    parent adds its two subtrees' sums."""
-    if n <= BLOCK:
-        yield n
-        return
-    n2 = n // 2 - n // 2 % 8
-    yield from _pairwise_tree(n2)
-    yield from _pairwise_tree(n - n2)
-    yield 0

@@ -11,7 +11,7 @@ S_N is evaluated in O(m) operations, one digamma pair per residue class,
 
 since sum_{j<K} 1/(r + j*m) = (psi(K + r/m) - psi(r/m))/m.  The digamma
 function psi is evaluated in numpy: the recurrence psi(x) = psi(x + 1) - 1/x
-shifts each argument to x >= 10, where the asymptotic series
+shifts a whole array by one count, to x >= 10, where the asymptotic series
 psi(x) ~ log x - 1/(2x) - sum_k B_2k / (2k x^2k) is summed to k = 7.  The
 term-by-term chunked sum of the same S_N is its test oracle (`sum_upto` in
 tests/test_characters.py).  The table, its partial sums and S_N are built and summed
@@ -19,6 +19,8 @@ BLOCK residues at a time, so only the int8 table is O(|a|) in memory.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -43,16 +45,14 @@ _PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 1
 
 
 def digamma(x) -> np.ndarray:
-    """psi(x) for an array of x > 0: shifted up to x + n >= 10 by the
-    recurrence, then the asymptotic series, whose first omitted term is below
-    1e-16 there."""
+    """psi(x) for an array of x > 0: the whole array shifted up by one count
+    n, so that x + n >= 10, by the recurrence, then the asymptotic series,
+    whose first omitted term is below 1e-16 there."""
     x = np.asarray(x, dtype=np.float64)
-    n = np.maximum(np.ceil(10 - x), 0)
+    n = max(0, math.ceil(10 - x.min()))
     shift = np.zeros_like(x)
-    # sum_{k < n} 1/(x + k), smallest terms first; no pass for k >= max n,
-    # whose terms are all exact zeros
-    for k in range(int(n.max(initial=0)) - 1, -1, -1):
-        shift += np.where(k < n, 1 / (x + k), 0.0)
+    for k in range(n - 1, -1, -1):  # sum_{k < n} 1/(x + k), smallest terms first
+        shift += 1 / (x + k)
     x = x + n
     inv2 = 1 / (x * x)
     series = np.zeros_like(x)

@@ -47,6 +47,10 @@ def code_version() -> str:
     return f"{crc:08x}"
 
 
+class CacheError(OSError):
+    """The cache directory or its record file cannot be made, read or written."""
+
+
 class Cache:
     """Append-only JSON-lines store keyed by (command, parameters, code version)."""
 
@@ -56,13 +60,11 @@ class Cache:
         for path in (directory, *directory.parents):
             if path.exists():
                 if not path.is_dir():
-                    raise NotADirectoryError(
-                        f"cache directory {directory} cannot be made: {path} is not a directory"
-                    )
+                    raise CacheError(f"cache directory {directory} cannot be made: {path} is not a directory")
                 break
         self.path = directory / "cache.jsonl"
         if self.path.is_dir():  # and a record file that `get` and `put` cannot open
-            raise IsADirectoryError(f"cache file {self.path} is a directory")
+            raise CacheError(f"cache file {self.path} is a directory")
 
     def get(self, command: str, params: dict):
         """The last record of (command, params) at this code version, or None.
@@ -70,21 +72,24 @@ class Cache:
         `put` writes sorted keys, so only the lines that start with the key's
         `{"code_version": ..., "command": ..., "parameters": ..., ` are parsed;
         one that is not UTF-8 JSON is skipped."""
-        if not self.path.exists():
-            return None
         key = {"code_version": code_version(), "command": command, "parameters": params}
         prefix = (json.dumps(key, sort_keys=True)[:-1] + ", ").encode()
         hit = None
-        with open(self.path, "rb") as fh:
-            for line in fh:
-                if not line.startswith(prefix):
-                    continue
-                try:
-                    rec = json.loads(line)
-                except ValueError:  # JSONDecodeError or UnicodeDecodeError
-                    continue
-                if rec.get("schema_version") == SCHEMA_VERSION:
-                    hit = rec
+        try:
+            if not self.path.exists():
+                return None
+            with open(self.path, "rb") as fh:
+                for line in fh:
+                    if not line.startswith(prefix):
+                        continue
+                    try:
+                        rec = json.loads(line)
+                    except ValueError:  # JSONDecodeError or UnicodeDecodeError
+                        continue
+                    if rec.get("schema_version") == SCHEMA_VERSION:
+                        hit = rec
+        except OSError as exc:
+            raise CacheError(f"cache file {self.path} cannot be read: {exc.strerror or exc}") from exc
         return hit
 
     def put(self, command: str, params: dict, result: dict) -> dict:
@@ -98,10 +103,13 @@ class Cache:
             "timestamp": time.time(),
             "code_version": code_version(),
         }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         line = json.dumps(rec, sort_keys=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with open(self.path, "a", encoding="utf-8") as fh:
+                fh.write(line + "\n")
+        except OSError as exc:
+            raise CacheError(f"cache file {self.path} cannot be written: {exc.strerror or exc}") from exc
         return json.loads(line)
 
 
@@ -280,13 +288,13 @@ def _suite_torsor(quick: bool):
             if len(orb) != 32:
                 yield {"case": f"orbit size {t}", "size": len(orb)}
             try:
-                imgs = {psi(TorsorTuple(*c), a).x for c in orb}
+                imgs = {psi(TorsorTuple(*c), a) for c in orb}
             except (ValueError, AssertionError) as e:
                 yield {"case": f"psi on the orbit of {t} a={a}", "error": str(e)}
                 continue
             if len(imgs) != 1:
                 yield {"case": f"orbit image {t} a={a}"}
-            if psi(t, a).height != height_tilde(t):
+            if max(map(abs, psi(t, a))) != height_tilde(t):
                 yield {"case": f"height match {t} a={a}"}
 
 
@@ -398,7 +406,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (OutOfRange, NotADirectoryError, IsADirectoryError) as exc:
+    except (OutOfRange, CacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CounterMismatch as exc:  # raised inside compute(): nothing is stored

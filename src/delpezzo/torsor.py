@@ -55,20 +55,6 @@ class TorsorTuple(NamedTuple):
     a8: int
 
 
-class ProjectivePoint(NamedTuple):
-    """Primitive, sign-normalized integer point on the surface with x4 != 0."""
-
-    x: tuple[int, int, int, int, int]
-
-    @property
-    def height(self) -> int:
-        return max(map(abs, self.x))
-
-    def on_surface(self, a: int) -> bool:
-        x0, x1, x2, x3, x4 = self.x
-        return x0 * x4 + x1 * x1 - a * x3 * x3 == 0 and x2 * x3 - x4 * x4 == 0
-
-
 def normalize_point(coords: tuple[int, ...]) -> tuple[int, ...]:
     """Divide by the gcd and make the first nonzero coordinate positive."""
     g = math.gcd(*coords)
@@ -125,16 +111,17 @@ def orbit_representatives(a: int):
                         yield t
 
 
-def psi(t: TorsorTuple, a: int) -> ProjectivePoint:
-    """Anticanonical image of a valid torsor tuple."""
+def psi(t: TorsorTuple, a: int) -> tuple[int, ...]:
+    """Anticanonical image of a valid torsor tuple: the primitive,
+    sign-normalized point (x0, ..., x4) on the surface, with x4 != 0."""
     ok, reason = validate(t, a)
     if not ok:
         raise ValueError(f"invalid torsor tuple: {reason}")
-    raw = [math.prod(map(pow, t, e)) for e in PSI_EXPONENTS]
-    pt = ProjectivePoint(normalize_point(raw))
-    if not pt.on_surface(a):
+    x = normalize_point([math.prod(map(pow, t, e)) for e in PSI_EXPONENTS])
+    x0, x1, x2, x3, x4 = x
+    if x0 * x4 + x1 * x1 - a * x3 * x3 or x2 * x3 - x4 * x4:
         raise AssertionError("psi image left the surface")
-    return pt
+    return x
 
 
 def height_tilde(t: TorsorTuple) -> int:

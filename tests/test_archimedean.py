@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from delpezzo import archimedean
 from delpezzo.archimedean import (
@@ -45,6 +47,23 @@ def test_region_equals_chart():
         rel = abs(r.value - c.value) / c.value
         assert rel <= 1e-3, (a, rel)
         assert r.bound > 0 and c.bound > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    log_a=st.floats(0.0, 9.0),
+    negative=st.booleans(),
+    tol=st.sampled_from([1e-3, 1e-6, 1e-9]),
+)
+def test_region_equals_chart_within_their_bounds_at_random_a(log_a, negative, tol):
+    # log-uniform |a| <= 1e9: the cuts of both routes move with a, and a
+    # missing one lets a 21-point rule step over a kink with a small error
+    # estimate, which the fixed grid of a above can miss
+    a = round(10**log_a) * (-1 if negative else 1)
+    assume(a < 0 or math.isqrt(a) ** 2 != a)
+    r = omega_inf_region(a, tol)
+    c = omega_inf_chart(a, tol)
+    assert abs(r.value - c.value) <= r.bound + c.bound, (a, tol, r, c)
 
 
 def test_region_bounded_for_negative_a():
@@ -184,8 +203,10 @@ def test_chart_and_region_agree_within_errors(a):
 
 
 def _vol_SF_whole(a, a1, a2, a3, a4, B, samples, seed):
-    """vol_SF's (value, error estimate) with every pass over whole arrays of
-    `samples` entries: the reference the blocked passes match bit for bit."""
+    """vol_SF's (value, error estimate) with every value evaluated in one
+    array of `samples` entries, then the sums over the leaves of BLOCK // 2
+    samples (each leaf's kept draws) added in order: the reference the
+    blocked passes match bit for bit."""
     S5 = (B / (a1 * a1 * a2 * a3 * a3)) ** (1 / 3)
     S4 = B / (a2**3 * a3**2 * a4**4)
     S2 = B / (a2 * a3 * a4)
@@ -200,8 +221,14 @@ def _vol_SF_whole(a, a1, a2, a3, a4, B, samples, seed):
     x6 = r * r / w
     lens = archimedean._section_len(cc * x6 * x6, S1 / x6, S2 / (x5 * x6))
     vals = 4.0 * (S5 ** (1 / 2)) * (S4 ** (1 / 4)) * r * lens
-    mean = vals.mean()
-    var = (np.add.reduce(vals * vals) - np.add.reduce(vals) * mean) / (len(vals) - 1)
+    leaf = BLOCK // 2
+    ends = np.cumsum([good[i : i + leaf].sum() for i in range(0, samples, leaf)])
+    S = Q = 0.0
+    for part in np.split(vals, ends[:-1]):
+        S += np.add.reduce(part)
+        Q += np.add.reduce(part * part)
+    mean = S / len(vals)
+    var = (Q - S * mean) / (len(vals) - 1)
     return 4.0 * float(mean), 4.0 * math.sqrt(float(var)) / math.sqrt(len(vals))
 
 
@@ -214,11 +241,11 @@ def test_vol_SF_blocks_give_the_whole_array_bits(samples):
 
 def test_montecarlo_memory_is_of_order_block():
     # No array of values is held: a leaf holds at most 16 float64 arrays of
-    # BLOCK entries (the two draws and their products with the box sides, w,
-    # r and the mask, x5, x6, the section's three arguments and its
-    # temporaries, the values and their squares), and the open subtrees keep
-    # three numbers each.  Whole-array passes took about 90 MB at 10^6
-    # samples, and the array of values 8 bytes a sample.
+    # BLOCK // 2 entries, and the bound allows BLOCK (the two draws and their
+    # products with the box sides, w, r and the mask, x5, x6, the section's
+    # three arguments and its temporaries, the values and their squares),
+    # and the running sums three numbers.  Whole-array passes took about
+    # 90 MB at 10^6 samples, and the array of values 8 bytes a sample.
     omega_inf_montecarlo(-1, 2, 1)  # imports and first-call set-up outside the trace
     for samples in (10**6, 10**7):
         tracemalloc.start()

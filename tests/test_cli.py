@@ -532,6 +532,38 @@ def test_cache_dir_not_a_directory_refused_before_compute(tmp_path, capsys, monk
     assert captured.out == "" and afile.read_text() == ""
 
 
+@pytest.mark.parametrize("state", ["absent", "other", "hit"])
+@pytest.mark.parametrize("call", ["open", "mkdir"])
+def test_cache_that_cannot_be_read_or_written_is_a_usage_error(tmp_path, capsys, monkeypatch, state, call):
+    # the process runs as root on some machines, where chmod cannot deny
+    # access, so open and mkdir are made to raise
+    import delpezzo.cli as cli
+
+    def argv(B):
+        return ["count", "--a", "-1", "--B", str(B), "--cache-dir", str(tmp_path)]
+
+    if state != "absent":  # a record file that holds this request's record or another's
+        assert main(argv(10 if state == "hit" else 11)) == 0
+        capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    if call == "open":
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+    else:
+        monkeypatch.setattr(cli.Path, "mkdir", refuse)
+    rc = main(argv(10))
+    captured = capsys.readouterr()
+    if state == "hit" and call == "mkdir":  # a hit writes nothing
+        assert rc == 0 and json.loads(captured.out)["direct"] > 0
+        return
+    assert rc == 2 and captured.out == ""
+    verb = "read" if call == "open" and state != "absent" else "written"
+    want = f"error: cache file {tmp_path / 'cache.jsonl'} cannot be {verb}: Permission denied\n"
+    assert captured.err == want
+
+
 def test_count_cache_key_ignores_jobs(tmp_path, capsys):
     args = ["count", "--a", "-1", "--B", "200", "--cache-dir", str(tmp_path)]
     assert main([*args, "--jobs", "1"]) == 0
