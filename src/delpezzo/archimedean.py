@@ -14,13 +14,12 @@ Two independent routes to omega_inf:
            away.
 
   chart:   int dx1 dx3 / (|x3| max{|a x3^2 - x1^2|, |x1|, 1/|x3|, |x3|, 1});
-           the x1-section has an elementary antiderivative on each max-branch
-           piece, so the inner integral is exact and only the outer x3
-           integral is numerical.  On 0 < x3 <= 1 it is taken in s, x3 = s^2,
-           which turns the 4/sqrt(x3) growth at 0 into a bounded integrand,
-           and split where the max changes form.  On x3 >= 1 the section is
-           one closed form: pi/(sqrt|a| x3) for a < 0, so that half is
-           pi/sqrt|a|, and `_far_section` for a > 0, integrated in u = 1/x3.
+           the x1-section is one closed form, `_section`, at every x3, so
+           only the outer x3 integral is numerical.  On 0 < x3 <= 1 it is
+           taken in s, x3 = s^2, which turns the 4/sqrt(x3) growth at 0 into
+           a bounded integrand, and split where the section changes form.
+           On x3 >= 1 the section is pi/(sqrt|a| x3) for a < 0, so that half
+           is pi/sqrt|a|, and for a > 0 it is integrated in u = 1/x3.
 
 Both routes use `quad`, a globally adaptive 21-point Gauss-Kronrod rule
 (QUADPACK's QAG with qk21, Piessens et al. 1983) whose error estimate is
@@ -223,104 +222,58 @@ def omega_inf_region(a: int, tol: float = 1e-9) -> Estimate:
     return Estimate(omega, max(24.0 * (err + inner_err), 10 * tol))
 
 
-def _chart_section(a: float, x3: float) -> float:
-    """Exact int dx1 / max(|a x3^2 - x1^2|, |x1|, K, 1) over x1 in R, with
-    K = max(|x3|, 1/|x3|) >= 1, so the 1 never binds."""
-    c = a * x3 * x3
-    K = max(abs(x3), 1.0 / abs(x3))
+def _section(c: float, K: float) -> float:
+    """int dx1 / max(|c - x1^2|, |x1|, K) over R, for K >= 1 and c != 0, in
+    closed form: the chart's x1-section at every x3.
 
-    # breakpoints of the max on x1 >= 0
-    pts = {0.0}
-    for s in (K, -K):  # x1^2 - c = +-K
-        d = c + s
-        if d > 0:
-            pts.add(math.sqrt(d))
-    # x1^2 - c = +-x1  ->  x1 = (+-1 + sqrt(1 + 4c))/2
-    if 1 + 4 * c >= 0:
-        root = math.sqrt(1 + 4 * c)
-        for s in (1.0, -1.0):
-            x = (s + root) / 2
-            if x > 0:
-                pts.add(x)
-    pts.add(K)
-    T = max(pts) + K + 1.0  # beyond all crossings: max = x1^2 - c
-    pts.add(T)
-    grid = sorted(pts)
+    On x >= 0 the max is max(|c - x^2|, K) on [0, K] and max(|c - x^2|, x)
+    beyond.  Each part has one band around the pole s = sqrt(c): the
+    integrand is 1/K between e-+ = sqrt(c -+ K) and 1/x between
+    x-+ = (r -+ 1)/2, r = sqrt(1 + 4c); outside them it is 1/|c - x^2|.
+    e-+ pass K where x-+ do, at c = K^2 +- K, so c against K^2 +- K picks
+    one of three forms, and at each boundary the neighbouring forms agree:
 
-    total = 0.0
-    for lo, hi in zip(grid[:-1], grid[1:]):
-        if hi - lo < 1e-300:
-            continue
-        mid = 0.5 * (lo + hi)
-        branch = max(abs(mid * mid - c), mid, K)
-        if branch == K:
-            total += (hi - lo) / K
-        elif branch == mid:
-            total += math.log(hi / lo)
-        elif mid * mid - c > 0:
-            total += _int_inv_x2_minus_c(lo, hi, c)
+      c > K^2 + K:            int_0^x- + log(x+/x-) + int_x+^inf
+      K^2 - K < c <= K^2 + K: int_0^e- + (K - e-)/K + log(x+/K) + int_x+^inf
+      0 < c <= K^2 - K:       int_0^e- + (e+ - e-)/K + int_e+^inf
+
+    times 2, with e- = sqrt(max(c - K, 0)).  The pole pieces are
+    int_0^lo dx/(c - x^2) = log1p(2 lo/(s - lo))/(2s) and
+    int_hi^inf dx/(x^2 - c) = log1p(2s/(hi - s))/(2s), each gap to the pole
+    from an identity, not a rounded difference: s - e- = K/(s + e-),
+    e+ - s = K/(e+ + s), s - x- = (1 - eps)/2 and x+ - s = (1 + eps)/2 with
+    eps = 1/(r + 2s).  For c < 0, with t = sqrt(-c), the band is [0, b],
+    b = sqrt(max(c + K, 0)), and the section is 2 (b/K + atan2(t, b)/t)."""
+    if c < 0:
+        t, b = math.sqrt(-c), math.sqrt(max(c + K, 0.0))
+        return 2.0 * (b / K + math.atan2(t, b) / t)
+    s = math.sqrt(c)
+    # pole pieces log1p(inner)/(2s), log1p(outer)/(2s): inner = 2 lo/(s - lo), outer = 2s/(hi - s)
+    if c > K * K - K:
+        r = math.sqrt(1 + 4 * c)
+        eps = 1 / (r + 2 * s)
+        outer = 4 * s / (1 + eps)
+        if c > K * K + K:
+            lo = (r - 1) / 2
+            inner, band = 4 * lo / (1 - eps), math.log1p(1 / lo)
         else:
-            total += _int_inv_c_minus_x2(lo, hi, c)
-    # exact tail: int_T^inf dx / (x^2 - c)
-    total += _tail_inv_x2_minus_c(T, c)
-    return 2.0 * total  # x1 < 0 by symmetry
-
-
-def _far_section(c: float) -> float:
-    """_chart_section at x3 >= 1 and a > 1, in closed form.
-
-    With x_-+ = (sqrt(1 + 4c) -+ 1)/2 (so x_+ - x_- = 1 and x_+ x_- = c),
-    the max is c - x1^2 up to x_-, x1 up to x_+ and x1^2 - c beyond, once
-    x3 >= 1/(a - 1).  The distances to the pole sqrt(c) are taken from
-    r - 2 sqrt(c) = 1/(r + 2 sqrt(c)), r = sqrt(1 + 4c), not from the rounded
-    positions, so the value stays exact where floats no longer resolve them."""
-    s = math.sqrt(c)
-    r = math.sqrt(1 + 4 * c)
-    lo, hi = (r - 1) / 2, (r + 1) / 2
-    e = 1 / (r + 2 * s)  # s - x_- = (1 - e)/2, x_+ - s = (1 + e)/2
-    poles = math.log((s + lo) / ((1 - e) / 2)) + math.log((hi + s) / ((1 + e) / 2))
-    return 2.0 * (poles / (2 * s) + math.log1p(1 / lo))
-
-
-# The antiderivatives below are written as one log1p or atan of the whole
-# difference, not as a difference of two logs or atans: as x3 -> 0, c -> 0
-# and the two terms agree to more digits than a float holds.
-
-
-def _int_inv_x2_minus_c(lo: float, hi: float, c: float) -> float:
-    if c > 0:
-        s = math.sqrt(c)
-        return math.log1p(2 * s * (hi - lo) / ((hi + s) * (lo - s))) / (2 * s)
-    if c < 0:
-        s = math.sqrt(-c)
-        return math.atan(s * (hi - lo) / (s * s + lo * hi)) / s
-    return 1.0 / lo - 1.0 / hi
-
-
-def _int_inv_c_minus_x2(lo: float, hi: float, c: float) -> float:
-    s = math.sqrt(c)
-    return math.log1p(2 * s * (hi - lo) / ((s - hi) * (s + lo))) / (2 * s)
-
-
-def _tail_inv_x2_minus_c(T: float, c: float) -> float:
-    if c > 0:
-        s = math.sqrt(c)
-        return math.log1p(2 * s / (T - s)) / (2 * s)
-    if c < 0:
-        s = math.sqrt(-c)
-        return math.atan(s / T) / s
-    return 1.0 / T
+            lo = math.sqrt(max(c - K, 0.0))
+            inner, band = 2 * lo * (s + lo) / K, (K - lo) / K + math.log((r + 1) / (2 * K))
+    else:
+        lo, hi = math.sqrt(max(c - K, 0.0)), math.sqrt(c + K)
+        inner, band, outer = 2 * lo * (s + lo) / K, (hi - lo) / K, 2 * s * (hi + s) / K
+    return 2.0 * (band + (math.log1p(inner) + math.log1p(outer)) / (2 * s))
 
 
 def _far_half(a: int, tol: float) -> tuple[float, float]:
     """int_{x3 >= 1} section(x3) dx3/x3 and its error estimate.  There K = x3
     and the max has one form: for a < 0 it is x1^2 + |a| x3^2 >= max(|x1|, x3)
     throughout, so the section is pi/(sqrt|a| x3); for a > 0 (so a >= 2) it is
-    _far_section, valid for x3 >= 1/(a - 1)."""
+    `_section` in its first form, valid for x3 >= 1/(a - 1)."""
     if a < 0:
         return math.pi / math.sqrt(-a), 0.0
     # x3 = 1/u, u in (0, 1], dx3/x3 = du/u
-    return quad(lambda u: _far_section(a / (u * u)) / u, 0.0, 1.0, limit=400, epsabs=tol, epsrel=1e-10)
+    return quad(lambda u: _section(a / (u * u), 1 / u) / u, 0.0, 1.0, limit=400, epsabs=tol, epsrel=1e-10)
 
 
 def omega_inf_chart(a: int, tol: float = 1e-9) -> Estimate:
@@ -328,14 +281,15 @@ def omega_inf_chart(a: int, tol: float = 1e-9) -> Estimate:
     check_nonsquare(a)
 
     def near(s: float) -> float:  # x3 = s^2, s in (0, 1], dx3/x3 = 2 ds/s
-        return 2.0 * _chart_section(a, s * s) / s
+        x3 = s * s
+        return 2.0 * _section(a * x3 * x3, 1.0 / x3) / s
 
-    # With K = 1/x3, c = a x3^2, the max in the x1-section changes form at
-    # |c| = K, i.e. |a| x3^3 = 1, where near() starts to fall steeply from
-    # about 8, and for a > 0 also where the x1 branch meets the band
-    # |c - x1^2| <= K, at c = K^2 -+ K, i.e. a x3^4 +- x3 = 1; between these
-    # points near() is smooth.  Without a panel edge at each, a 21-point
-    # rule can step over a kink with a small error estimate.
+    # The cuts are where `_section(c, K)`, K = 1/x3, c = a x3^2, changes
+    # form: |c| = K, i.e. |a| x3^3 = 1, where e- or, for a < 0, b meets 0 and
+    # near() starts to fall steeply from about 8, and for a > 0 c = K^2 -+ K,
+    # i.e. a x3^4 +- x3 = 1, where the band edges pass K.  Without a panel
+    # edge at each, a 21-point rule can step over a kink with a small error
+    # estimate.
     x3_cuts = [abs(a) ** (-1 / 3)]
     if a > 0:
         x3_cuts += [_quartic_root(a, 1.0, sign) for sign in (1, -1)]

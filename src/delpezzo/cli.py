@@ -104,13 +104,16 @@ class Cache:
             "code_version": code_version(),
         }
         line = json.dumps(rec, sort_keys=True)
+        self._append(line + "\n")
+        return json.loads(line)
+
+    def _append(self, text: str) -> None:
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+                fh.write(text)
         except OSError as exc:
             raise CacheError(f"cache file {self.path} cannot be written: {exc.strerror or exc}") from exc
-        return json.loads(line)
 
 
 def _cached(args, command: str, params: dict, compute):
@@ -119,6 +122,8 @@ def _cached(args, command: str, params: dict, compute):
     cache = Cache(args.cache_dir)
     rec = cache.get(command, params)
     if rec is None:
+        if cache.path.exists():  # refuse a record file `put` cannot append to before the work
+            cache._append("")
         rec = cache.put(command, params, compute())
     return rec["result"]
 

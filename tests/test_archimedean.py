@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -8,10 +9,9 @@ from hypothesis import strategies as st
 
 from delpezzo import archimedean
 from delpezzo.archimedean import (
-    _chart_section,
     _far_half,
-    _far_section,
     _gk21,
+    _section,
     omega_inf_chart,
     omega_inf_montecarlo,
     omega_inf_region,
@@ -71,22 +71,57 @@ def test_region_bounded_for_negative_a():
     assert math.isfinite(r.value) and r.value > 0
 
 
-def test_chart_section_far_from_the_origin():
-    # the closed form the far half uses equals the panel sum where both hold
-    for a in (2, 5, 45):
-        for x3 in (1.0, 10.0, 1e4):
-            assert _far_section(a * x3 * x3) == pytest.approx(_chart_section(a, x3), rel=1e-12)
-    # the far half against quad of the panel-sum integrand; at this tolerance
-    # bisection stops well before x3 ~ 1/(a eps), where the panel sum's
-    # breakpoints near sqrt(a) x3 round onto it
-    for a in (2, 5, 45):
-        far = lambda u: _chart_section(a, 1 / u) / u
-        ref, ref_err = quad(far, 0.0, 1.0, limit=400, epsabs=1e-9, epsrel=1e-10)
-        val, err = _far_half(a, 1e-9)
-        assert abs(val - ref) <= err + ref_err, (a, val - ref)
+def _section_by_scipy(c: float, K: float) -> float:
+    """int dx / max(|c - x^2|, |x|, K) over R by scipy's QUADPACK, split at
+    every crossing of the max on x >= 0: K, sqrt(c +- K), (+-1 + r)/2 with
+    r = sqrt(1 + 4c).  Beyond the last crossing T the max is x^2 - c, smooth,
+    and the tail is taken in x = T/u on (0, 1]."""
+    from scipy.integrate import quad as scipy_quad
+
+    def f(x):
+        return 1.0 / max(abs(c - x * x), x, K)
+
+    pts = {0.0, K, *(math.sqrt(c + d) for d in (K, -K) if c + d > 0)}
+    if 1 + 4 * c > 0:
+        pts |= {x for x in ((d + math.sqrt(1 + 4 * c)) / 2 for d in (1, -1)) if x > 0}
+    grid = sorted(pts)
+    T = grid[-1]
+    total = math.fsum(scipy_quad(f, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                      for lo, hi in zip(grid, grid[1:]))
+    total += scipy_quad(lambda u: T / (T * T - c * u * u), 0.0, 1.0, epsabs=0.0, epsrel=1e-12)[0]
+    return 2.0 * total
+
+
+@pytest.mark.parametrize("K", [1.0, 1.5, 10.0, 1e3])
+def test_section_equals_quad_of_its_integrand(K):
+    # a (c, K) grid on both sides of each regime boundary c = 0, K^2 - K and
+    # K^2 + K, and far beyond; an (a, x3) grid almost never lands in the band
+    # K^2 - K < c <= K^2 + K
+    for c in (-2 * K, -K / 2, K / 2, K * K - 2 * K, K * K - K / 2, K * K + K / 2, K * K + 2 * K, 1e6 * K * K):
+        assert _section(c, K) == pytest.approx(_section_by_scipy(c, K), rel=1e-9), (c, K)
+
+
+def test_section_exact_far_from_the_origin():
+    # the far half's section at large x3 against the same integral in 60-digit
+    # decimal arithmetic, where the pole s = sqrt(c) and the edges
+    # x-+ = (r -+ 1)/2 are resolved: either gap to the pole formed by
+    # subtraction in floats is off by about eps sqrt(c) (3e-14 relative here)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for a in (2, 45, 1000003):
+            for x3 in (1e4, 1e6, 1e8):
+                c = a * x3 * x3
+                s, r = Decimal(c).sqrt(), (1 + 4 * Decimal(c)).sqrt()
+                lo, hi = (r - 1) / 2, (r + 1) / 2
+                want = 2 * (((s + lo) / (s - lo)).ln() / (2 * s) + (hi / lo).ln()
+                            + ((hi + s) / (hi - s)).ln() / (2 * s))
+                assert abs(Decimal(_section(c, x3)) / want - 1) <= Decimal("1e-14"), (a, x3)
+
+
+def test_far_half_for_negative_a():
     # for a < 0 the section at x3 >= 1 is pi/(sqrt|a| x3), and the half pi/sqrt|a|
     for a in (a for a in TESTBED if a < 0):
-        far = lambda u: _chart_section(a, 1 / u) / u
+        far = lambda u: _section(a / (u * u), 1 / u) / u
         ref, _ = quad(far, 0.0, 1.0, limit=400, epsabs=1e-14, epsrel=1e-14)
         assert _far_half(a, 1e-9) == (math.pi / math.sqrt(-a), 0.0)
         assert abs(ref - math.pi / math.sqrt(-a)) <= 1e-13, (a, ref - math.pi / math.sqrt(-a))

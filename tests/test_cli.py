@@ -533,11 +533,15 @@ def test_cache_dir_not_a_directory_refused_before_compute(tmp_path, capsys, monk
 
 
 @pytest.mark.parametrize("state", ["absent", "other", "hit"])
-@pytest.mark.parametrize("call", ["open", "mkdir"])
+@pytest.mark.parametrize("call", ["open", "append", "mkdir"])
 def test_cache_that_cannot_be_read_or_written_is_a_usage_error(tmp_path, capsys, monkeypatch, state, call):
     # the process runs as root on some machines, where chmod cannot deny
-    # access, so open and mkdir are made to raise
+    # access, so open (in every mode, or only to append) and mkdir are made
+    # to raise
+    import builtins
+
     import delpezzo.cli as cli
+    import delpezzo.counting as counting
 
     def argv(B):
         return ["count", "--a", "-1", "--B", str(B), "--cache-dir", str(tmp_path)]
@@ -549,13 +553,19 @@ def test_cache_that_cannot_be_read_or_written_is_a_usage_error(tmp_path, capsys,
     def refuse(*args, **kwargs):
         raise PermissionError(13, "Permission denied")
 
-    if call == "open":
-        monkeypatch.setattr(cli, "open", refuse, raising=False)
-    else:
+    def read_only(file, mode="r", *args, **kwargs):
+        return refuse() if "a" in mode else builtins.open(file, mode, *args, **kwargs)
+
+    if call == "mkdir":
         monkeypatch.setattr(cli.Path, "mkdir", refuse)
+    else:
+        monkeypatch.setattr(cli, "open", refuse if call == "open" else read_only, raising=False)
+    if state != "absent":  # a miss is refused before the work; an absent file is made only after it
+        for name in ("direct_count", "torsor_count"):
+            monkeypatch.setattr(counting, name, lambda *a, name=name, **k: pytest.fail(f"{name} called"))
     rc = main(argv(10))
     captured = capsys.readouterr()
-    if state == "hit" and call == "mkdir":  # a hit writes nothing
+    if state == "hit" and call != "open":  # a hit writes nothing
         assert rc == 0 and json.loads(captured.out)["direct"] > 0
         return
     assert rc == 2 and captured.out == ""

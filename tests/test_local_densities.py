@@ -78,7 +78,10 @@ def test_bruteforce_oracle_generic_prime():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    p=st.sampled_from(primes_upto(13)),
+    # half the draws from p <= 13, so that 2 and 3 keep their weight; the
+    # oracle's root tower tries p children per root, so its time grows
+    # about linearly in p
+    p=st.one_of(st.sampled_from(primes_upto(13)), st.sampled_from(primes_upto(10**4))),
     j=st.integers(0, 4),
     m=st.integers(1, 60),
     sign=st.sampled_from((-1, 1)),
