@@ -242,8 +242,12 @@ def _section(c: float, K: float) -> float:
     int_hi^inf dx/(x^2 - c) = log1p(2s/(hi - s))/(2s), each gap to the pole
     from an identity, not a rounded difference: s - e- = K/(s + e-),
     e+ - s = K/(e+ + s), s - x- = (1 - eps)/2 and x+ - s = (1 + eps)/2 with
-    eps = 1/(r + 2s).  For c < 0, with t = sqrt(-c), the band is [0, b],
-    b = sqrt(max(c + K, 0)), and the section is 2 (b/K + atan2(t, b)/t)."""
+    eps = 1/(r + 2s).  The bands likewise: x+^2 = x+ + c gives
+    x+ - e- = (x+ + min(K, c))/(x+ + e-), so the second form's band is
+    (x+ - e-)/K + log1p(y) - y with y = x+/K - 1, and the third form's
+    e+ - e- = min(2K, c + K)/(e+ + e-).  For c < 0, with t = sqrt(-c), the
+    band is [0, b], b = sqrt(max(c + K, 0)), and the section is
+    2 (b/K + atan2(t, b)/t)."""
     if c < 0:
         t, b = math.sqrt(-c), math.sqrt(max(c + K, 0.0))
         return 2.0 * (b / K + math.atan2(t, b) / t)
@@ -257,11 +261,13 @@ def _section(c: float, K: float) -> float:
             lo = (r - 1) / 2
             inner, band = 4 * lo / (1 - eps), math.log1p(1 / lo)
         else:
-            lo = math.sqrt(max(c - K, 0.0))
-            inner, band = 2 * lo * (s + lo) / K, (K - lo) / K + math.log((r + 1) / (2 * K))
+            lo, hi = math.sqrt(max(c - K, 0.0)), (r + 1) / 2
+            y = hi / K - 1
+            inner = 2 * lo * (s + lo) / K
+            band = (hi + min(K, c)) / (K * (hi + lo)) + (math.log1p(y) - y)
     else:
         lo, hi = math.sqrt(max(c - K, 0.0)), math.sqrt(c + K)
-        inner, band, outer = 2 * lo * (s + lo) / K, (hi - lo) / K, 2 * s * (hi + s) / K
+        inner, band, outer = 2 * lo * (s + lo) / K, min(2 * K, c + K) / (K * (hi + lo)), 2 * s * (hi + s) / K
     return 2.0 * (band + (math.log1p(inner) + math.log1p(outer)) / (2 * s))
 
 

@@ -35,12 +35,16 @@ moebius_slice_check  verifies, on one given slice (a1..a4), that the number
               and a7 window.  Both sides take their roots from rho_classes:
               it checks the Moebius step, not the roots.  `verify --suite
               moebius` runs it on every slice of the torsor counter's walk
-              at B = 100.
+              at B = 300.
 
 Both counters are sums over one outer loop, whose items _fan_out maps one
 at a time: the reduced height m for the direct counter, a1 for the torsor.
 With jobs > 1 the items go to worker processes, one task each, so a free
 worker takes the next item and no part is fixed in advance.
+
+Only the direct counter uses numpy, and each of its functions binds it
+itself: the torsor counter and the Moebius slices run on Python integers,
+so a request that never runs the direct counter never pays numpy's import.
 """
 
 from __future__ import annotations
@@ -50,8 +54,6 @@ import os
 import time
 from functools import partial, reduce
 from typing import NamedTuple
-
-import numpy as np
 
 from .arith import (BLOCK, CounterMismatch, OutOfRange, ceil_sqrt, check_nonsquare, crt, moebius,
                     slice_coprime, slice_monomials, squarefree_divisors, theta0)
@@ -97,6 +99,8 @@ def count(a: int, B, method: str = "both", jobs: int = 1) -> dict[str, CountResu
 
 def _normalize_rows(arr: np.ndarray) -> np.ndarray:
     """gcd-reduce rows of an (n, 5) int64 array and fix the sign convention."""
+    import numpy as np
+
     g = np.gcd.reduce(np.abs(arr), axis=1)
     arr = arr // g[:, None]
     sgn = np.where(arr[:, 0] != 0, np.sign(arr[:, 0]), np.sign(arr[:, 1]))
@@ -106,6 +110,8 @@ def _normalize_rows(arr: np.ndarray) -> np.ndarray:
 
 def _direct_box(a: int, B1: int) -> set[tuple[int, ...]]:
     """All points of height <= B1 via the full triple box, deduplicated."""
+    import numpy as np
+
     pts: set[tuple[int, ...]] = set()
     x1 = np.arange(-B1, B1 + 1, dtype=np.int64)[None, :]
     x3_all = np.concatenate(
@@ -138,6 +144,8 @@ def _direct_box(a: int, B1: int) -> set[tuple[int, ...]]:
 def _ragged_ranges(starts: np.ndarray, stops: np.ndarray):
     """Flatten inclusive integer ranges [starts[i], stops[i]], at least one
     and each non-empty, into one array, returning (values, owner_index)."""
+    import numpy as np
+
     lens = stops - starts + 1
     total = int(lens.sum())
     owner = np.repeat(np.arange(len(starts), dtype=np.int64), lens)
@@ -150,6 +158,8 @@ def _floor_sqrt_arr(n: np.ndarray) -> np.ndarray:
     """Exact floor square roots of 0 <= n < 2^62.  There the float square
     root truncates to within 1 of the floor, so one step down and one step
     up make it exact."""
+    import numpy as np
+
     r = np.sqrt(n.astype(np.float64)).astype(np.int64)
     r = np.where(r * r > n, r - 1, r)
     r = np.where((r + 1) * (r + 1) <= n, r + 1, r)
@@ -157,6 +167,8 @@ def _floor_sqrt_arr(n: np.ndarray) -> np.ndarray:
 
 
 def _ceil_sqrt_arr(n: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     r = _floor_sqrt_arr(n)
     return np.where(r * r == n, r, r + 1)
 
@@ -212,6 +224,8 @@ def _direct_pruned_count(a: int, B1: int, m: int) -> int:
         x3 > 0 is enumerated and the total is doubled (likewise x1 = +-t
         are distinct points counted by weight 2 for t > 0).
     """
+    import numpy as np
+
     n = np.arange(1, math.isqrt(B1) + 1, dtype=np.int64)
     if m > 1:
         n = n[np.gcd(n, m) == 1]
@@ -230,6 +244,8 @@ def _pruned_pairs(a: int, B1: int, m: int, c: np.ndarray, x3: np.ndarray) -> int
     The t-candidates are taken in whole pairs' windows, BLOCK candidates and
     one window more at a time, so beside the pairs' own arrays a step holds
     about ten int64 arrays of that length."""
+    import numpy as np
+
     x4 = c * m
     D = np.gcd(x3 * m, x4 * c * c)
     M234 = np.maximum(x4 * x4 * x4, x3 * x4 * np.maximum(x3, x4))

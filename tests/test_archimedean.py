@@ -101,6 +101,25 @@ def test_section_equals_quad_of_its_integrand(K):
         assert _section(c, K) == pytest.approx(_section_by_scipy(c, K), rel=1e-9), (c, K)
 
 
+def _section_decimal(c: float, K: float) -> Decimal:
+    """_section's three forms for c > 0 in the ambient decimal precision,
+    with every gap to the pole and every band length a plain difference:
+    at 60 digits these are exact far beyond where floats resolve them."""
+    c, K = Decimal(c), Decimal(K)
+    s, r = c.sqrt(), (1 + 4 * c).sqrt()
+    em, xm, xp = max(c - K, Decimal(0)).sqrt(), (r - 1) / 2, (r + 1) / 2
+
+    def poles(lo, hi):  # int_0^lo dx/(c - x^2) + int_hi^inf dx/(x^2 - c)
+        return (((s + lo) / (s - lo)).ln() + ((hi + s) / (hi - s)).ln()) / (2 * s)
+
+    if c > K * K + K:
+        return 2 * (poles(xm, xp) + (xp / xm).ln())
+    if c > K * K - K:
+        return 2 * (poles(em, xp) + (K - em) / K + (xp / K).ln())
+    ep = (c + K).sqrt()
+    return 2 * (poles(em, ep) + (ep - em) / K)
+
+
 def test_section_exact_far_from_the_origin():
     # the far half's section at large x3 against the same integral in 60-digit
     # decimal arithmetic, where the pole s = sqrt(c) and the edges
@@ -111,11 +130,33 @@ def test_section_exact_far_from_the_origin():
         for a in (2, 45, 1000003):
             for x3 in (1e4, 1e6, 1e8):
                 c = a * x3 * x3
-                s, r = Decimal(c).sqrt(), (1 + 4 * Decimal(c)).sqrt()
-                lo, hi = (r - 1) / 2, (r + 1) / 2
-                want = 2 * (((s + lo) / (s - lo)).ln() / (2 * s) + (hi / lo).ln()
-                            + ((hi + s) / (hi - s)).ln() / (2 * s))
-                assert abs(Decimal(_section(c, x3)) / want - 1) <= Decimal("1e-14"), (a, x3)
+                assert abs(Decimal(_section(c, x3)) / _section_decimal(c, x3) - 1) <= Decimal("1e-14"), (a, x3)
+
+
+@pytest.mark.parametrize(
+    "form, K, cs",
+    [
+        # K^2 - K < c <= K^2 + K; at K = 2^52, K^2 +- K are still floats
+        (2, 2.0**30, lambda K: (K * K - K / 2, K * K - K / 7, K * K, K * K + K / 3, K * K + K)),
+        (2, 3 * 2.0**50, lambda K: (K * K - K / 2, K * K, K * K + K / 2)),
+        (2, 2.0**52, lambda K: (K * K - K / 2, K * K, K * K + K)),
+        # 0 < c <= K^2 - K, from the boundary down to c below K
+        (3, 2.0**30, lambda K: (K * K - K, K * K * 0.9, K * K / 3, K**1.5 * 1.7, K * 3, K / 3)),
+        (3, 2.0**56, lambda K: (K * K * (1 - 2.0**-40), K * K * 0.9, K * K / 3, K**1.5 * 1.7, K / 3)),
+        # c > K^2 + K with the pole s beyond 2^52
+        (1, 2.0**30, lambda K: (K * K * 2.0**60 * 1.3, K * K * 2.0**50 / 3)),
+    ],
+    ids=["second-2^30", "second-3*2^50", "second-2^52", "third-2^30", "third-2^56", "first-2^30"],
+)
+def test_section_exact_in_each_form_at_large_K(form, K, cs):
+    # each form far from the origin, against the 60-digit integral: a gap to
+    # the pole or a band formed by subtraction in floats loses up to all of
+    # its digits once ulp(s) nears it (s - e- is about K/(2s))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for c in cs(K):
+            assert form == (1 if c > K * K + K else 2 if c > K * K - K else 3), (form, K, c)
+            assert abs(Decimal(_section(c, K)) / _section_decimal(c, K) - 1) <= Decimal("1e-14"), (form, K, c)
 
 
 def test_far_half_for_negative_a():

@@ -658,6 +658,26 @@ def test_verify_without_counters_skips_numpy():
     assert r.stdout.splitlines()[-1] == "0 []"
 
 
+def test_torsor_paths_skip_numpy_until_the_direct_counter_runs(tmp_path):
+    # a fresh interpreter: the torsor counter and the Moebius slices run on
+    # Python integers; numpy is bound inside the direct counter's functions
+    probe = (
+        "import json, sys; from delpezzo.cli import main; "
+        "rc = main(['verify', '--suite', 'moebius']); "
+        f"rc += main(['count', '--a', '-1', '--B', '1000', '--method', 'torsor', '--cache-dir', {str(tmp_path)!r}]); "
+        "print(rc, 'numpy' in sys.modules); "
+        f"rc = main(['count', '--a', '-1', '--B', '1000', '--method', 'direct', '--cache-dir', {str(tmp_path)!r}]); "
+        "print(rc, 'numpy' in sys.modules)"
+    )
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert json.loads(lines[1]) == {"a": -1, "B": "1000", "torsor": 18598}
+    assert lines[2] == "0 False"
+    assert json.loads(lines[3]) == {"a": -1, "B": "1000", "direct": 18598}
+    assert lines[4] == "0 True"
+
+
 def test_verify_torsor_skips_fractions():
     # a fresh interpreter: the torsor's heights are integers
     probe = (

@@ -6,6 +6,11 @@ they are applied to real small results too."""
 
 import importlib
 import importlib.util
+import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +66,19 @@ def test_tracer_counts_read_real_results(tracer, tmp_path):
     assert torsor.count == direct.count == 2 * torsor.stats["weighted_positive"]
     assert torsor.stats["visited"] > 0
     assert got["characters.L1"] == {"terms": L1.cut} and L1.cut > 0
+
+
+def test_traced_count_sees_both_counters(tmp_path):
+    # a fresh process, as the traced benchmark runs it: the direct counter's
+    # functions are wrapped where the tracer finds them, after numpy is bound
+    # inside them rather than at counting's import
+    spans = tmp_path / "spans.json"
+    r = subprocess.run(
+        [sys.executable, str(TRACER), "count", "--a", "-1", "--B", "100", "--method", "both",
+         "--cache-dir", str(tmp_path / "cache")],
+        capture_output=True, text=True, env={**os.environ, "PERFBENCH_SPANS": str(spans)},
+    )
+    assert r.returncode == 0, r.stderr
+    names = [s[0] for s in json.loads(spans.read_text())["spans"]]
+    assert names.count("counting.direct") == names.count("counting.torsor") == 1
+    assert names.count("counting.direct_pruned") == math.isqrt(100)
