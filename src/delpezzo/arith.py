@@ -18,9 +18,8 @@ from typing import NamedTuple
 
 # Elements per step of every large numpy pass: the O(samples) Monte Carlo
 # (archimedean.vol_SF, leaves of at most BLOCK samples), the O(8|a|)
-# character passes (characters), the Euler product's sieve (constant,
-# segments of 8 BLOCK integers, so fewer than BLOCK primes each) and the
-# direct counter's t-candidates (counting._pruned_pairs).  A float64
+# character passes (characters) and the Euler product's sieve (constant,
+# segments of 8 BLOCK integers, so fewer than BLOCK primes each).  A float64
 # temporary is then at most 128 KiB, so the dozen or so of them a step holds
 # fit in a core's L2 cache, and the passes hold whole only the arrays they
 # return or reduce.

@@ -146,7 +146,7 @@ def compare(a: int, B_list, prime_cut: int = 20000) -> list[dict]:
     for B in B_list:
         if B < 2:
             raise OutOfRange(f"B = {B} is below 2, where the prediction c B log^4 B is 0")
-        check_direct_B(a, math.floor(B))
+        check_direct_B(math.floor(B))
     check_prime_cut(prime_cut)
     c = predict_constant(a, prime_cut)["c"]
     rows = []

@@ -4,9 +4,11 @@ direct_count  enumerates coordinate triples (x1, x3, x4) of the projection
               away from the x4-line, maps them back to the surface, reduces,
               and deduplicates.  Any point of height <= B is reproduced by its
               own triple, so the count is complete.  The count is a pruned
-              scan over primitive triples (derivation in _direct_pruned_count).
-              Its test oracle, the plain O(B^3) box scan _direct_box, is the
-              one oracle in the package: perfbench/tracer.py wraps it by name.
+              scan over the primitive (x3, x4) pairs that counts the passing
+              x1 by residue class mod x4 / gcd(x3, x4) (derivation in
+              _direct_pruned_count).  Its test oracle, the plain O(B^3) box
+              scan _direct_box, is the one oracle in the package:
+              perfbench/tracer.py wraps it by name.
 
 torsor_count  enumerates torsor tuples (a1, ..., a7) with a8 forced by the
               torsor equation and divides the orbit total by 32.  Signs are
@@ -42,9 +44,9 @@ at a time: the reduced height m for the direct counter, a1 for the torsor.
 With jobs > 1 the items go to worker processes, one task each, so a free
 worker takes the next item and no part is fixed in advance.
 
-Only the direct counter uses numpy, and each of its functions binds it
-itself: the torsor counter and the Moebius slices run on Python integers,
-so a request that never runs the direct counter never pays numpy's import.
+Both counters run on Python integers.  numpy is used only in the box-scan
+oracle _direct_box and its _normalize_rows, each of which binds it itself,
+so no count, no `verify` suite and no cache hit pays numpy's import.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import time
 from functools import partial, reduce
 from typing import NamedTuple
 
-from .arith import (BLOCK, CounterMismatch, OutOfRange, ceil_sqrt, check_nonsquare, crt, moebius,
+from .arith import (CounterMismatch, OutOfRange, ceil_sqrt, check_nonsquare, crt, moebius,
                     slice_coprime, slice_monomials, squarefree_divisors, theta0)
 from .eta import rho_classes
 
@@ -141,81 +143,48 @@ def _direct_box(a: int, B1: int) -> set[tuple[int, ...]]:
     return pts
 
 
-def _ragged_ranges(starts: np.ndarray, stops: np.ndarray):
-    """Flatten inclusive integer ranges [starts[i], stops[i]], at least one
-    and each non-empty, into one array, returning (values, owner_index)."""
-    import numpy as np
-
-    lens = stops - starts + 1
-    total = int(lens.sum())
-    owner = np.repeat(np.arange(len(starts), dtype=np.int64), lens)
-    offsets = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    flat = np.arange(total, dtype=np.int64) - np.repeat(offsets, lens) + np.repeat(starts, lens)
-    return flat, owner
-
-
-def _floor_sqrt_arr(n: np.ndarray) -> np.ndarray:
-    """Exact floor square roots of 0 <= n < 2^62.  There the float square
-    root truncates to within 1 of the floor, so one step down and one step
-    up make it exact."""
-    import numpy as np
-
-    r = np.sqrt(n.astype(np.float64)).astype(np.int64)
-    r = np.where(r * r > n, r - 1, r)
-    r = np.where((r + 1) * (r + 1) <= n, r + 1, r)
-    return np.maximum(r, 0)
-
-
-def _ceil_sqrt_arr(n: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    r = _floor_sqrt_arr(n)
-    return np.where(r * r == n, r, r + 1)
-
-
 # The largest height the direct counter serves, at any a.
 DIRECT_B_MAX = 100_000
-# A bound on the int64 values of the pruned scan.  Its ranges keep x3, x4 <=
-# B^(3/4) and D <= B^(5/4) (derivation in _direct_pruned_count), so B D, x4^3,
-# x3^2 x4 and x3 x4^2 stay below B^(9/4), and the t window's ends
-# a x3^2 +- B D / x3 below |a| B^(3/2) + B^(9/4).  X0 and X1 are then at most
-# B D, and the floor square root of an n < 2^62 checks (r + 1)^2 < 2^63.
-DIRECT_INT_MAX = 2**62
 
 
-def check_direct_B(a: int, B1: int) -> None:
-    """Raise OutOfRange if the direct counter cannot take a at the integer
-    height B1: beyond DIRECT_B_MAX, or where |a| B1^(3/2) + B1^(9/4) reaches
-    DIRECT_INT_MAX and the scan's int64 values could overflow (the first
-    test keeps a huge |a| out of the float product)."""
+def check_direct_B(B1: int) -> None:
+    """Raise OutOfRange if the integer height B1 is beyond DIRECT_B_MAX.  The
+    counter runs on Python integers, so |a| has no limit of its own."""
     if B1 > DIRECT_B_MAX:
         raise OutOfRange(f"B = {B1} exceeds the direct counter's limit {DIRECT_B_MAX}")
-    if abs(a) >= DIRECT_INT_MAX or abs(a) * B1**1.5 + B1**2.25 >= DIRECT_INT_MAX:
-        raise OutOfRange(f"|a| = {abs(a)} at B = {B1} exceeds the direct counter's int64 range")
 
 
 def _direct_pruned_count(a: int, B1: int, m: int) -> int:
     """Count points of height <= B1 by primitive-triple enumeration, those
     with reduced height m = x4 / gcd(x3, x4), one of m <= sqrt(B1).
 
-    Soundness of the pruning, for a primitive triple t = (x1, x3, x4) with
+    Soundness of the pruning, for a primitive triple (t, x3, x4) with
     x3 = c n, x4 = c m, c = gcd(x3, x4), mapping to the primitive point y with
-    image gcd g.  The image components are X_0 = (a x3^2 - x1^2) x3,
-    X_1 = x1 x3 x4 and the x1-independent x4^3, x3^2 x4 and x3 x4^2, whose gcd
+    image gcd g.  The image components are X_0 = (a x3^2 - t^2) x3,
+    X_1 = t x3 x4 and the t-independent x4^3, x3^2 x4 and x3 x4^2, whose gcd
     is x4 c^2.
-      * g | D := gcd(x3 m, x4 c^2) = x4 gcd(n, c^2).  For a prime q not
+      * g | D := gcd(x3 m, x4 c^2) = x4 k, k = gcd(n, c^2).  For a prime q not
         dividing x3, v_q(g) <= v_q(x3^2 x4) = v_q(m); for q | x3 not dividing
         x4, v_q(g) <= v_q(x4^3) = 0; for q | c primitivity makes q coprime to
-        x1, so v_q(g) <= v_q(X_0) = v_q(x3).  So g | x3 m, and g | x4 c^2;
-      * hence g = gcd(D, X_0, X_1): D divides x4 c^2, the gcd of the three
-        x1-independent components, so two gcds per x1 replace the
-        five-column reduction;
-      * H(y) >= |X_i| / D for every component.  The x1-independent ones give
-        the pair test max(x4^3, x3^2 x4, x3 x4^2) <= B D, which, as
-        gcd(n, c^2) <= min(n, c^2), implies the enumeration ranges
-        m <= sqrt(B), n <= sqrt(B), c^2 m <= B, c^2 n <= B and
-        (c m)^2 <= B n; X_0 and X_1 give the x1 windows
-        |a x3^2 - x1^2| <= B D / x3 and |x1| <= B D / (x3 x4);
+        t, so v_q(g) <= v_q(X_0) = v_q(x3).  So g | x3 m, and g | x4 c^2;
+      * hence g = gcd(D, X_0, X_1), as D divides x4 c^2, and
+        g = c k gcd(m, a x3^2 - t^2): D = c m k divides X_1 = t c^2 n m, as
+        k | n, so g = gcd(c m k, c n (a x3^2 - t^2)); gcd(m, n) = 1 and k | n
+        give gcd(m, k) = 1, so that gcd is c k gcd(m, n (a x3^2 - t^2)) =
+        c k gcd(m, a x3^2 - t^2).  g depends on t only through h =
+        gcd(m, a x3^2 - r^2), r = t mod m;
+      * H(y) <= B iff max |X_i| <= B g.  The t-independent components give
+        the pair test c^3 m max(n, m)^2 <= B g, so, as k <= min(n, c^2) and
+        h <= m, the enumeration ranges m <= sqrt(B), n <= sqrt(B), c^2 m <= B,
+        c^2 n <= B and (c m)^2 <= B n; X_0 and X_1 give the t window
+        |a x3^2 - t^2| <= B g / x3 and 0 <= t <= B g / (x3 x4).  A smaller h
+        gives a smaller g, a harder pair test and a window inside the larger
+        one's, so the classes are taken by decreasing h until one fails;
+      * the t = r (mod m) in a window [L, U] with gcd(t, c) = 1 number, by
+        Moebius over the squarefree d | c, the sum of mu(d) times
+        #{s in [L/d, U/d] : d s = r (mod m)}.  That set is empty unless
+        e = gcd(d, m) divides r, and is then s = (r/e) (d/e)^(-1) (mod m/e):
+        one _count_ap each;
       * distinct primitive triples with x4 >= 1 give distinct points, and the
         primitive part of any point's own triple lies in the search domain,
         so counting passing triples counts each point exactly once;
@@ -223,59 +192,55 @@ def _direct_pruned_count(a: int, B1: int, m: int) -> int:
         gcd, the height, and primitivity, and pairs distinct points, so only
         x3 > 0 is enumerated and the total is doubled (likewise x1 = +-t
         are distinct points counted by weight 2 for t > 0).
+    The residues are grouped by r^2 mod m once per call, and into classes by
+    h once per value of a x3^2 mod m, so the call holds at most m + 1
+    groupings of the m residues.
     """
-    import numpy as np
-
-    n = np.arange(1, math.isqrt(B1) + 1, dtype=np.int64)
-    if m > 1:
-        n = n[np.gcd(n, m) == 1]
-    # c^2 n <= B, c^2 m <= B and (c m)^2 <= B n; n = 1 always passes
-    cmax = np.minimum(
-        np.minimum(_floor_sqrt_arr(B1 // n), math.isqrt(B1 // m)), _floor_sqrt_arr(B1 * n) // m
-    )
-    keep = cmax >= 1
-    n, cmax = n[keep], cmax[keep]
-    c, owner = _ragged_ranges(np.ones(len(n), dtype=np.int64), cmax)
-    return 2 * _pruned_pairs(a, B1, m, c, c * n[owner])
-
-
-def _pruned_pairs(a: int, B1: int, m: int, c: np.ndarray, x3: np.ndarray) -> int:
-    """Weighted passing-triple count over the (x3, x4 = c*m) pairs, x1 = t >= 0.
-    The t-candidates are taken in whole pairs' windows, BLOCK candidates and
-    one window more at a time, so beside the pairs' own arrays a step holds
-    about ten int64 arrays of that length."""
-    import numpy as np
-
-    x4 = c * m
-    D = np.gcd(x3 * m, x4 * c * c)
-    M234 = np.maximum(x4 * x4 * x4, x3 * x4 * np.maximum(x3, x4))
-    BD = B1 * D
-    ax3sq = a * x3 * x3
-    lim0 = BD // x3  # |a x3^2 - t^2| <= B g / |x3| <= lim0
-    hi2, lo2 = ax3sq + lim0, ax3sq - lim0
-    x34 = x3 * x4
-    # the t window [L, U]; no t when hi2 < 0
-    U = np.where(hi2 >= 0, np.minimum(_floor_sqrt_arr(np.maximum(hi2, 0)), BD // x34), -1)
-    L = _ceil_sqrt_arr(np.maximum(lo2, 0))
-    keep = (M234 <= BD) & (U >= L)
-    c, x3, x34, D, M234, ax3sq, L, U = (v[keep] for v in (c, x3, x34, D, M234, ax3sq, L, U))
-
+    squares: dict[int, list[int]] = {}  # r^2 mod m -> the residues r
+    for r in range(m):
+        squares.setdefault(r * r % m, []).append(r)
+    classes: dict[int, list] = {}  # a x3^2 mod m -> [(h, residues r)], h decreasing
     total = 0
-    cum = np.cumsum(U - L + 1)
-    start = 0
-    while start < len(c):
-        base = int(cum[start - 1]) if start else 0
-        stop = min(int(np.searchsorted(cum, base + BLOCK, side="left")) + 1, len(c))
-        t, owner = _ragged_ranges(L[start:stop], U[start:stop])
-        prim = np.gcd(t, c[start:stop][owner]) == 1
-        t, owner = t[prim], owner[prim] + start
-        X0 = (ax3sq[owner] - t * t) * x3[owner]
-        X1 = t * x34[owner]
-        Bg = B1 * np.gcd(np.gcd(D[owner], X1), X0)
-        passing = (np.abs(X0) <= Bg) & (X1 <= Bg) & (M234[owner] <= Bg)
-        total += int(np.count_nonzero(passing) + np.count_nonzero(passing & (t > 0)))
-        start = stop
-    return total
+    for n in range(1, math.isqrt(B1) + 1):
+        if math.gcd(n, m) != 1:
+            continue
+        top = max(n, m) ** 2
+        # c^2 n <= B, c^2 m <= B and (c m)^2 <= B n; n = 1 always passes
+        for c in range(1, min(math.isqrt(B1 // n), math.isqrt(B1 // m), math.isqrt(B1 * n) // m) + 1):
+            k = math.gcd(n, c * c)
+            pair = c * c * m * top  # the pair test is pair <= B k h
+            if pair > B1 * k * m:
+                continue
+            x3 = c * n
+            A = a * x3 * x3
+            groups = classes.get(A % m)
+            if groups is None:
+                by_h: dict[int, list[int]] = {}
+                for sq, rs in squares.items():
+                    by_h.setdefault(math.gcd(m, A - sq), []).extend(rs)
+                groups = classes[A % m] = sorted(by_h.items(), reverse=True)
+            ds = None
+            for h, rs in groups:
+                Bg = B1 * c * k * h
+                lim0 = Bg // x3  # |a x3^2 - t^2| <= lim0
+                if pair > B1 * k * h or A + lim0 < 0:
+                    break
+                U = min(math.isqrt(A + lim0), Bg // (x3 * c * m))
+                L = ceil_sqrt(A - lim0) if A > lim0 else 0
+                if U < L:
+                    break
+                if ds is None:  # (d, mu(d), e, m / e, (d / e)^(-1) mod m / e)
+                    ds = []
+                    for d in squarefree_divisors(c):
+                        e = math.gcd(d, m)
+                        ds.append((d, moebius(d), e, m // e, pow(d // e, -1, m // e)))
+                passing = 0
+                for d, mu, e, me, inv in ds:
+                    lo, hi = -(-L // d), U // d
+                    passing += mu * sum(_count_ap(lo, hi, r // e * inv, me) for r in rs if r % e == 0)
+                # weight 2 for t > 0; t = 0 is primitive only at c = 1
+                total += 2 * passing - (L == 0 and c == 1 and h == math.gcd(m, A))
+    return 2 * total
 
 
 def direct_count(a: int, B, jobs: int = 1) -> CountResult:
@@ -286,7 +251,7 @@ def direct_count(a: int, B, jobs: int = 1) -> CountResult:
     B1 = math.floor(B)
     if B1 < 1:
         return CountResult(0, time.time() - t0, {})
-    check_direct_B(a, B1)
+    check_direct_B(B1)
     ms = range(1, math.isqrt(B1) + 1)
     n = sum(_fan_out(_direct_pruned_count, (a, B1), ms, jobs))
     return CountResult(n, time.time() - t0, {})

@@ -358,8 +358,6 @@ def test_main_in_process(tmp_path):
     [
         ["count", "--a", "-1", "--B", "100001", "--method", "direct"],
         ["count", "--a", "-1", "--B", "100001", "--method", "both"],
-        ["count", "--a", "10000000000000000001", "--B", "100"],
-        ["count", "--a", "-10000000000000000001", "--B", "100"],
         ["compare", "--a", "-1", "--B-list", "100,100001"],
         ["compare", "--a", "-1", "--B-list", "1,x"],
         ["compare", "--a", "-1", "--B-list", "1", "--format", "json"],
@@ -658,15 +656,16 @@ def test_verify_without_counters_skips_numpy():
     assert r.stdout.splitlines()[-1] == "0 []"
 
 
-def test_torsor_paths_skip_numpy_until_the_direct_counter_runs(tmp_path):
-    # a fresh interpreter: the torsor counter and the Moebius slices run on
-    # Python integers; numpy is bound inside the direct counter's functions
+def test_counts_and_verify_skip_numpy(tmp_path):
+    # a fresh interpreter: both counters and the Moebius slices run on Python
+    # integers; numpy is bound only inside the direct counter's box oracle
     probe = (
         "import json, sys; from delpezzo.cli import main; "
         "rc = main(['verify', '--suite', 'moebius']); "
         f"rc += main(['count', '--a', '-1', '--B', '1000', '--method', 'torsor', '--cache-dir', {str(tmp_path)!r}]); "
         "print(rc, 'numpy' in sys.modules); "
         f"rc = main(['count', '--a', '-1', '--B', '1000', '--method', 'direct', '--cache-dir', {str(tmp_path)!r}]); "
+        f"rc += main(['count', '--a', '2', '--B', '1000', '--method', 'both', '--cache-dir', {str(tmp_path)!r}]); "
         "print(rc, 'numpy' in sys.modules)"
     )
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
@@ -675,7 +674,16 @@ def test_torsor_paths_skip_numpy_until_the_direct_counter_runs(tmp_path):
     assert json.loads(lines[1]) == {"a": -1, "B": "1000", "torsor": 18598}
     assert lines[2] == "0 False"
     assert json.loads(lines[3]) == {"a": -1, "B": "1000", "direct": 18598}
-    assert lines[4] == "0 True"
+    assert json.loads(lines[4]) == {"a": 2, "B": "1000", "direct": 22020, "torsor": 22020}
+    assert lines[5] == "0 False"
+
+
+def test_count_serves_any_a(tmp_path, capsys):
+    # both counters run on Python integers, so no |a| is refused; at B = 100
+    # no point has |a| ~ 10^19, and the two counters agree on 0
+    for a in ("10000000000000000001", "-10000000000000000001"):
+        assert main(["count", "--a", a, "--B", "100", "--cache-dir", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"a": int(a), "B": "100", "direct": 0, "torsor": 0}
 
 
 def test_verify_torsor_skips_fractions():

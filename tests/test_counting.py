@@ -1,10 +1,8 @@
 import concurrent.futures
 import math
-import random
 import tracemalloc
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -14,7 +12,6 @@ from delpezzo.arith import BLOCK, TESTBED, OutOfRange, theta0
 from delpezzo.counting import (
     _direct_box,
     _direct_pruned_count,
-    _floor_sqrt_arr,
     _iroot,
     _Slice,
     _slice_lhs,
@@ -115,14 +112,11 @@ def test_counters_agree_small():
             assert d == t and raw == 32 * t, (a, B, d, t, raw)
 
 
-def test_direct_refuses_where_int64_could_overflow():
-    # served while |a| B^(3/2) + B^(9/4) < 2^62: at B = 100, |a| < 4.6e15
-    a = 4 * 10**15 + 1
-    assert direct_count(a, 100).count == torsor_count(a, 100).count
-    for a in (5 * 10**15 + 1, -(5 * 10**15 + 1), 10**19 + 1, 10**400 + 1):
-        with pytest.raises(OutOfRange, match="int64"):
-            direct_count(a, 100)
-        assert torsor_count(a, 100).count == 0  # Python integers: no such limit
+def test_direct_serves_any_a_on_python_integers():
+    # no value of the pruned scan is fixed-width, so no |a| is refused; a
+    # 64-bit scan would overflow at |a| B^(3/2) near 2^63, here |a| ~ 10^16
+    for a in (4 * 10**15 + 1, 5 * 10**15 + 1, -(5 * 10**15 + 1), 10**19 + 1, 10**400 + 1):
+        assert direct_count(a, 100).count == torsor_count(a, 100).count, a
 
 
 def test_torsor_refuses_B_whose_root_overflows_the_outer_loop(monkeypatch):
@@ -160,25 +154,22 @@ def test_counters_agree_random(a, B):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    a=st.integers(-500, 500).filter(lambda a: a != 0),
+    a=(st.integers(-500, 500) | st.integers(-(10**12), 10**12)).filter(lambda a: a != 0),
     k=st.integers(1, 40),
     u=st.integers(1, 60),
     v=st.integers(1, 60),
     t=st.integers(0, 3000),
 )
-def test_image_gcd_from_three_columns(a, k, u, v, t):
-    # the pruned scan's g = gcd(gcd(D, X1), X0), D = gcd(x3 m, x4 c^2), is the
-    # gcd of all five image components of a primitive triple (t, x3, x4)
+def test_image_gcd_from_residue_class(a, k, u, v, t):
+    # the pruned scan's g = c gcd(n, c^2) gcd(m, a x3^2 - t^2), for x3 = c n,
+    # x4 = c m, c = gcd(x3, x4), is the gcd of all five image components of
+    # a primitive triple (t, x3, x4)
     x3, x4 = k * u, k * v  # a common factor k makes c = gcd(x3, x4) > 1 likely
     c = math.gcd(x3, x4)
     assume(math.gcd(t, c) == 1)
-    m = x4 // c
-    t, x3, x4 = (np.array([w], dtype=np.int64) for w in (t, x3, x4))
-    X0 = (a * x3 * x3 - t * t) * x3
-    X1 = t * x3 * x4
-    cols = np.stack([X0, X1, x4**3, x3 * x3 * x4, x3 * x4 * x4], axis=1)
-    D = np.gcd(x3 * m, x4 * c * c)
-    assert np.gcd(np.gcd(D, X1), X0) == np.gcd.reduce(np.abs(cols), axis=1)
+    n, m = x3 // c, x4 // c
+    image = ((a * x3 * x3 - t * t) * x3, t * x3 * x4, x4**3, x3 * x3 * x4, x3 * x4 * x4)
+    assert c * math.gcd(n, c * c) * math.gcd(m, a * x3 * x3 - t * t) == math.gcd(*image)
 
 
 def test_direct_refuses_large_B_before_workers(monkeypatch):
@@ -256,32 +247,22 @@ def test_torsor_memory_is_one_table():
     assert peak <= 500 * math.isqrt(B), peak
 
 
-def test_floor_sqrt_arr_is_isqrt():
-    # the pruned scan's floor square roots, on both sides of every kind of
-    # square up to its bound n < 2^62 and on random n below it
-    rng = random.Random(5)
-    ks = [0, 1, 2, 3, math.isqrt(2**62 - 1)] + [rng.randrange(1, 2**31) for _ in range(20_000)]
-    near = {k * k + d for k in ks for d in (-1, 0, 1)}
-    n = sorted(x for x in near if 0 <= x < 2**62) + [2**62 - 1]
-    n += [rng.randrange(2**e) for e in range(1, 63) for _ in range(300)]
-    got = _floor_sqrt_arr(np.array(n, dtype=np.int64)).tolist()
-    assert got == [math.isqrt(x) for x in n]
-
-
 def test_pruned_memory_is_of_order_block():
-    # a = 2, m = 1 at B = 10^5 has 293903 t-candidates, some 18 blocks, over
-    # 10635 (x3, x4) pairs.  A block step holds about ten int64 arrays of
-    # BLOCK t-candidates (the ragged ranges, t, owner and the gathered
-    # columns, X0, X1 and their gcds), and the pairs' own arrays add about
-    # 1 MB; taking the t-candidates 4,000,000 at a time held 10 MB here.
+    # a call holds no t-candidates, only its per-m residue table: the
+    # residues grouped by r^2 mod m, then by h = gcd(m, a x3^2 - r^2) for
+    # each a x3^2 mod m that a pair within the pair test meets, so at most
+    # m + 1 groupings of the m residues, one at m = 1.  At a = 2, B = 10^5
+    # the peak was 52 kB at m = 1 (nearly all of it arith.factorize's cache
+    # of the c <= 316) and 139 kB at m = isqrt(B), where the table is largest.
     _direct_pruned_count(2, 100, 1)  # first-call set-up outside the trace
-    tracemalloc.start()
-    try:
-        _direct_pruned_count(2, 10**5, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * 8 * BLOCK, peak
+    for m in (1, math.isqrt(10**5)):
+        tracemalloc.start()
+        try:
+            _direct_pruned_count(2, 10**5, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 8 * BLOCK, (m, peak)
 
 
 def test_moebius_seed_case():
